@@ -76,7 +76,6 @@ from .dimension import (
     DimEstimate,
     assouad_estimate,
     box_count,
-    dyadic_ladder,
     fit_dimension,
 )
 from .tangent import (

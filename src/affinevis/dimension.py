@@ -128,13 +128,6 @@ def fit_dimension(counts, scales) -> DimEstimate:
     )
 
 
-def dyadic_ladder(lo_exp: int, hi_exp: int, base: float = 2.0) -> list[float]:
-    """Scales base^-k for k = lo_exp..hi_exp, coarsest first."""
-    if hi_exp < lo_exp:
-        raise ValueError("hi_exp must be >= lo_exp")
-    return [base**-k for k in range(lo_exp, hi_exp + 1)]
-
-
 def assouad_estimate(
     cloud: PointCloud,
     n_balls: int = 64,

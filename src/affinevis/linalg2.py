@@ -233,15 +233,6 @@ def singular_data(m: Mat2, det: float | None = None) -> SingularData:
     return SingularData(alpha1, alpha2, theta1, theta2, eta1, eta2)
 
 
-def alpha1_of_stack(mats: np.ndarray) -> np.ndarray:
-    """Vectorized largest singular value for an (n, 2, 2) stack."""
-    p = mats[:, 0, 0] ** 2 + mats[:, 1, 0] ** 2
-    r = mats[:, 0, 1] ** 2 + mats[:, 1, 1] ** 2
-    q = mats[:, 0, 0] * mats[:, 0, 1] + mats[:, 1, 0] * mats[:, 1, 1]
-    spread = np.hypot(0.5 * (p - r), q)
-    return np.sqrt(0.5 * (p + r) + spread)
-
-
 def alpha_pair_of_stack(
     mats: np.ndarray, dets: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,7 @@ import math
 
 from .dimension import DimEstimate, box_count, fit_dimension
 from .linalg2 import Direction, ProjLine, proj_distance
-from .symbolic import IFS, PointCloud, attractor_cloud
+from .symbolic import PointCloud
 from .visibility import rasterize, visible_exact, visible_sweep
 
 
@@ -83,6 +83,3 @@ def spread_directions(
             return kept[:n]
     raise ValueError("could not place the requested directions")
 
-
-def scenario_cloud(ifs: IFS, delta: float, budget: int | None = None) -> PointCloud:
-    return attractor_cloud(ifs, delta, budget=budget)

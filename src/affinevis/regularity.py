@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .linalg2 import (
     proj_signed_gap,
     singular_data,
 )
-from .symbolic import IFS, Word, cylinder, cyclic_prefix
+from .symbolic import IFS, Word, cylinder, cyclic_prefix, word_levels, word_products
 
 PI = math.pi
 
@@ -172,34 +173,21 @@ def domination_report(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    limit = budget_limit(budget)
+    cap = min(EXHAUSTIVE_WORDS, budget_limit(budget))
     rng = np.random.default_rng(seed)
-    lin = ifs.linear_stack()
-    map_dets = np.array([f.linear.det for f in ifs.maps])
     kappa = ifs.kappa
+    exact_levels = word_levels(ifs, n_max)
 
     levels: list[int] = []
     roots: list[float] = []
     exhaustive_up_to = 0
-    mats = np.eye(2)[None, :, :]
-    dets = np.ones(1)
-    exhaustive = True
     for n in range(1, n_max + 1):
-        if exhaustive and mats.shape[0] * kappa <= min(EXHAUSTIVE_WORDS, limit):
-            mats = np.einsum("nij,kjl->nkil", mats, lin).reshape(-1, 2, 2)
-            dets = np.multiply.outer(dets, map_dets).reshape(-1)
-            level_mats, level_dets = mats, dets
+        if kappa**n <= cap:
+            mats, dets = next(exact_levels)
             exhaustive_up_to = n
         else:
-            if exhaustive:
-                exhaustive = False
-            words = rng.integers(0, kappa, size=(samples, n))
-            level_mats = np.broadcast_to(np.eye(2), (samples, 2, 2)).copy()
-            level_dets = np.ones(samples)
-            for k in range(n):
-                level_mats = np.einsum("nij,njl->nil", level_mats, lin[words[:, k]])
-                level_dets = level_dets * map_dets[words[:, k]]
-        a1, a2 = alpha_pair_of_stack(level_mats, dets=level_dets)
+            mats, dets = word_products(ifs, rng.integers(0, kappa, size=(samples, n)))
+        a1, a2 = alpha_pair_of_stack(mats, dets=dets)
         ratio = a1 / a2
         roots.append(float(np.min(ratio) ** (1.0 / n)))
         levels.append(n)
@@ -219,7 +207,7 @@ def domination_report(
         tau_min,
         verdict,
         exhaustive_up_to,
-        0 if exhaustive else samples,
+        0 if exhaustive_up_to == n_max else samples,
     )
 
 
@@ -228,18 +216,10 @@ def domination_report(
 
 
 def _theta1_lines(ifs: IFS, depth: int, transpose: bool = False) -> list[ProjLine]:
-    mats = np.eye(2)[None, :, :]
-    lin = ifs.linear_stack()
-    if transpose:
-        lin = np.transpose(lin, (0, 2, 1))
-    lines: list[ProjLine] = []
-    for _ in range(depth):
-        mats = np.einsum("nij,kjl->nkil", mats, lin).reshape(-1, 2, 2)
+    for mats, dets in word_levels(ifs, depth, transpose):
         if mats.shape[0] > 200_000:
             break
-    for m in mats:
-        lines.append(singular_data(Mat2.from_array(m)).theta1)
-    return lines
+    return [singular_data(Mat2.from_array(m), det=d).theta1 for m, d in zip(mats, dets)]
 
 
 def angular_hull(lines: list[ProjLine]) -> Cone:
@@ -347,6 +327,18 @@ def _normalize_projective_key(m: np.ndarray) -> bytes:
     return np.round(n, 13).tobytes()
 
 
+def _projective_children(
+    parents: Iterable[np.ndarray], lin: list[np.ndarray]
+) -> dict[bytes, np.ndarray]:
+    """Products m @ l of each parent with each map, first of each projective class."""
+    children: dict[bytes, np.ndarray] = {}
+    for m in parents:
+        for l in lin:
+            child = m @ l
+            children.setdefault(_normalize_projective_key(child), child)
+    return children
+
+
 def default_cover_cone(ifs: IFS, depth: int = 6) -> Cone:
     """Seed cone from the angular hull of depth-limited orientations, +10%."""
     hull = angular_hull(_theta1_lines(ifs, depth))
@@ -390,21 +382,18 @@ def orientation_cover(
         return [x]
 
     lin = [f.linear.as_array() for f in ifs.maps]
-    active: dict[bytes, np.ndarray] = {}
-    for m in lin:
-        active.setdefault(_normalize_projective_key(m), m)
+    active = _projective_children([np.eye(2)], lin)
     finished: list[Cone] = []
     total = 0
     while active:
-        next_active: dict[bytes, np.ndarray] = {}
+        parents = []
         for m in active.values():
             img = cone_image(Mat2.from_array(m), x)
             if img.diameter <= eps:
                 finished.append(img)
-                continue
-            for l in lin:
-                child = m @ l
-                next_active.setdefault(_normalize_projective_key(child), child)
+            else:
+                parents.append(m)
+        next_active = _projective_children(parents, lin)
         total += len(next_active)
         if total + len(finished) > limit:
             raise BudgetError(f"orientation cover exceeded budget {limit}")
@@ -459,13 +448,10 @@ def distortion_constants(ifs: IFS, x: Cone, probe_depth: int = 5) -> DistortionC
     """delta_sep = min distance of eta2(w) lines from X over shallow words;
     M = max of the interval constraint (pi - d)/d and the tangent derivative
     bound sec^2(pi/2 - d/2)."""
-    mats = np.eye(2)[None, :, :]
-    lin = ifs.linear_stack()
     d_min = math.inf
-    for _ in range(probe_depth):
-        mats = np.einsum("nij,kjl->nkil", mats, lin).reshape(-1, 2, 2)
-        for m in mats:
-            sd = singular_data(Mat2.from_array(m))
+    for mats, dets in word_levels(ifs, probe_depth):
+        for m, d in zip(mats, dets):
+            sd = singular_data(Mat2.from_array(m), det=d)
             eta2_line = ProjLine(math.atan2(sd.eta2[1], sd.eta2[0]))
             d_min = min(d_min, x.line_distance(eta2_line))
         if mats.shape[0] > 50_000:
@@ -490,21 +476,10 @@ class DistortionReport:
     max_ratio: float
 
 
-def _max_image_diameter(ifs: IFS, x: Cone, depth: int) -> float:
-    mats = np.eye(2)[None, :, :]
-    lin = ifs.linear_stack()
-    worst = 0.0
-    for _ in range(depth):
-        mats = np.einsum("nij,kjl->nkil", mats, lin).reshape(-1, 2, 2)
-    for m in mats:
-        worst = max(worst, cone_image(Mat2.from_array(m), x).diameter)
-    return worst
-
-
 def smallest_contraction_depth(ifs: IFS, x: Cone, delta_sep: float, depth_cap: int = 12) -> int:
     """First depth at which every image interval has diameter <= delta_sep."""
-    for k in range(1, depth_cap + 1):
-        if _max_image_diameter(ifs, x, k) <= delta_sep:
+    for k, (mats, _) in enumerate(word_levels(ifs, depth_cap), start=1):
+        if max(cone_image(Mat2.from_array(m), x).diameter for m in mats) <= delta_sep:
             return k
     return depth_cap
 
@@ -526,16 +501,8 @@ def distortion_check(
     consts = distortion_constants(ifs, x)
     k0 = smallest_contraction_depth(ifs, x, consts.delta_sep)
     rng = np.random.default_rng(seed)
-    lin = ifs.linear_stack()
-    map_dets = np.array([f.linear.det for f in ifs.maps])
-    kappa = ifs.kappa
-
-    words = rng.integers(0, kappa, size=(samples, word_length))
-    mats = np.broadcast_to(np.eye(2), (samples, 2, 2)).copy()
-    dets = np.ones(samples)
-    for k in range(word_length):
-        mats = np.einsum("nij,njl->nil", mats, lin[words[:, k]])
-        dets = dets * map_dets[words[:, k]]
+    words = rng.integers(0, ifs.kappa, size=(samples, word_length))
+    mats, dets = word_products(ifs, words)
     a1, a2 = alpha_pair_of_stack(mats, dets=dets)
     rho = a2 / a1
 
@@ -599,24 +566,19 @@ def porosity_gap_levels(ifs: IFS, x: Cone, depth: int) -> list[float]:
     gaps = _level1_gaps(ifs, x)
     widest = max(gaps, key=lambda g: g.half_width)
     lin = [f.linear.as_array() for f in ifs.maps]
-    active: dict[bytes, np.ndarray] = {_normalize_projective_key(np.eye(2)): np.eye(2)}
+    active = [np.eye(2)]
     out: list[float] = []
     for _ in range(depth):
-        next_active: dict[bytes, np.ndarray] = {}
-        for m in active.values():
-            for l in lin:
-                child = m @ l
-                next_active.setdefault(_normalize_projective_key(child), child)
-        if len(next_active) > 100_000:
+        active = list(_projective_children(active, lin).values())
+        if len(active) > 100_000:
             raise BudgetError("porosity refinement too wide; reduce depth")
         level_min = math.inf
-        for m in next_active.values():
+        for m in active:
             mm = Mat2.from_array(m)
             g = cone_image(mm, widest).diameter
             s = cone_image(mm, x).diameter
             level_min = min(level_min, g / s)
         out.append(level_min)
-        active = next_active
     return out
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .errors import BadSymbolError, BudgetError, NotContractiveError, budget_lim
 from .linalg2 import (
     AffineMap2,
     SingularData,
-    alpha1_of_stack,
+    alpha_pair_of_stack,
     compose,
     singular_data,
 )
@@ -181,6 +181,42 @@ def refine_cylinders(
     return out
 
 
+def word_levels(
+    ifs: IFS, depth: int, transpose: bool = False
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Products A_w and exact factor-determinant products of all words, per level.
+
+    Yields ``(mats, dets)`` for lengths 1..depth, words in lexicographic
+    order; ``transpose`` composes the transposed maps.  Levels are built
+    lazily, so a caller may stop at a size cap.
+    """
+    lin = ifs.linear_stack()
+    if transpose:
+        lin = np.transpose(lin, (0, 2, 1))
+    map_dets = np.array([f.linear.det for f in ifs.maps])
+    mats = np.eye(2)[None, :, :]
+    dets = np.ones(1)
+    for _ in range(depth):
+        # children of word w are w.1, ..., w.kappa in order
+        mats = np.einsum("nij,kjl->nkil", mats, lin).reshape(-1, 2, 2)
+        dets = np.multiply.outer(dets, map_dets).reshape(-1)
+        yield mats, dets
+
+
+def word_products(ifs: IFS, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Linear parts and exact determinants for a (samples, n) array of
+    0-based symbols, one product per row."""
+    lin = ifs.linear_stack()
+    map_dets = np.array([f.linear.det for f in ifs.maps])
+    samples = words.shape[0]
+    mats = np.broadcast_to(np.eye(2), (samples, 2, 2)).copy()
+    dets = np.ones(samples)
+    for k in range(words.shape[1]):
+        mats = np.einsum("nij,njl->nil", mats, lin[words[:, k]])
+        dets = dets * map_dets[words[:, k]]
+    return mats, dets
+
+
 def _refine_alpha1_arrays(
     ifs: IFS, stop_alpha1: float, budget: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -200,7 +236,7 @@ def _refine_alpha1_arrays(
     done_trans: list[np.ndarray] = []
     total = 0
     while mats.shape[0] > 0:
-        a1 = alpha1_of_stack(mats)
+        a1 = alpha_pair_of_stack(mats)[0]
         done = a1 <= stop_alpha1
         if np.any(done):
             done_mats.append(mats[done])

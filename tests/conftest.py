@@ -2,30 +2,20 @@ import numpy as np
 import pytest
 
 from affinevis.linalg2 import AffineMap2, Mat2
+from affinevis.scenarios import carpet_ifs, positive_cone_ifs
 from affinevis.symbolic import IFS
-
-
-def carpet_maps():
-    lin = Mat2.diag(1.0 / 3.0, 0.5)
-    return (
-        AffineMap2(lin, (0.0, 0.0)),
-        AffineMap2(lin, (1.0 / 3.0, 0.5)),
-        AffineMap2(lin, (2.0 / 3.0, 0.0)),
-    )
 
 
 @pytest.fixture(scope="session")
 def carpet():
     """Three-map carpet with linear part diag(1/3, 1/2)."""
-    return IFS(carpet_maps())
+    return carpet_ifs()
 
 
 @pytest.fixture(scope="session")
 def positive_pair():
     """Two positive matrices (scaled to contractions) sharing an invariant cone."""
-    b1 = Mat2(2.0 / 5.0, 1.0 / 5.0, 1.0 / 5.0, 1.0 / 5.0)
-    b2 = Mat2(3.0 / 5.0, 1.0 / 5.0, 2.0 / 5.0, 1.0 / 5.0)
-    return IFS((AffineMap2(b1, (0.0, 0.0)), AffineMap2(b2, (0.5, 0.25))))
+    return positive_cone_ifs()
 
 
 @pytest.fixture(scope="session")

@@ -7,10 +7,10 @@ from affinevis.dimension import (
     DimEstimate,
     assouad_estimate,
     box_count,
-    dyadic_ladder,
     fit_dimension,
 )
 from affinevis.errors import TooFewScalesError
+from affinevis.pipeline import ladder_scales
 from affinevis.symbolic import PointCloud, attractor_cloud
 
 LOG32 = math.log(2) / math.log(3)
@@ -32,7 +32,7 @@ def segment_cloud(n: int) -> PointCloud:
 class TestBoxCount:
     def test_unit_segment(self):
         cloud = segment_cloud(4097)
-        ladder = dyadic_ladder(1, 6)
+        ladder = ladder_scales(1, 6)
         counts = box_count(cloud, ladder)
         for k, n in zip(range(1, 7), counts):
             assert abs(n - 2**k) <= 1
@@ -45,7 +45,7 @@ class TestBoxCount:
 
     def test_counts_nondecreasing_and_coarsening_bound(self, carpet):
         cloud = attractor_cloud(carpet, 2.0**-9)
-        counts = box_count(cloud, dyadic_ladder(3, 9))
+        counts = box_count(cloud, ladder_scales(3, 9))
         for a, b in zip(counts, counts[1:]):
             assert a <= b <= 4 * a
 
@@ -56,7 +56,7 @@ class TestBoxCount:
 
 class TestFitDimension:
     def test_exact_power_law(self):
-        scales = dyadic_ladder(2, 8)
+        scales = ladder_scales(2, 8)
         counts = [round(s**-1.5) for s in scales]
         est = fit_dimension(counts, scales)
         assert est.slope == pytest.approx(1.5, abs=0.01)
@@ -74,7 +74,7 @@ class TestFitDimension:
 
     def test_slope_in_planar_range(self, carpet):
         cloud = attractor_cloud(carpet, 2.0**-10)
-        ladder = dyadic_ladder(4, 10)
+        ladder = ladder_scales(4, 10)
         est = fit_dimension(box_count(cloud, ladder), ladder)
         assert 0.0 <= est.slope <= 2.0
 
@@ -82,13 +82,13 @@ class TestFitDimension:
         # reference: brute-force fine count extrapolated, cross-checked by
         # the closed form 1 + log_3(3/2) for this uniform-fiber carpet
         cloud = attractor_cloud(carpet, 2.0**-13)
-        ladder = dyadic_ladder(6, 12)
+        ladder = ladder_scales(6, 12)
         est = fit_dimension(box_count(cloud, ladder), ladder)
         closed_form = 1.0 + math.log(1.5) / math.log(3.0)
         assert est.slope == pytest.approx(closed_form, abs=0.08)
 
     def test_trim_rule(self):
-        scales = dyadic_ladder(1, 8)
+        scales = ladder_scales(1, 8)
         counts = [round(s**-1.2) for s in scales]
         counts[0] = counts[0] * 6  # corrupt the coarsest point
         counts[1] = counts[1] * 3
@@ -132,7 +132,7 @@ class TestAssouadEstimate:
 
     def test_dominates_box_dimension(self, carpet):
         cloud = attractor_cloud(carpet, 2.0**-10)
-        ladder = dyadic_ladder(4, 10)
+        ladder = ladder_scales(4, 10)
         box = fit_dimension(box_count(cloud, ladder), ladder)
         local = assouad_estimate(cloud, seed=3)
         # soft bound: sampling noise allowed up to 0.05

@@ -11,6 +11,7 @@ from affinevis.linalg2 import (
     Direction,
     Mat2,
     ProjLine,
+    alpha_pair_of_stack,
     compose,
     proj_apply,
     proj_distance,
@@ -95,6 +96,22 @@ class TestSingularData:
             math.pi / 2, abs=1e-9
         )
         assert abs(np.dot(sd.eta1, sd.eta2)) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_stack_matches_scalar(self, seed):
+        rng = np.random.default_rng(seed)
+        ms = [random_invertible(rng) for _ in range(8)]
+        stack = np.stack([m.as_array() for m in ms])
+        # supplied determinants need not be the computed ones; they must be used
+        dets = rng.uniform(0.5, 2.0, size=len(ms)) * np.array([m.det for m in ms])
+        for given_dets in (None, dets):
+            a1, a2 = alpha_pair_of_stack(stack, dets=given_dets)
+            for k, m in enumerate(ms):
+                det = None if given_dets is None else float(given_dets[k])
+                sd = singular_data(m, det=det)
+                assert a1[k] == pytest.approx(sd.alpha1, rel=1e-12)
+                assert a2[k] == pytest.approx(sd.alpha2, rel=1e-12)
 
 
 class TestProjLine:

@@ -13,6 +13,7 @@ from affinevis.linalg2 import Mat2, ProjLine, proj_apply, proj_distance
 from affinevis.regularity import (
     Cone,
     cone_image,
+    cone_is_invariant,
     cones_disjoint,
     distortion_check,
     distortion_constants,
@@ -124,6 +125,14 @@ class TestInvariantCone:
         cone = invariant_cone_search(positive_pair, depth=6)
         rep = strong_cone_separation_check(positive_pair, cone)
         assert rep.invariant
+
+    def test_positive_pair_deep_search(self, positive_pair):
+        # at depth 13 the products are too anisotropic for a computed
+        # determinant; the exact factor products keep the search working
+        shallow = invariant_cone_search(positive_pair, depth=12)
+        deep = invariant_cone_search(positive_pair, depth=13)
+        assert cone_is_invariant(positive_pair, deep)
+        assert deep.center.angle == pytest.approx(shallow.center.angle, abs=1e-6)
 
     def test_rotation_pair_not_found(self, rotation_pair):
         with pytest.raises(ConeNotFoundError):

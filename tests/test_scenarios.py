@@ -35,10 +35,18 @@ class TestScenarioRegistry:
             scenario("nope")
 
     def test_carpet_maps(self):
-        ifs = scenario("carpet-5.1").build_ifs()
-        assert ifs.kappa == 3
-        for f in ifs.maps:
-            assert f.linear.as_array() == pytest.approx(np.diag([1 / 3, 1 / 2]))
+        expected = {
+            "carpet-5.1": [np.diag([1 / 3, 1 / 2])] * 3,
+            "positive-cone": [
+                np.array([[2 / 5, 1 / 5], [1 / 5, 1 / 5]]),
+                np.array([[3 / 5, 1 / 5], [2 / 5, 1 / 5]]),
+            ],
+        }
+        for name, mats in expected.items():
+            ifs = scenario(name).build_ifs()
+            assert ifs.kappa == len(mats)
+            for f, m in zip(ifs.maps, mats):
+                assert f.linear.as_array() == pytest.approx(m)
 
     def test_carpet_expected_values(self):
         spec = scenario("carpet-5.1")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,8 @@ from affinevis.symbolic import (
     refine_cylinders,
     symbolic_point,
     word_distance,
+    word_levels,
+    word_products,
 )
 
 
@@ -130,6 +133,31 @@ class TestAttractorCloud:
         # anchors at delta survive into the finer cloud, so the Hausdorff gap
         # is bounded by the coarse cylinder diameters
         assert hausdorff(fine, coarse) <= delta * 1.05
+
+
+class TestWordLevels:
+    def test_levels_match_cylinders(self, positive_pair):
+        for n, (mats, dets) in enumerate(word_levels(positive_pair, 4), start=1):
+            words = list(itertools.product(range(1, positive_pair.kappa + 1), repeat=n))
+            assert mats.shape == (len(words), 2, 2)
+            for m, d, w in zip(mats, dets, words):
+                cyl = cylinder(positive_pair, w)
+                assert m == pytest.approx(cyl.map.linear.as_array())
+                assert d == cyl.det
+            sampled, sampled_dets = word_products(positive_pair, np.array(words) - 1)
+            assert sampled == pytest.approx(mats)
+            assert sampled_dets == pytest.approx(dets)
+
+    def test_transpose_levels(self, positive_pair):
+        # A_{w1}^T ... A_{wn}^T is the transpose of the reversed word's product
+        kappa = positive_pair.kappa
+        plain = word_levels(positive_pair, 4)
+        flipped = word_levels(positive_pair, 4, transpose=True)
+        for n, ((m, d), (mt, dt)) in enumerate(zip(plain, flipped), start=1):
+            words = np.array(list(itertools.product(range(kappa), repeat=n)))
+            rev = np.ravel_multi_index(words[:, ::-1].T, (kappa,) * n)
+            assert mt == pytest.approx(np.transpose(m[rev], (0, 2, 1)))
+            assert np.all(dt == d)
 
 
 class TestSymbolicPoint:
