@@ -37,9 +37,9 @@ from .symbolic import (
     Cylinder,
     PointCloud,
     Word,
+    antichain,
     attractor_cloud,
     cylinder,
-    refine_cylinders,
     symbolic_point,
 )
 from .regularity import (

@@ -193,11 +193,6 @@ def projection_condition_check(
         )
     if cloud is None:
         cloud = attractor_cloud(ifs, delta)
-    if gap_tol is None:
-        gap_tol_eff = None  # resolved per word from the cloud resolution
-    else:
-        gap_tol_eff = gap_tol
-
     # breadth-first pullback of the carrier through inverse factor maps;
     # projectively identical pullbacks collapse, so diagonal systems cost
     # one axis per level instead of kappa^depth
@@ -216,8 +211,8 @@ def projection_condition_check(
         ok = spans > 0
         rel = np.zeros_like(spans)
         rel[ok] = gaps[ok] / spans[ok]
-        if gap_tol_eff is not None:
-            tols = np.full_like(spans, gap_tol_eff)
+        if gap_tol is not None:
+            tols = np.full_like(spans, gap_tol)
         else:
             # a delta-net can show spurious gaps up to ~2 delta
             tols = np.zeros_like(spans)
@@ -241,7 +236,7 @@ def projection_condition_check(
         if n == depth:
             passed = level_ok
             worst = level_worst
-    tol_repr = gap_tol_eff if gap_tol_eff is not None else 3.0 * cloud.resolution
+    tol_repr = gap_tol if gap_tol is not None else 3.0 * cloud.resolution
     return ProjectionVerdict(e, passed, worst, float(tol_repr), depth, False, first_pass)
 
 

@@ -252,6 +252,27 @@ def alpha_pair_of_stack(
     return np.sqrt(lam1), np.sqrt(lam2)
 
 
+def matmul_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Broadcasting product of (..., 2, 2) stacks, entry by entry in closed
+    form; rounds exactly like ``Mat2.__matmul__``."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for i in range(2):
+        for j in range(2):
+            np.multiply(a[..., i, 0], b[..., 0, j], out=out[..., i, j])
+            out[..., i, j] += a[..., i, 1] * b[..., 1, j]
+    return out
+
+
+def matvec_stack(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Broadcasting product of a (..., 2, 2) stack with a (..., 2) stack of
+    vectors, in the closed form of ``matmul_stack``."""
+    out = np.empty(np.broadcast_shapes(m.shape[:-1], v.shape))
+    for i in range(2):
+        np.multiply(m[..., i, 0], v[..., 0], out=out[..., i])
+        out[..., i] += m[..., i, 1] * v[..., 1]
+    return out
+
+
 def proj_apply(m: Mat2, line: ProjLine) -> ProjLine:
     """Image of a projective line under an invertible linear map."""
     if m.is_singular():

@@ -25,6 +25,7 @@ from .linalg2 import (
     Mat2,
     ProjLine,
     alpha_pair_of_stack,
+    matvec_stack,
     proj_apply,
     proj_distance,
     proj_signed_gap,
@@ -40,6 +41,9 @@ STRICT_MARGIN = 1e-9
 TAU_MIN_DEFAULT = 1.01
 # exhaustive level enumeration cap (kappa^n words)
 EXHAUSTIVE_WORDS = 1_000_000
+# deepest-level word caps of the cone seed and the distortion probe
+THETA1_WORDS = 200_000
+DISTORTION_WORDS = 50_000
 
 
 @dataclass(frozen=True)
@@ -216,9 +220,8 @@ def domination_report(
 
 
 def _theta1_lines(ifs: IFS, depth: int, transpose: bool = False) -> list[ProjLine]:
-    for mats, dets in word_levels(ifs, depth, transpose):
-        if mats.shape[0] > 200_000:
-            break
+    for mats, dets in word_levels(ifs, depth, transpose, cap=THETA1_WORDS):
+        pass  # only the deepest level is used
     return [singular_data(Mat2.from_array(m), det=d).theta1 for m, d in zip(mats, dets)]
 
 
@@ -334,6 +337,7 @@ def _projective_children(
     children: dict[bytes, np.ndarray] = {}
     for m in parents:
         for l in lin:
+            # matmul, not matmul_stack: cover angles depend on its rounding
             child = m @ l
             children.setdefault(_normalize_projective_key(child), child)
     return children
@@ -449,13 +453,11 @@ def distortion_constants(ifs: IFS, x: Cone, probe_depth: int = 5) -> DistortionC
     M = max of the interval constraint (pi - d)/d and the tangent derivative
     bound sec^2(pi/2 - d/2)."""
     d_min = math.inf
-    for mats, dets in word_levels(ifs, probe_depth):
+    for mats, dets in word_levels(ifs, probe_depth, cap=DISTORTION_WORDS):
         for m, d in zip(mats, dets):
             sd = singular_data(Mat2.from_array(m), det=d)
             eta2_line = ProjLine(math.atan2(sd.eta2[1], sd.eta2[0]))
             d_min = min(d_min, x.line_distance(eta2_line))
-        if mats.shape[0] > 50_000:
-            break
     if not math.isfinite(d_min) or d_min <= 0:
         raise NoConeError("eta2 directions touch the cone; constants undefined")
     m_interval = (PI - d_min) / d_min
@@ -510,8 +512,8 @@ def distortion_check(
     ang_b = x.center.angle + rng.uniform(-x.half_width, x.half_width, samples)
     va = np.stack([np.cos(ang_a), np.sin(ang_a)], axis=1)
     vb = np.stack([np.cos(ang_b), np.sin(ang_b)], axis=1)
-    ia = np.einsum("nij,nj->ni", mats, va)
-    ib = np.einsum("nij,nj->ni", mats, vb)
+    ia = matvec_stack(mats, va)
+    ib = matvec_stack(mats, vb)
 
     def pair_angle(p, q):
         ta = np.arctan2(p[:, 1], p[:, 0]) % PI

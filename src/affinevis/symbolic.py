@@ -7,9 +7,8 @@ fixed point of map 1, which always lies inside the attractor.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -19,6 +18,8 @@ from .linalg2 import (
     SingularData,
     alpha_pair_of_stack,
     compose,
+    matmul_stack,
+    matvec_stack,
     singular_data,
 )
 
@@ -140,55 +141,21 @@ def cylinder(ifs: IFS, word: Sequence[int]) -> Cylinder:
     return Cylinder(w, f, singular_data(f.linear, det=det), det)
 
 
-def child_cylinder(ifs: IFS, parent: Cylinder, symbol: int) -> Cylinder:
-    """Extend a cylinder by one symbol on the right."""
-    if not 1 <= symbol <= ifs.kappa:
-        raise BadSymbolError(f"symbol {symbol} outside 1..{ifs.kappa}")
-    f = compose(parent.map, ifs.maps[symbol - 1])
-    det = parent.det * ifs.maps[symbol - 1].linear.det
-    return Cylinder(parent.word + (symbol,), f, singular_data(f.linear, det=det), det)
-
-
-def refine_cylinders(
-    ifs: IFS,
-    stop: Callable[[Cylinder], bool],
-    budget: int | None = None,
-) -> list[Cylinder]:
-    """Minimal antichain of cylinders satisfying ``stop``.
-
-    Expands the word tree largest-alpha1-first, so memory stays proportional
-    to the antichain.  A word is emitted as soon as it satisfies ``stop``;
-    no emitted word's proper prefix satisfies it.  Output is sorted
-    lexicographically for determinism.
-    """
-    limit = budget_limit(budget)
-    root = cylinder(ifs, ())
-    out: list[Cylinder] = []
-    heap: list[tuple[float, Word, Cylinder]] = [(-root.alpha1, root.word, root)]
-    while heap:
-        _, _, cyl = heapq.heappop(heap)
-        if stop(cyl):
-            out.append(cyl)
-        else:
-            for s in range(1, ifs.kappa + 1):
-                child = child_cylinder(ifs, cyl, s)
-                heapq.heappush(heap, (-child.alpha1, child.word, child))
-        if len(out) + len(heap) > limit:
-            raise BudgetError(
-                f"antichain would exceed budget {limit}; coarsen the stop rule"
-            )
-    out.sort(key=lambda c: c.word)
-    return out
+def _children(mats: np.ndarray, lin: np.ndarray) -> np.ndarray:
+    """Products A_w A_i for every parent A_w and map i; the children of
+    word w are w.1, ..., w.kappa in order."""
+    return matmul_stack(mats[:, None], lin).reshape(-1, 2, 2)
 
 
 def word_levels(
-    ifs: IFS, depth: int, transpose: bool = False
+    ifs: IFS, depth: int, transpose: bool = False, cap: int | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Products A_w and exact factor-determinant products of all words, per level.
 
     Yields ``(mats, dets)`` for lengths 1..depth, words in lexicographic
     order; ``transpose`` composes the transposed maps.  Levels are built
-    lazily, so a caller may stop at a size cap.
+    lazily.  A level of more than ``cap`` words must be the last one asked
+    for: a shallower level past the cap raises BudgetError.
     """
     lin = ifs.linear_stack()
     if transpose:
@@ -196,10 +163,14 @@ def word_levels(
     map_dets = np.array([f.linear.det for f in ifs.maps])
     mats = np.eye(2)[None, :, :]
     dets = np.ones(1)
-    for _ in range(depth):
-        # children of word w are w.1, ..., w.kappa in order
-        mats = np.einsum("nij,kjl->nkil", mats, lin).reshape(-1, 2, 2)
+    for n in range(1, depth + 1):
+        mats = _children(mats, lin)
         dets = np.multiply.outer(dets, map_dets).reshape(-1)
+        if cap is not None and n < depth and mats.shape[0] > cap:
+            raise BudgetError(
+                f"word levels stop at depth {n} of {depth}: "
+                f"{mats.shape[0]} words exceed the cap {cap}"
+            )
         yield mats, dets
 
 
@@ -212,32 +183,34 @@ def word_products(ifs: IFS, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mats = np.broadcast_to(np.eye(2), (samples, 2, 2)).copy()
     dets = np.ones(samples)
     for k in range(words.shape[1]):
-        mats = np.einsum("nij,njl->nil", mats, lin[words[:, k]])
+        mats = matmul_stack(mats, lin[words[:, k]])
         dets = dets * map_dets[words[:, k]]
     return mats, dets
 
 
-def _refine_alpha1_arrays(
-    ifs: IFS, stop_alpha1: float, budget: int
+def antichain(
+    ifs: IFS, delta: float, budget: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized antichain at ``alpha1 <= stop_alpha1``.
+    """Cylinders of the minimal antichain at ``alpha1 <= delta``.
 
-    Returns the (n, 2, 2) linear parts and (n, 2) translations of the
-    antichain cylinders, in level-by-level lexicographic order.  Semantics
-    match refine_cylinders with the same stop rule.
+    Returns the (n, 2, 2) linear parts and (n, 2) translations of the words
+    w with alpha1(w) <= delta < alpha1(parent of w), level by level, each
+    level in lexicographic order.  alpha1 strictly decreases along prefixes,
+    so every infinite word has exactly one prefix in the antichain.
     """
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    limit = budget_limit(budget)
     lin = ifs.linear_stack()
     tr = ifs.translation_stack()
-    kappa = ifs.kappa
 
     mats = np.eye(2)[None, :, :]
     trans = np.zeros((1, 2))
     done_mats: list[np.ndarray] = []
     done_trans: list[np.ndarray] = []
     total = 0
-    while mats.shape[0] > 0:
-        a1 = alpha_pair_of_stack(mats)[0]
-        done = a1 <= stop_alpha1
+    while True:
+        done = alpha_pair_of_stack(mats)[0] <= delta
         if np.any(done):
             done_mats.append(mats[done])
             done_trans.append(trans[done])
@@ -246,19 +219,15 @@ def _refine_alpha1_arrays(
         active_t = trans[~done]
         n_active = active_m.shape[0]
         if n_active == 0:
-            break
-        if total + n_active * kappa > budget:
+            return np.concatenate(done_mats), np.concatenate(done_trans)
+        if total + n_active * ifs.kappa > limit:
             raise BudgetError(
-                f"refinement would exceed budget {budget}; increase delta"
+                f"refinement would exceed budget {limit}; increase delta"
             )
-        # children of word w are w.1, ..., w.kappa in order
-        mats = np.einsum("nij,kjl->nkil", active_m, lin).reshape(-1, 2, 2)
-        trans = (
-            np.einsum("nij,kj->nki", active_m, tr) + active_t[:, None, :]
-        ).reshape(-1, 2)
-    if not done_mats:
-        return np.empty((0, 2, 2)), np.empty((0, 2))
-    return np.concatenate(done_mats), np.concatenate(done_trans)
+        mats = _children(active_m, lin)
+        trans = matvec_stack(active_m[:, None], tr)
+        trans += active_t[:, None, :]  # in place: no second (n, kappa, 2) array
+        trans = trans.reshape(-1, 2)
 
 
 def attractor_cloud(ifs: IFS, delta: float, budget: int | None = None) -> PointCloud:
@@ -267,12 +236,9 @@ def attractor_cloud(ifs: IFS, delta: float, budget: int | None = None) -> PointC
     Every anchor lies in the attractor, and every attractor point is within
     alpha1 * diam(E) <= delta * diam(E) of some anchor.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    limit = budget_limit(budget)
-    mats, trans = _refine_alpha1_arrays(ifs, float(delta), limit)
-    p0 = ifs.anchor_point()
-    pts = mats @ p0 + trans
+    mats, trans = antichain(ifs, delta, budget)
+    # matmul rounds differently from matvec_stack; the cloud's bits keep it
+    pts = mats @ ifs.anchor_point() + trans
     return PointCloud(pts, float(delta))
 
 

@@ -13,6 +13,8 @@ from affinevis.linalg2 import (
     ProjLine,
     alpha_pair_of_stack,
     compose,
+    matmul_stack,
+    matvec_stack,
     proj_apply,
     proj_distance,
     singular_data,
@@ -112,6 +114,32 @@ class TestSingularData:
                 sd = singular_data(m, det=det)
                 assert a1[k] == pytest.approx(sd.alpha1, rel=1e-12)
                 assert a2[k] == pytest.approx(sd.alpha2, rel=1e-12)
+
+
+ENTRY = st.floats(-1e6, 1e6, allow_nan=False)
+MATS = st.lists(st.tuples(ENTRY, ENTRY, ENTRY, ENTRY), min_size=1, max_size=6)
+
+
+class TestStackProducts:
+    @settings(max_examples=200, deadline=None)
+    @given(MATS, MATS)
+    def test_matmul_matches_mat2(self, left, right):
+        a = np.array(left).reshape(-1, 2, 2)
+        b = np.array(right).reshape(-1, 2, 2)
+        out = matmul_stack(a[:, None], b)
+        assert out.shape == (len(left), len(right), 2, 2)
+        for i, x in enumerate(left):
+            for j, y in enumerate(right):
+                assert Mat2.from_array(out[i, j]) == Mat2(*x) @ Mat2(*y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(MATS, st.lists(st.tuples(ENTRY, ENTRY), min_size=1, max_size=6))
+    def test_matvec_matches_floats(self, mats, vecs):
+        out = matvec_stack(np.array(mats).reshape(-1, 1, 2, 2), np.array(vecs))
+        assert out.shape == (len(mats), len(vecs), 2)
+        for i, (a11, a12, a21, a22) in enumerate(mats):
+            for j, (x, y) in enumerate(vecs):
+                assert out[i, j].tolist() == [a11 * x + a12 * y, a21 * x + a22 * y]
 
 
 class TestProjLine:

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from affinevis.errors import (
+    BudgetError,
     ConeNotFoundError,
     ImproperConeError,
     NoConeError,
     NoGapError,
 )
-from affinevis.linalg2 import Mat2, ProjLine, proj_apply, proj_distance
+from affinevis.linalg2 import AffineMap2, Mat2, ProjLine, proj_apply, proj_distance
 from affinevis.regularity import (
     Cone,
+    _theta1_lines,
     cone_image,
     cone_is_invariant,
     cones_disjoint,
@@ -26,7 +28,7 @@ from affinevis.regularity import (
     porosity_gap_levels,
     strong_cone_separation_check,
 )
-from affinevis.symbolic import cylinder
+from affinevis.symbolic import IFS, cylinder
 
 VERTICAL = ProjLine(math.pi / 2)
 QUADRANT_MARGIN = Cone(ProjLine(math.pi / 4), math.pi / 4 - 0.05)
@@ -82,17 +84,8 @@ class TestDomination:
         assert not rep.verdict
 
     def test_duplicated_single_map(self):
-        from affinevis.linalg2 import AffineMap2
-
         lin = Mat2.diag(1.0 / 3.0, 0.5)
-        ifs = type(
-            "x", (), {}
-        )  # placeholder to appease linters; construct the real one below
-        from affinevis.symbolic import IFS
-
-        ifs = IFS(
-            (AffineMap2(lin, (0.0, 0.0)), AffineMap2(lin, (0.5, 0.5)))
-        )
+        ifs = IFS((AffineMap2(lin, (0.0, 0.0)), AffineMap2(lin, (0.5, 0.5))))
         rep = domination_report(ifs, 5)
         assert rep.verdict
         assert rep.tau_estimate == pytest.approx(1.5, rel=1e-6)
@@ -302,3 +295,20 @@ class TestPorosity:
     def test_single_map_no_gap(self, single_map):
         with pytest.raises(NoGapError):
             porosity_gap(single_map, Cone(VERTICAL, 0.3), depth=2)
+
+
+def five_maps():
+    """Five maps: level 7 (78,125 words) is the first past the distortion
+    probe's 50k cap, level 8 (390,625) the first past the cone seed's 200k."""
+    lin = Mat2.diag(0.2, 0.1)
+    return IFS(tuple(AffineMap2(lin, (0.2 * k, 0.0)) for k in range(5)))
+
+
+class TestHonestCaps:
+    def test_theta1_lines_raise_short_of_depth(self):
+        with pytest.raises(BudgetError, match="depth 8 of 9"):
+            _theta1_lines(five_maps(), 9)
+
+    def test_distortion_constants_raise_short_of_depth(self):
+        with pytest.raises(BudgetError, match="depth 7 of 8"):
+            distortion_constants(five_maps(), QUADRANT_MARGIN, probe_depth=8)

@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinevis.errors import BadSymbolError, BudgetError
-from affinevis.linalg2 import AffineMap2, Mat2, singular_data
+from affinevis.linalg2 import AffineMap2, Mat2, alpha_pair_of_stack, singular_data
 from affinevis.symbolic import (
     IFS,
+    antichain,
     attractor_cloud,
     common_prefix_length,
     cyclic_prefix,
     cylinder,
-    refine_cylinders,
     symbolic_point,
     word_distance,
     word_levels,
@@ -49,24 +49,50 @@ class TestCylinder:
             cylinder(carpet, (1, 4))
 
 
+def antichain_oracle(ifs, delta):
+    """Cylinders w with alpha1(w) <= delta < alpha1(parent of w), from scalar
+    cylinder() over all words, level by level in lexicographic order."""
+    out = []
+    parent_alpha1 = {(): math.inf}
+    for n in itertools.count():
+        words = itertools.product(range(1, ifs.kappa + 1), repeat=n)
+        level = [cylinder(ifs, w) for w in words]
+        out += [c for c in level if c.alpha1 <= delta < parent_alpha1[c.word[:-1]]]
+        if all(c.alpha1 <= delta for c in level):
+            return out
+        parent_alpha1 = {c.word: c.alpha1 for c in level}
+
+
+def assert_matches_oracle(ifs, delta):
+    mats, trans = antichain(ifs, delta)
+    oracle = antichain_oracle(ifs, delta)
+    assert mats.shape == (len(oracle), 2, 2)
+    for m, t, c in zip(mats, trans, oracle):
+        assert np.array_equal(m, c.map.linear.as_array())
+        assert t == pytest.approx(c.map.translation, abs=1e-15)
+    return oracle
+
+
 class TestRefineCylinders:
     def test_depth_one(self, carpet):
-        out = refine_cylinders(carpet, lambda c: len(c.word) >= 1)
-        assert [c.word for c in out] == [(1,), (2,), (3,)]
+        mats, trans = antichain(carpet, 0.75)
+        assert np.array_equal(mats, carpet.linear_stack())
+        assert np.array_equal(trans, carpet.translation_stack())
 
     def test_alpha1_half(self, carpet):
-        out = refine_cylinders(carpet, lambda c: c.alpha1 <= 0.5)
-        assert len(out) == 3
-        assert all(c.alpha1 == pytest.approx(0.5) for c in out)
+        mats, _ = antichain(carpet, 0.5)
+        assert len(mats) == 3
+        assert alpha_pair_of_stack(mats)[0] == pytest.approx(0.5)
 
     def test_alpha1_quarter(self, carpet):
-        out = refine_cylinders(carpet, lambda c: c.alpha1 <= 0.25)
-        assert len(out) == 9
-        assert all(len(c.word) == 2 for c in out)
+        oracle = assert_matches_oracle(carpet, 0.25)
+        assert len(oracle) == 9
+        assert all(len(c.word) == 2 for c in oracle)
 
     def test_prefix_free(self, positive_pair):
-        out = refine_cylinders(positive_pair, lambda c: c.alpha1 <= 0.2)
-        words = [c.word for c in out]
+        oracle = assert_matches_oracle(positive_pair, 0.2)
+        words = [c.word for c in oracle]
+        assert len({len(w) for w in words}) > 1
         for i, a in enumerate(words):
             for b in words[i + 1 :]:
                 k = common_prefix_length(a, b)
@@ -74,7 +100,11 @@ class TestRefineCylinders:
 
     def test_budget(self, carpet):
         with pytest.raises(BudgetError):
-            refine_cylinders(carpet, lambda c: c.alpha1 <= 1e-6, budget=100)
+            antichain(carpet, 1e-6, budget=100)
+
+    def test_delta_must_be_positive(self, carpet):
+        with pytest.raises(ValueError):
+            antichain(carpet, 0.0)
 
     def test_pressure_sum_decreases_under_refinement(self, positive_pair):
         # s chosen so that sum alpha1(i)^s = 1; refinement cannot increase
@@ -89,11 +119,9 @@ class TestRefineCylinders:
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if pressure(mid) > 1 else (lo, mid)
         s_star = 0.5 * (lo + hi)
-        coarse = refine_cylinders(positive_pair, lambda c: c.alpha1 <= 0.3)
-        fine = refine_cylinders(positive_pair, lambda c: c.alpha1 <= 0.1)
-        sum_coarse = sum(c.alpha1**s_star for c in coarse)
-        sum_fine = sum(c.alpha1**s_star for c in fine)
-        assert sum_fine <= sum_coarse * (1 + 1e-9)
+        coarse = alpha_pair_of_stack(antichain(positive_pair, 0.3)[0])[0]
+        fine = alpha_pair_of_stack(antichain(positive_pair, 0.1)[0])[0]
+        assert np.sum(fine**s_star) <= np.sum(coarse**s_star) * (1 + 1e-9)
 
 
 class TestAttractorCloud:
@@ -120,9 +148,9 @@ class TestAttractorCloud:
     def test_matches_object_refinement(self, positive_pair):
         delta = 0.05
         cloud = attractor_cloud(positive_pair, delta)
-        antichain = refine_cylinders(positive_pair, lambda c: c.alpha1 <= delta)
+        oracle = antichain_oracle(positive_pair, delta)
         p0 = positive_pair.anchor_point()
-        anchors = np.array(sorted(tuple(c.map(p0)) for c in antichain))
+        anchors = np.array(sorted(tuple(c.map(p0)) for c in oracle))
         got = np.array(sorted(map(tuple, cloud.points)))
         assert got == pytest.approx(anchors)
 
@@ -158,6 +186,14 @@ class TestWordLevels:
             rev = np.ravel_multi_index(words[:, ::-1].T, (kappa,) * n)
             assert mt == pytest.approx(np.transpose(m[rev], (0, 2, 1)))
             assert np.all(dt == d)
+
+    def test_cap_allows_only_the_last_level_past_it(self, carpet):
+        # level 3 (27 words) is the first past a cap of 10
+        assert [len(m) for m, _ in word_levels(carpet, 3, cap=10)] == [3, 9, 27]
+        levels = word_levels(carpet, 4, cap=10)
+        assert [len(next(levels)[0]) for _ in range(2)] == [3, 9]
+        with pytest.raises(BudgetError, match="depth 3 of 4"):
+            next(levels)
 
 
 class TestSymbolicPoint:

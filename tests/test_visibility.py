@@ -48,15 +48,14 @@ class TestRasterize:
     def test_carpet_cell_count_near_cylinder_box_count(self, carpet):
         # independent count: cells touched by the bounding boxes of the
         # alpha1 <= delta cylinders (each cylinder maps the unit square)
-        from affinevis.symbolic import attractor_cloud, refine_cylinders
+        from affinevis.symbolic import antichain, attractor_cloud
 
         delta = 2.0**-8
         grid = rasterize(attractor_cloud(carpet, delta / 2), delta)
-        cylinders = refine_cylinders(carpet, lambda c: c.alpha1 <= delta)
         box_cells = set()
         unit = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        for c in cylinders:
-            img = c.map(unit)
+        for m, t in zip(*antichain(carpet, delta)):
+            img = unit @ m.T + t
             i0, j0 = np.floor(img.min(axis=0) / delta).astype(int)
             i1, j1 = np.floor((img.max(axis=0) - 1e-12) / delta).astype(int)
             for i in range(i0, i1 + 1):
