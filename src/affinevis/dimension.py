@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetError, TooFewScalesError, budget_limit
 from .symbolic import PointCloud
-from .visibility import OccupancyGrid
+from .visibility import distinct_cells
 
 # drop the two coarsest scales and refit when the residual exceeds this
 RESIDUAL_TRIM_THRESHOLD = 0.1
@@ -46,23 +46,17 @@ _CELL_SNAP = 1e-9
 
 
 def _cells_of(data, finest: float) -> np.ndarray:
-    if isinstance(data, OccupancyGrid):
-        pts = data.centers()
-        if finest < data.delta:
-            raise ValueError(
-                f"finest ladder scale {finest} finer than grid delta {data.delta}"
-            )
-    elif isinstance(data, PointCloud):
-        pts = data.points
-    else:
-        pts = np.atleast_2d(np.asarray(data, dtype=float))
-    return np.unique(np.floor(pts / finest + _CELL_SNAP).astype(np.int64), axis=0)
+    if isinstance(data, PointCloud):
+        data = data.points
+    pts = np.asarray(data, dtype=float).reshape(-1, 2)
+    cells = np.floor(pts / finest + _CELL_SNAP).astype(np.int64)
+    return cells[distinct_cells(cells)]
 
 
 def box_count(data, delta_ladder, budget: int | None = None) -> list[int]:
     """Occupied-cell counts for each ladder scale, coarsest first.
 
-    ``data`` may be a PointCloud, an OccupancyGrid, or a raw (n, 2) array.
+    ``data`` may be a PointCloud or a raw (n, 2) array of points.
     Every ladder scale must be an integer multiple of the finest one so
     that counts come from exact block merges of a single fine grid.
     """
@@ -82,11 +76,7 @@ def box_count(data, delta_ladder, budget: int | None = None) -> list[int]:
             raise ValueError(
                 f"ladder scale {delta} is not an integer multiple of {finest}"
             )
-        if r == 1:
-            counts.append(int(cells.shape[0]))
-        else:
-            coarse = np.unique(np.floor_divide(cells, r), axis=0)
-            counts.append(int(coarse.shape[0]))
+        counts.append(len(distinct_cells(np.floor_divide(cells, r))))
     return counts
 
 
@@ -161,8 +151,7 @@ def assouad_estimate(
     if centers is None:
         coarse = extent / 8.0
         keys = np.floor(pts / coarse).astype(np.int64)
-        _, first = np.unique(keys, axis=0, return_index=True)
-        centers = pts[np.sort(first)]
+        centers = pts[np.sort(distinct_cells(keys))]
         if centers.shape[0] > n_balls:
             idx = rng.choice(centers.shape[0], size=n_balls, replace=False)
             centers = centers[np.sort(idx)]
@@ -179,8 +168,6 @@ def assouad_estimate(
             local = pts[d <= big_r]
             if local.shape[0] == 0:
                 continue
-            n = np.unique(
-                np.floor(local / small_r + _CELL_SNAP).astype(np.int64), axis=0
-            ).shape[0]
+            n = len(_cells_of(local, small_r))
             best = max(best, math.log(n) / math.log(big_r / small_r))
     return best

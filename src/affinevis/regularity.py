@@ -220,6 +220,8 @@ def domination_report(
 
 
 def _theta1_lines(ifs: IFS, depth: int, transpose: bool = False) -> list[ProjLine]:
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     for mats, dets in word_levels(ifs, depth, transpose, cap=THETA1_WORDS):
         pass  # only the deepest level is used
     return [singular_data(Mat2.from_array(m), det=d).theta1 for m, d in zip(mats, dets)]
@@ -270,8 +272,6 @@ def invariant_cone_search(ifs: IFS, depth: int) -> Cone:
     part of the certificate), then inflates the hull until a candidate
     verifies or the cone stops being proper.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     lines = _theta1_lines(ifs, depth) + _theta1_lines(ifs, depth, transpose=True)
     try:
         hull = angular_hull(lines)
@@ -452,6 +452,8 @@ def distortion_constants(ifs: IFS, x: Cone, probe_depth: int = 5) -> DistortionC
     """delta_sep = min distance of eta2(w) lines from X over shallow words;
     M = max of the interval constraint (pi - d)/d and the tangent derivative
     bound sec^2(pi/2 - d/2)."""
+    if probe_depth < 1:
+        raise ValueError("probe_depth must be >= 1")
     d_min = math.inf
     for mats, dets in word_levels(ifs, probe_depth, cap=DISTORTION_WORDS):
         for m, d in zip(mats, dets):

@@ -26,25 +26,35 @@ BRUTE_FORCE_CAP = 10_000
 
 @dataclass(frozen=True)
 class OccupancyGrid:
-    """Set of occupied delta-cells; cell (i, j) covers
-    origin + [i*delta, (i+1)*delta) x [j*delta, (j+1)*delta)."""
+    """Set of occupied delta-cells, kept distinct in lexicographic (i, j)
+    order; cell (i, j) covers origin + [i*delta, (i+1)*delta) x [j*delta, (j+1)*delta)."""
 
     delta: float
     origin: tuple[float, float]
     cells: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.atleast_2d(np.asarray(self.cells, dtype=np.int64))
-        if c.size == 0:
-            c = c.reshape(0, 2)
-        c = np.unique(c, axis=0)
-        object.__setattr__(self, "cells", c)
+        c = np.asarray(self.cells, dtype=np.int64).reshape(-1, 2)
+        object.__setattr__(self, "cells", c[distinct_cells(c)])
 
     def __len__(self) -> int:
         return self.cells.shape[0]
 
     def centers(self) -> np.ndarray:
         return np.asarray(self.origin) + (self.cells + 0.5) * self.delta
+
+
+def distinct_cells(cells: np.ndarray) -> np.ndarray:
+    """Index of the first occurrence of each distinct row of an (n, 2) int
+    array, rows in lexicographic order: the ``return_index`` of numpy's
+    row-wise ``unique``, since the lexsort is stable.  Every cell-set dedup runs on it."""
+    order = np.lexsort((cells[:, 1], cells[:, 0]))
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for k in (0, 1):  # a column at a time: no sorted (n, 2) copy, lower peak memory
+        col = cells[order, k]
+        first[1:] |= col[1:] != col[:-1]
+    return order[first]
 
 
 def rotation_to_down(e: Direction) -> np.ndarray:

@@ -24,6 +24,12 @@ def cantor_points(depth: int) -> np.ndarray:
     return np.stack([np.sort(xs), np.zeros_like(xs)], axis=1)
 
 
+def shifted_carpet_cloud(carpet) -> PointCloud:
+    """Carpet cloud translated by (-0.5, -0.25): most cell indices are negative."""
+    cloud = attractor_cloud(carpet, 2.0**-10)
+    return PointCloud(cloud.points + np.array([-0.5, -0.25]), cloud.resolution)
+
+
 def segment_cloud(n: int) -> PointCloud:
     xs = np.linspace(0.0, 1.0, n)
     return PointCloud(np.stack([xs, np.zeros_like(xs)], axis=1), 1.0 / n)
@@ -48,6 +54,20 @@ class TestBoxCount:
         counts = box_count(cloud, ladder_scales(3, 9))
         for a, b in zip(counts, counts[1:]):
             assert a <= b <= 4 * a
+
+    def test_negative_cell_indices(self, carpet):
+        pts = shifted_carpet_cloud(carpet).points
+        ladder = ladder_scales(4, 10)
+        d = ladder[-1]
+        fine = np.floor(pts / d + 1e-9).astype(np.int64)
+        expected = [
+            np.unique(fine // round(s / d), axis=0).shape[0] for s in ladder
+        ]
+        assert box_count(PointCloud(pts, d), ladder) == expected
+
+    def test_empty_input_counts_nothing(self):
+        for data in ([], np.empty((0, 2)), PointCloud(np.empty((0, 2)), 0.1)):
+            assert box_count(data, [0.5, 0.25]) == [0, 0]
 
     def test_non_integer_ladder_rejected(self):
         with pytest.raises(ValueError):
@@ -129,6 +149,10 @@ class TestAssouadEstimate:
         est = assouad_estimate(cloud, scale_pairs=pairs, centers=bottom)
         target = 1.0 + math.log(2) / math.log(3)
         assert est >= target - 0.15
+
+    def test_negative_coordinates(self, carpet):
+        # value recorded from the earlier np.unique-based implementation
+        assert assouad_estimate(shifted_carpet_cloud(carpet), seed=3) == 1.80720467262397
 
     def test_dominates_box_dimension(self, carpet):
         cloud = attractor_cloud(carpet, 2.0**-10)

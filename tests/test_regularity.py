@@ -17,6 +17,7 @@ from affinevis.regularity import (
     cone_image,
     cone_is_invariant,
     cones_disjoint,
+    default_cover_cone,
     distortion_check,
     distortion_constants,
     domination_report,
@@ -312,3 +313,13 @@ class TestHonestCaps:
     def test_distortion_constants_raise_short_of_depth(self):
         with pytest.raises(BudgetError, match="depth 7 of 8"):
             distortion_constants(five_maps(), QUADRANT_MARGIN, probe_depth=8)
+
+
+class TestDepthGuards:
+    def test_cover_cone_depth_zero_rejected(self, carpet):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            default_cover_cone(carpet, 0)
+
+    def test_distortion_probe_depth_zero_rejected(self, positive_pair):
+        with pytest.raises(ValueError, match="probe_depth must be >= 1"):
+            distortion_constants(positive_pair, QUADRANT_MARGIN, probe_depth=0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from affinevis.errors import BudgetError, DirectionInConeError
 from affinevis.linalg2 import Direction
@@ -10,6 +12,7 @@ from affinevis.visibility import (
     EnvelopeFn,
     KakeyaSet,
     OccupancyGrid,
+    distinct_cells,
     rasterize,
     visible_bruteforce,
     visible_exact,
@@ -18,6 +21,16 @@ from affinevis.visibility import (
 )
 
 DOWN = Direction(-math.pi / 2)
+
+# cell coordinates: a small pool (heavy duplication, negatives), values near
+# +/-2^62, and the whole int64 range
+BIG = 2**62
+COORD = st.one_of(
+    st.integers(-3, 3),
+    st.integers(BIG - 2, BIG + 2),
+    st.integers(-BIG - 2, -BIG + 2),
+    st.integers(-(2**63), 2**63 - 1),
+)
 
 
 def snapped_cloud(rng, n_cells, delta, extent=64):
@@ -63,6 +76,26 @@ class TestRasterize:
                     box_cells.add((i, j))
         ratio = len(grid) / len(box_cells)
         assert 0.5 <= ratio <= 2.0
+
+
+class TestDistinctCells:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(COORD, COORD), max_size=60))
+    @example([])
+    @example([(5, -7)])
+    @example([(1, 2)] * 5 + [(-1, 2)] * 3)
+    def test_matches_numpy_unique(self, rows):
+        cells = np.array(rows, dtype=np.int64).reshape(-1, 2)
+        ref_rows, ref_index = np.unique(cells, axis=0, return_index=True)
+        index = distinct_cells(cells)
+        assert np.array_equal(index, ref_index)
+        assert np.array_equal(cells[index], ref_rows)
+
+    def test_grid_stores_sorted_distinct_cells(self):
+        cells = np.array([[2, -1], [0, 3], [2, -1], [-4, 0], [0, 3], [0, -2]])
+        g = OccupancyGrid(1.0, (0.0, 0.0), cells)
+        assert g.cells.dtype == np.int64
+        assert g.cells.tolist() == [[-4, 0], [0, -2], [0, 3], [2, -1]]
 
 
 class TestVisibleSweep:
