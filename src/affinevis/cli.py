@@ -77,7 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file (atomic write)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=None, help="cell/point cap")
-        p.add_argument("--threads", type=int, default=1, help="worker cap")
+        # ignored (scans run on one thread); kept hidden because check and
+        # vis-dim reports echo every parsed argument, so dropping it changes them
+        p.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
 
     p = sub.add_parser("gen", help="generate an attractor point cloud")
     add_source(p)
@@ -310,13 +312,7 @@ def cmd_vis_dim(args) -> int:
 
 def cmd_scan(args) -> int:
     ifs, src = _resolve_ifs(args)
-    rows = direction_scan(
-        ifs,
-        args.dirs,
-        depth=args.depth,
-        delta=args.delta,
-        threads=max(1, args.threads),
-    )
+    rows = direction_scan(ifs, args.dirs, depth=args.depth, delta=args.delta)
     table = [
         (
             r.direction.angle,

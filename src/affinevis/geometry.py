@@ -8,8 +8,7 @@ projecting the attractor along pulled-back directions and looking for gaps.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -182,6 +181,8 @@ def projection_condition_check(
     Directions whose carrier comes within ``margin`` of the orientation
     cover raise ExceptionalDirection.
     """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     if cover is None:
         cover = orientation_cover(ifs, eps=1e-2, x=default_cover_cone(ifs))
     carrier = e.carrier()
@@ -202,12 +203,15 @@ def projection_condition_check(
         back_angles = np.array(sorted(lines.keys()))
         # project along the pulled-back direction = onto its perpendicular axis
         axes = np.stack([-np.sin(back_angles), np.cos(back_angles)], axis=1)
-        vals = np.sort(cloud.points @ axes.T, axis=0)
-        spans = vals[-1] - vals[0]
-        if vals.shape[0] >= 2:
-            gaps = np.max(np.diff(vals, axis=0), axis=0)
-        else:
-            gaps = np.zeros_like(spans)
+        proj = cloud.points @ axes.T
+        # sort one contiguous copy of a column at a time: about twice as fast
+        # as sorting along axis 0, and no second (points x axes) array
+        spans = np.empty(proj.shape[1])
+        gaps = np.empty(proj.shape[1])
+        for j in range(proj.shape[1]):
+            col = np.sort(proj[:, j])
+            spans[j] = col[-1] - col[0]
+            gaps[j] = np.diff(col).max(initial=0.0)  # sorted: diffs are >= 0
         ok = spans > 0
         rel = np.zeros_like(spans)
         rel[ok] = gaps[ok] / spans[ok]
@@ -221,8 +225,6 @@ def projection_condition_check(
 
     level = {round(carrier.angle, 12): carrier}
     first_pass: int | None = None
-    passed = False
-    worst = 0.0
     for n in range(1, depth + 1):
         nxt: dict[float, ProjLine] = {}
         for line in level.values():
@@ -230,12 +232,11 @@ def projection_condition_check(
                 img = proj_apply(inv, line)
                 nxt.setdefault(round(img.angle, 12), img)
         level = nxt
-        level_ok, level_worst = level_verdict(level)
-        if level_ok and first_pass is None:
-            first_pass = n
-        if n == depth:
-            passed = level_ok
-            worst = level_worst
+        # once a level has passed, only the last level's verdict is read
+        if first_pass is None or n == depth:
+            passed, worst = level_verdict(level)
+            if passed and first_pass is None:
+                first_pass = n
     tol_repr = gap_tol if gap_tol is not None else 3.0 * cloud.resolution
     return ProjectionVerdict(e, passed, worst, float(tol_repr), depth, False, first_pass)
 
@@ -247,28 +248,30 @@ def direction_scan(
     gap_tol: float | None = None,
     margin: float = DEFAULT_MARGIN,
     delta: float = 2.0**-10,
-    threads: int = 1,
 ) -> list[ProjectionVerdict]:
     """Projection verdicts on a uniform angular grid over [0, 2*pi).
 
-    Exceptional directions are flagged rather than raised; rows are returned
-    in grid order regardless of worker count.
+    Exceptional directions are flagged rather than raised. A verdict depends
+    on the direction only through its carrier line, so directions sharing a
+    carrier (theta and theta + pi) share one check; rows are in grid order.
     """
     if n_dirs < 4:
         raise ValueError("n_dirs must be >= 4")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     cover = orientation_cover(ifs, eps=1e-2, x=default_cover_cone(ifs))
     cloud = attractor_cloud(ifs, delta)
-    dirs = [Direction(2.0 * math.pi * k / n_dirs) for k in range(n_dirs)]
+    by_carrier: dict[float, ProjectionVerdict] = {}
 
     def row(d: Direction) -> ProjectionVerdict:
-        try:
-            return projection_condition_check(
-                ifs, d, depth, gap_tol, cloud=cloud, cover=cover, margin=margin
-            )
-        except ExceptionalDirectionError:
-            return ProjectionVerdict(d, False, math.nan, math.nan, depth, True)
+        key = d.carrier().angle
+        if key not in by_carrier:
+            try:
+                by_carrier[key] = projection_condition_check(
+                    ifs, d, depth, gap_tol, cloud=cloud, cover=cover, margin=margin
+                )
+            except ExceptionalDirectionError:
+                by_carrier[key] = ProjectionVerdict(d, False, math.nan, math.nan, depth, True)
+        return replace(by_carrier[key], direction=d)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(row, dirs))
-    return [row(d) for d in dirs]
+    return [row(Direction(2.0 * math.pi * k / n_dirs)) for k in range(n_dirs)]

@@ -226,6 +226,11 @@ class TestCLI:
     def test_unknown_scenario_exit_code(self):
         assert main(["orient", "--scenario", "missing", "--eps", "0.1"]) == 2
 
+    def test_scan_depth_zero_exit_code(self, tmp_path):
+        argv = ["scan", "--scenario", "carpet-5.1", "--dirs", "8", "--depth", "0"]
+        assert main(argv + ["--out", str(tmp_path / "scan.csv")]) == 2
+        assert not (tmp_path / "scan.csv").exists()
+
     def test_scenario_run_positive_cone(self, tmp_path, capsys):
         out = tmp_path / "run.json"
         code = main(["scenario", "run", "positive-cone", "--out", str(out)])

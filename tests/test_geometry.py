@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from affinevis.errors import ExceptionalDirectionError
 from affinevis.geometry import (
     ConvexPolygon,
+    ProjectionVerdict,
     attractor_hull,
     convex_hull,
     direction_scan,
@@ -71,6 +73,58 @@ class TestAttractorHull:
             assert hull.contains(p, tol=1e-6)
 
 
+def _gappy_pair():
+    """diag(1/3, 1/2) pair whose y-marginal leaves a gap: some directions fail."""
+    lin = Mat2.diag(1.0 / 3.0, 0.5)
+    return IFS((AffineMap2(lin, (0.0, 0.0)), AffineMap2(lin, (2.0 / 3.0, 0.75))))
+
+
+def _same_verdict(a: ProjectionVerdict, b: ProjectionVerdict) -> bool:
+    """Field-wise equality in which NaN equals NaN."""
+    for f in fields(ProjectionVerdict):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if not (x == y or (isinstance(x, float) and math.isnan(x) and math.isnan(y))):
+            return False
+    return True
+
+
+def _reference_verdict(ifs, e, depth, gap_tol, cloud):
+    """(passed, worst_gap, gap_tol, first_pass_depth) with every level checked.
+
+    The straightforward form of the check: each level sorts the
+    (points x axes) projection array along axis 0 and is judged, whether or
+    not an earlier level already passed.
+    """
+    inverses = [f.linear.inverse for f in ifs.maps]
+    level = {round(e.carrier().angle, 12): e.carrier()}
+    first_pass = None
+    for n in range(1, depth + 1):
+        nxt = {}
+        for line in level.values():
+            for inv in inverses:
+                img = proj_apply(inv, line)
+                nxt.setdefault(round(img.angle, 12), img)
+        level = nxt
+        angles = np.array(sorted(level.keys()))
+        axes = np.stack([-np.sin(angles), np.cos(angles)], axis=1)
+        vals = np.sort(cloud.points @ axes.T, axis=0)
+        spans = vals[-1] - vals[0]
+        gaps = np.max(np.diff(vals, axis=0), axis=0)
+        ok = spans > 0
+        rel = np.zeros_like(spans)
+        rel[ok] = gaps[ok] / spans[ok]
+        if gap_tol is not None:
+            tols = np.full_like(spans, gap_tol)
+        else:
+            tols = np.zeros_like(spans)
+            tols[ok] = 3.0 * cloud.resolution / spans[ok]
+        level_ok = bool(np.all(rel[ok] <= tols[ok]))
+        if level_ok and first_pass is None:
+            first_pass = n
+    tol = gap_tol if gap_tol is not None else 3.0 * cloud.resolution
+    return level_ok, float(rel[ok].max(initial=0.0)), float(tol), first_pass
+
+
 class TestProjectionCondition:
     def test_carpet_diagonal_passes(self, carpet):
         v = projection_condition_check(carpet, Direction(-math.pi / 4), depth=6)
@@ -86,11 +140,7 @@ class TestProjectionCondition:
     def test_gappy_system_fails(self):
         # y-marginal IFS y/2 + {0, 3/4} leaves (3/8 + eps, 3/4) uncovered,
         # so near-horizontal pullbacks see a genuine relative gap
-        lin = Mat2.diag(1.0 / 3.0, 0.5)
-        ifs = IFS(
-            (AffineMap2(lin, (0.0, 0.0)), AffineMap2(lin, (2.0 / 3.0, 0.75)))
-        )
-        v = projection_condition_check(ifs, Direction(-math.pi / 4), depth=6)
+        v = projection_condition_check(_gappy_pair(), Direction(-math.pi / 4), depth=6)
         assert not v.passed
         assert v.worst_gap > v.gap_tol
 
@@ -100,6 +150,32 @@ class TestProjectionCondition:
         v_tight = projection_condition_check(carpet, d, depth=5, gap_tol=1e-9)
         assert v_loose.passed
         assert not v_tight.passed  # delta-net noise fails an impossible tol
+
+    @pytest.mark.parametrize("gap_tol", [None, 0.05])
+    def test_matches_every_level_reference(self, carpet, positive_pair, gap_tol):
+        depth = 4
+        first_passes = set()
+        for ifs in (carpet, positive_pair, _gappy_pair()):
+            cloud = attractor_cloud(ifs, 2.0**-7)
+            # one direction per carrier line on a 36-grid
+            for k in range(18):
+                e = Direction(2.0 * math.pi * k / 36)
+                try:
+                    v = projection_condition_check(ifs, e, depth, gap_tol, cloud=cloud)
+                except ExceptionalDirectionError:
+                    continue
+                got = (v.passed, v.worst_gap, v.gap_tol, v.first_pass_depth)
+                assert got == _reference_verdict(ifs, e, depth, gap_tol, cloud), e
+                first_passes.add(v.first_pass_depth)
+        # the skipped levels matter only when a level below depth passes late
+        assert first_passes - {1, None}, first_passes
+
+    def test_depth_zero_rejected(self, carpet):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            projection_condition_check(carpet, Direction(-math.pi / 4), depth=0)
+        # checked before the exceptional-direction test
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            projection_condition_check(carpet, Direction(math.pi / 2), depth=0)
 
     def test_pullback_consistency(self, positive_pair):
         e = Direction(0.3)
@@ -131,10 +207,7 @@ class TestDirectionScan:
                 assert r.first_pass_depth is not None
 
     def test_scan_stability_across_depth(self):
-        lin = Mat2.diag(1.0 / 3.0, 0.5)
-        ifs = IFS(
-            (AffineMap2(lin, (0.0, 0.0)), AffineMap2(lin, (2.0 / 3.0, 0.75)))
-        )
+        ifs = _gappy_pair()
         rows4 = direction_scan(ifs, 12, depth=4, delta=2.0**-8)
         rows5 = direction_scan(ifs, 12, depth=5, delta=2.0**-8)
         verdicts4 = [(r.exceptional, r.passed) for r in rows4]
@@ -143,9 +216,29 @@ class TestDirectionScan:
         assert any(p for (x, p) in verdicts4 if not x)
         assert any(not p for (x, p) in verdicts4 if not x)
 
-    def test_threaded_matches_serial(self, carpet):
-        rows1 = direction_scan(carpet, 8, depth=3, delta=2.0**-7, threads=1)
-        rows4 = direction_scan(carpet, 8, depth=3, delta=2.0**-7, threads=4)
-        assert [(r.passed, r.exceptional) for r in rows1] == [
-            (r.passed, r.exceptional) for r in rows4
-        ]
+    def test_rows_match_single_checks(self, carpet, positive_pair):
+        depth, delta = 3, 2.0**-7
+        for ifs in (carpet, positive_pair):
+            cloud = attractor_cloud(ifs, delta)
+            rows = direction_scan(ifs, 8, depth=depth, delta=delta)
+            for k, r in enumerate(rows):
+                d = Direction(2.0 * math.pi * k / 8)
+                try:
+                    expected = projection_condition_check(ifs, d, depth, cloud=cloud)
+                except ExceptionalDirectionError:
+                    expected = ProjectionVerdict(d, False, math.nan, math.nan, depth, True)
+                assert _same_verdict(r, expected), (k, r, expected)
+
+    def test_antipodal_rows_agree(self, carpet, positive_pair):
+        for ifs in (carpet, positive_pair):
+            rows = direction_scan(ifs, 8, depth=3, delta=2.0**-7)
+            for k, r in enumerate(rows):
+                assert r.direction == Direction(2.0 * math.pi * k / 8)
+            for k in range(4):
+                a, b = rows[k], rows[k + 4]
+                assert a.direction != b.direction
+                assert _same_verdict(replace(b, direction=a.direction), a), k
+
+    def test_depth_zero_rejected(self, carpet):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            direction_scan(carpet, 8, depth=0, delta=2.0**-7)
