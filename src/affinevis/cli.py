@@ -149,12 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_ifs(args):
     if getattr(args, "scenario", None):
-        spec = scenario(args.scenario)
-        if spec.kind != "ifs":
-            raise AffineVisError(
-                f"scenario {spec.name} is not IFS-backed; use `scenario run`"
-            )
-        return spec.build_ifs(), spec.name
+        return scenario(args.scenario).build_ifs(), args.scenario
     return load_ifs(args.ifs), args.ifs
 
 

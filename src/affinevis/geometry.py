@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BudgetError, ExceptionalDirectionError, budget_limit
 from .linalg2 import Direction, ProjLine, proj_apply, singular_data
-from .regularity import Cone, default_cover_cone, orientation_cover
+from .regularity import Cone, orientation_cover
 from .symbolic import IFS, PointCloud, attractor_cloud
 
 COLLINEAR_TOL = 1e-12
@@ -184,7 +184,7 @@ def projection_condition_check(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if cover is None:
-        cover = orientation_cover(ifs, eps=1e-2, x=default_cover_cone(ifs))
+        cover = orientation_cover(ifs, eps=1e-2)
     carrier = e.carrier()
     clearance = min(c.line_distance(carrier) for c in cover)
     if clearance < margin:
@@ -259,7 +259,7 @@ def direction_scan(
         raise ValueError("n_dirs must be >= 4")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    cover = orientation_cover(ifs, eps=1e-2, x=default_cover_cone(ifs))
+    cover = orientation_cover(ifs, eps=1e-2)
     cloud = attractor_cloud(ifs, delta)
     by_carrier: dict[float, ProjectionVerdict] = {}
 

@@ -251,17 +251,18 @@ def angular_hull(lines: list[ProjLine]) -> Cone:
     return Cone(ProjLine(0.5 * (lo + hi)), max(hw, 1e-12))
 
 
-def cone_is_invariant(ifs: IFS, x: Cone, margin: float = STRICT_MARGIN) -> bool:
-    """A_i(X) and A_i^T(X) strictly inside X for every map."""
+def _maps_into(mats: Iterable[Mat2], x: Cone, margin: float) -> bool:
+    """Every image m(X) inside X with room ``margin``; an improper image fails."""
     try:
-        for f in ifs.maps:
-            if not x.contains_cone(cone_image(f.linear, x), margin):
-                return False
-            if not x.contains_cone(cone_image(f.linear.transpose, x), margin):
-                return False
+        return all(x.contains_cone(cone_image(m, x), margin) for m in mats)
     except ImproperConeError:
         return False
-    return True
+
+
+def cone_is_invariant(ifs: IFS, x: Cone, margin: float = STRICT_MARGIN) -> bool:
+    """A_i(X) and A_i^T(X) strictly inside X for every map."""
+    mats = (m for f in ifs.maps for m in (f.linear, f.linear.transpose))
+    return _maps_into(mats, x, margin)
 
 
 def invariant_cone_search(ifs: IFS, depth: int) -> Cone:
@@ -362,24 +363,16 @@ def orientation_cover(
     Refines the nested image intervals A_w(X) until every interval has
     angular diameter <= eps, then merges overlaps.  Projectively identical
     products are deduplicated, so self-similar direction dynamics (e.g.
-    diagonal systems) refine in linear time.
+    diagonal systems) refine in linear time.  The seed X, supplied or
+    ``default_cover_cone``, must be forward invariant; otherwise NoConeError.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     limit = budget_limit(budget)
     if x is None:
         x = default_cover_cone(ifs)
-    else:
-        forward_ok = True
-        try:
-            for f in ifs.maps:
-                if not x.contains_cone(cone_image(f.linear, x), 0.0):
-                    forward_ok = False
-                    break
-        except ImproperConeError:
-            forward_ok = False
-        if not forward_ok:
-            raise NoConeError("cone is not forward invariant; cover not certified")
+    if not _maps_into((f.linear for f in ifs.maps), x, 0.0):
+        raise NoConeError("cone is not forward invariant; cover not certified")
     if check_domination and not domination_report(ifs, 4).verdict:
         raise NoConeError("domination not verified at probe depth; cover not certified")
     if x.diameter <= eps:

@@ -1,42 +1,12 @@
-"""Scenario assertion suites: each built-in scenario runs its battery of
-numerical checks and reports one pass/fail line per check.
-
-These are the same checks the acceptance test suite drives; the CLI exposes
-them through ``scenario run`` with exit code 4 on any failure.
-"""
+"""The report envelope of ``scenario run``: one registry lookup, the
+scenario's battery, then its description and expected values."""
 
 from __future__ import annotations
 
-import math
 import time
 
-from .dimension import fit_dimension
-from .linalg2 import Direction, ProjLine
-from .pipeline import ladder_grids, ladder_scales, set_dim, spread_directions, vis_dim
-from .regularity import (
-    distortion_check,
-    distortion_constants,
-    domination_report,
-    invariant_cone_search,
-    orientation_cover,
-    porosity_gap_levels,
-    strong_cone_separation_check,
-)
 from .report import RunReport
-from .scenarios import (
-    cantor_cross_segment,
-    harmonic_cell_count_1d,
-    harmonic_gap,
-    harmonic_product_sample,
-    harmonic_sums,
-    scenario,
-)
-from .symbolic import attractor_cloud
-from .tangent import kakeya_extract, tangent_sequence
-from .visibility import rasterize, visible_bruteforce, visible_sweep
-
-VERTICAL = math.pi / 2
-DOWN = Direction(-math.pi / 2)
+from .scenarios import scenario
 
 
 def run_scenario(name: str, seed: int = 0, budget: int | None = None) -> RunReport:
@@ -46,12 +16,7 @@ def run_scenario(name: str, seed: int = 0, budget: int | None = None) -> RunRepo
         params={"scenario": name, "seed": seed, "budget": budget},
     )
     t0 = time.perf_counter()
-    if name == "carpet-5.1":
-        _run_carpet(report, seed, budget)
-    elif name == "harmonic-5.2":
-        _run_harmonic(report, seed, budget)
-    elif name == "positive-cone":
-        _run_positive_cone(report, seed, budget)
+    spec.battery(spec, report, seed, budget)
     report.timings["total_seconds"] = time.perf_counter() - t0
     report.results["scenario_description"] = spec.description
     report.results["expected"] = [
@@ -59,201 +24,3 @@ def run_scenario(name: str, seed: int = 0, budget: int | None = None) -> RunRepo
         for ev in spec.expected
     ]
     return report
-
-
-def _run_carpet(report: RunReport, seed: int, budget: int | None) -> None:
-    ifs = scenario("carpet-5.1").build_ifs()
-    scales = ladder_scales(6, 12)
-
-    # visible-part scaling away from the exceptional orientation
-    t0 = time.perf_counter()
-    cloud = attractor_cloud(ifs, 2.0**-13, budget=budget)
-    grids = ladder_grids(cloud, scales)
-    dirs = spread_directions(16, VERTICAL, 0.15)
-    slopes = []
-    for d in dirs:
-        est = vis_dim(cloud, d, scales, grids=grids)
-        slopes.append(est.slope)
-    lo, hi = min(slopes), max(slopes)
-    report.add_assertion(
-        "visible-dimension-off-vertical",
-        0.90 <= lo and hi <= 1.12,
-        f"16 directions >= 0.15 rad from vertical: slopes in [{lo:.4f}, {hi:.4f}], "
-        "required within [0.90, 1.12]",
-    )
-    report.results["off_vertical_slopes"] = slopes
-    report.timings["off_vertical_seconds"] = time.perf_counter() - t0
-
-    # sharpness at the exceptional orientation: exact sight lines keep the
-    # full structure, so the visible part scales like the set itself
-    t0 = time.perf_counter()
-    fine = attractor_cloud(ifs, 2.0**-14, budget=budget)
-    est_vis = vis_dim(fine, DOWN, scales, exact=True)
-    est_set = set_dim(fine, scales)
-    diff = abs(est_vis.slope - est_set.slope)
-    report.add_assertion(
-        "exceptional-direction-sharpness",
-        est_vis.slope >= 1.25 and diff <= 0.08,
-        f"exact-ray visible slope {est_vis.slope:.4f} (required >= 1.25), "
-        f"|diff from set slope {est_set.slope:.4f}| = {diff:.4f} (required <= 0.08)",
-    )
-    report.results["exceptional_visible_slope"] = est_vis.slope
-    report.results["set_slope"] = est_set.slope
-    report.timings["exceptional_seconds"] = time.perf_counter() - t0
-
-    # tangent collapse: the Cantor-cross tangent seen from below shrinks to
-    # a Cantor set of dimension log3(2)
-    t0 = time.perf_counter()
-    cross = cantor_cross_segment(8)
-    ternary = [3.0**-k for k in range(1, 9)]
-    counts = []
-    for delta in ternary:
-        counts.append(len(visible_sweep(rasterize(cross, delta), DOWN)))
-    est_cross = fit_dimension(counts, ternary)
-    target = math.log(2.0) / math.log(3.0)
-    report.add_assertion(
-        "tangent-visibility-collapse",
-        0.58 <= est_cross.slope <= 0.69,
-        f"downward visible slope of the Cantor cross: {est_cross.slope:.4f}, "
-        f"required within [0.58, 0.69] (target {target:.4f})",
-    )
-    report.timings["tangent_collapse_seconds"] = time.perf_counter() - t0
-
-    # orientation cover collapses to one interval at the vertical carrier
-    t0 = time.perf_counter()
-    cover = orientation_cover(ifs, eps=1e-3)
-    one_interval = len(cover) == 1 and cover[0].contains_line(ProjLine(VERTICAL))
-    report.add_assertion(
-        "orientation-cover-singleton",
-        one_interval and cover[0].diameter <= 1e-3,
-        f"cover has {len(cover)} interval(s); first centered at "
-        f"{cover[0].center.angle:.6f} with diameter {cover[0].diameter:.2e}",
-    )
-    report.timings["cover_seconds"] = time.perf_counter() - t0
-
-    # tangent sequence trends and extracted directions
-    t0 = time.perf_counter()
-    _tangent_assertions(report, ifs, (2,), cover_eps=1e-3)
-    report.timings["tangent_seconds"] = time.perf_counter() - t0
-
-
-def _tangent_assertions(report: RunReport, ifs, stream, cover_eps: float) -> None:
-    seq = tangent_sequence(ifs, stream, 12)
-    hs = [rect.h for _, rect in seq]
-    vs = [rect.v for _, rect in seq]
-    h_mono = all(b > a for a, b in zip(hs[3:], hs[4:]))
-    v_mono = all(b < a for a, b in zip(vs[3:], vs[4:]))
-    report.add_assertion(
-        "tangent-rectangle-trends",
-        h_mono and v_mono,
-        f"h strictly increasing for n>=4: {h_mono}; v strictly decreasing "
-        f"for n>=4: {v_mono} (n up to 12, h_12 = {hs[-1]:.3g}, v_12 = {vs[-1]:.3g})",
-    )
-    rects = [rect for _, rect in seq if rect.h > 2.0]
-    cover = orientation_cover(ifs, eps=max(cover_eps, 1e-3))
-    k = kakeya_extract(rects)
-    tol = 2.0 * max(cover_eps, 1e-2)
-    inside = all(
-        any(c.line_distance(Direction(t).carrier()) <= tol for c in cover)
-        for t in k.thetas
-    )
-    report.add_assertion(
-        "kakeya-directions-in-cover",
-        bool(rects) and inside,
-        f"{len(rects)} rectangles with h > 2; all extracted carriers within "
-        f"{tol:.3f} of the orientation cover: {inside}",
-    )
-
-
-def _run_harmonic(report: RunReport, seed: int, budget: int | None) -> None:
-    # product box counts at the natural gap scales
-    t0 = time.perf_counter()
-    ratios = []
-    ok = True
-    for n in (100, 1000, 10_000):
-        s = harmonic_sums(n + 1)
-        dn = harmonic_gap(n)
-        target = (1.0 / dn) ** 2 * (1.0 / s[n - 1]) ** 2
-        exact_sq = float(harmonic_cell_count_1d(n)) ** 2
-        ratio = exact_sq / target
-        ratios.append(ratio)
-        if not (1.0 / 16.0 <= ratio <= 16.0):
-            ok = False
-    report.add_assertion(
-        "product-count-matches-gap-scaling",
-        ok,
-        "count(delta_n)^2 / (delta_n^-2 S_n^-2) at n = 100, 1000, 10000: "
-        + ", ".join(f"{r:.3f}" for r in ratios)
-        + " (required within factor 16)",
-    )
-    report.results["count_ratios"] = ratios
-    report.timings["count_seconds"] = time.perf_counter() - t0
-
-    # a countable set is almost entirely visible from a generic direction;
-    # the strip width sits far below the sample spacing so only genuine
-    # alignments could occlude
-    t0 = time.perf_counter()
-    sample = harmonic_product_sample(70)
-    n_points = len(sample)
-    e = Direction(0.41 + 2e-4 * (seed % 7))
-    visible = visible_bruteforce(sample, e, delta=1e-7)
-    removed = n_points - len(visible)
-    frac = removed / n_points
-    report.add_assertion(
-        "generic-direction-keeps-countable-set",
-        n_points >= 5000 and frac < 0.01,
-        f"brute force removed {removed} of {n_points} sample points "
-        f"({100 * frac:.3f}%), required < 1%",
-    )
-    report.timings["visibility_seconds"] = time.perf_counter() - t0
-
-
-def _run_positive_cone(report: RunReport, seed: int, budget: int | None) -> None:
-    ifs = scenario("positive-cone").build_ifs()
-
-    t0 = time.perf_counter()
-    dom = domination_report(ifs, 8, seed=seed)
-    report.add_assertion(
-        "domination",
-        dom.verdict,
-        f"verdict {dom.verdict} to depth 8, tau estimate {dom.tau_estimate:.3f}",
-    )
-
-    cone = invariant_cone_search(ifs, depth=6)
-    sep = strong_cone_separation_check(ifs, cone)
-    report.add_assertion(
-        "strong-cone-separation",
-        sep.verdict,
-        f"invariant {sep.invariant}, disjoint images {sep.disjoint} "
-        f"(cone center {cone.center.angle:.4f}, half-width {cone.half_width:.4f})",
-    )
-    report.timings["cone_seconds"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    dist = distortion_check(ifs, cone, samples=10_000, word_length=8, seed=seed)
-    report.add_assertion(
-        "bounded-distortion-sandwich",
-        dist.violations == 0,
-        f"{dist.violations} violations over {dist.samples} sampled pairs at "
-        f"word length {dist.word_length} (M = {dist.constants.M:.2f}, "
-        f"k0 = {dist.k0})",
-    )
-    report.timings["distortion_seconds"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    levels = porosity_gap_levels(ifs, cone, depth=6)
-    consts = distortion_constants(ifs, cone)
-    stable = min(levels) > 0 and max(levels) / min(levels) <= consts.M**3
-    report.add_assertion(
-        "porosity-gap-stability",
-        stable,
-        f"relative gaps per depth 1..6: "
-        + ", ".join(f"{g:.4f}" for g in levels)
-        + f"; spread factor {max(levels) / min(levels):.2f} <= M^3 = {consts.M**3:.3g}",
-    )
-    report.results["porosity_levels"] = levels
-    report.timings["porosity_seconds"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    _tangent_assertions(report, ifs, (1,), cover_eps=1e-2)
-    report.timings["tangent_seconds"] = time.perf_counter() - t0

@@ -198,7 +198,7 @@ def antichain(
     level in lexicographic order.  alpha1 strictly decreases along prefixes,
     so every infinite word has exactly one prefix in the antichain.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     limit = budget_limit(budget)
     lin = ifs.linear_stack()

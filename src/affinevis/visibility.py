@@ -79,7 +79,7 @@ def rotation_to_down(e: Direction) -> np.ndarray:
 
 def rasterize(cloud: PointCloud, delta: float, budget: int | None = None) -> OccupancyGrid:
     """Occupied cells of the delta-grid snapped to delta-multiples."""
-    if delta < cloud.resolution:
+    if not delta >= cloud.resolution:
         raise ValueError(
             f"grid delta {delta} finer than cloud resolution {cloud.resolution}"
         )

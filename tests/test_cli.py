@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +229,37 @@ class TestCLI:
 
     def test_unknown_scenario_exit_code(self):
         assert main(["orient", "--scenario", "missing", "--eps", "0.1"]) == 2
+
+    def test_point_set_scenario_not_ifs_backed(self, tmp_path, capsys):
+        assert main(["gen", "--scenario", "harmonic-5.2", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "not IFS-backed" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--delta", "nan"],
+            ["orient", "--eps", "nan"],
+            ["vis", "--dir", "0.3", "--delta", "nan"],
+            ["vis-dim", "--dir", "0.3", "--base", "0.5"],
+            ["vis-dim", "--dir", "0.3", "--base", "1"],
+            ["vis-dim", "--dir", "0.3", "--base", "nan"],
+        ],
+    )
+    def test_nan_and_out_of_range_input_exit_code(self, argv):
+        assert main(argv + ["--scenario", "carpet-5.1", "--budget", "1000"]) == 2
+
+    def test_python_dash_m(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "affinevis", "scenario", "list"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name in ("carpet-5.1", "harmonic-5.2", "positive-cone"):
+            assert name in proc.stdout
 
     def test_scan_depth_zero_exit_code(self, tmp_path):
         argv = ["scan", "--scenario", "carpet-5.1", "--dirs", "8", "--depth", "0"]

@@ -73,6 +73,11 @@ class TestBoxCount:
         with pytest.raises(ValueError):
             box_count(np.array([[0.0, 0.0]]), [0.5, 0.3])
 
+    @pytest.mark.parametrize("base", [0.5, 1.0, math.nan])
+    def test_ladder_base_must_exceed_one(self, base):
+        with pytest.raises(ValueError):
+            ladder_scales(6, 12, base=base)
+
 
 class TestFitDimension:
     def test_exact_power_law(self):

@@ -184,6 +184,20 @@ class TestOrientationCover:
         with pytest.raises(NoConeError):
             orientation_cover(positive_pair, eps=0.1, x=bad)
 
+    def test_non_invariant_default_cone_rejected(self):
+        # dominated, but the default seed cone is not forward invariant
+        a1 = Mat2(0.559843665940343, 0.3570117746337381, 0.3668582380210397, 0.1434724223133545)
+        a2 = Mat2(0.5987731400794979, 0.3611637402862256, 0.03417042501945832, 0.4776418450853555)
+        ifs = IFS((AffineMap2(a1, (0.0, 0.0)), AffineMap2(a2, (0.5, 0.0))))
+        assert domination_report(ifs, 4).verdict
+        with pytest.raises(NoConeError):
+            orientation_cover(ifs, eps=1e-2)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan])
+    def test_eps_must_be_positive(self, positive_pair, eps):
+        with pytest.raises(ValueError):
+            orientation_cover(positive_pair, eps=eps, budget=1000)
+
     def test_budget_enforced(self, positive_pair):
         from affinevis.errors import BudgetError
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from affinevis.errors import (
+    AffineVisError,
     NotContractiveError,
     ParseError,
     SingularInputError,
@@ -47,6 +48,21 @@ class TestScenarioRegistry:
             assert ifs.kappa == len(mats)
             for f, m in zip(ifs.maps, mats):
                 assert f.linear.as_array() == pytest.approx(m)
+
+    def test_point_set_is_not_ifs_backed(self):
+        with pytest.raises(AffineVisError, match="not IFS-backed"):
+            scenario("harmonic-5.2").build_ifs()
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_every_entry_has_battery_and_source(self, name):
+        spec = scenario(name)
+        assert spec.name == name
+        assert callable(spec.battery)
+        if spec.build is None:
+            with pytest.raises(AffineVisError, match="not IFS-backed"):
+                spec.build_ifs()
+        else:
+            assert spec.build_ifs().kappa >= 1
 
     def test_carpet_expected_values(self):
         spec = scenario("carpet-5.1")

@@ -106,6 +106,10 @@ class TestRefineCylinders:
         with pytest.raises(ValueError):
             antichain(carpet, 0.0)
 
+    def test_nan_delta_rejected(self, carpet):
+        with pytest.raises(ValueError):
+            antichain(carpet, math.nan, budget=1000)
+
     def test_pressure_sum_decreases_under_refinement(self, positive_pair):
         # s chosen so that sum alpha1(i)^s = 1; refinement cannot increase
         # the antichain sum at that exponent.

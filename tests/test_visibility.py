@@ -58,6 +58,11 @@ class TestRasterize:
         with pytest.raises(ValueError):
             rasterize(cloud, 0.05)
 
+    def test_nan_delta_rejected(self):
+        cloud = PointCloud(np.array([[0.0, 0.0]]), 0.1)
+        with pytest.raises(ValueError):
+            rasterize(cloud, math.nan, budget=1000)
+
     def test_carpet_cell_count_near_cylinder_box_count(self, carpet):
         # independent count: cells touched by the bounding boxes of the
         # alpha1 <= delta cylinders (each cylinder maps the unit square)
