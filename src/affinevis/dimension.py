@@ -20,6 +20,8 @@ from .visibility import distinct_cells
 
 # drop the two coarsest scales and refit when the residual exceeds this
 RESIDUAL_TRIM_THRESHOLD = 0.1
+# centers sampled by assouad_estimate when none are supplied
+ASSOUAD_BALLS = 64
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,6 @@ def fit_dimension(counts, scales) -> DimEstimate:
 
 def assouad_estimate(
     cloud: PointCloud,
-    n_balls: int = 64,
     scale_pairs: list[tuple[float, float]] | None = None,
     seed: int = 0,
     centers: np.ndarray | None = None,
@@ -133,9 +134,10 @@ def assouad_estimate(
     at ratio gap g = log2(R/r) even a straight segment reads 1 + 1/g; keep
     g >= 6 when absolute accuracy matters.
 
-    Centers are stratified on a coarse grid unless supplied; default pairs
-    use R/r in {2^4, 2^6, 2^8}.  The result samples a lower bound of the
-    worst-case local scaling and carries no convergence guarantee.
+    Unless supplied, up to ASSOUAD_BALLS centers are sampled from a
+    stratified coarse grid; default pairs use R/r in {2^4, 2^6, 2^8}.  The
+    result samples a lower bound of the worst-case local scaling and carries
+    no convergence guarantee.
     """
     pts = cloud.points
     if pts.shape[0] == 0:
@@ -152,8 +154,8 @@ def assouad_estimate(
         coarse = extent / 8.0
         keys = np.floor(pts / coarse).astype(np.int64)
         centers = pts[np.sort(distinct_cells(keys))]
-        if centers.shape[0] > n_balls:
-            idx = rng.choice(centers.shape[0], size=n_balls, replace=False)
+        if centers.shape[0] > ASSOUAD_BALLS:
+            idx = rng.choice(centers.shape[0], size=ASSOUAD_BALLS, replace=False)
             centers = centers[np.sort(idx)]
     else:
         centers = np.atleast_2d(np.asarray(centers, dtype=float))

@@ -20,7 +20,9 @@ from .symbolic import IFS, PointCloud, attractor_cloud
 COLLINEAR_TOL = 1e-12
 # carriers closer than this to the orientation cover are refused: their
 # pullbacks would need more refinement depth than the default checks run
-DEFAULT_MARGIN = 0.2
+COVER_MARGIN = 0.2
+# hull iterations before attractor_hull gives up
+HULL_STEPS = 1_000
 
 
 @dataclass(frozen=True)
@@ -102,9 +104,7 @@ def hausdorff_polygons(a: ConvexPolygon, b: ConvexPolygon) -> float:
     return max(d_ab, d_ba)
 
 
-def attractor_hull(
-    ifs: IFS, eps: float, max_iter: int = 1_000, budget: int | None = None
-) -> ConvexPolygon:
+def attractor_hull(ifs: IFS, eps: float, budget: int | None = None) -> ConvexPolygon:
     """Iterate K <- hull(union of map images of K) until the drift is <= eps.
 
     The seed polygon circumscribes a self-mapped ball around map 1's fixed
@@ -130,7 +130,7 @@ def attractor_hull(
         [np.cos(ang), np.sin(ang)], axis=1
     )
     poly = convex_hull(seed)
-    for _ in range(max_iter):
+    for _ in range(HULL_STEPS):
         images = np.concatenate([f(poly.vertices) for f in ifs.maps])
         if images.shape[0] > limit:
             raise BudgetError(f"hull iteration exceeded budget {limit}")
@@ -139,7 +139,7 @@ def attractor_hull(
         poly = new_poly
         if drift <= eps:
             return poly
-    raise BudgetError(f"hull iteration failed to reach eps={eps} in {max_iter} steps")
+    raise BudgetError(f"hull iteration failed to reach eps={eps} in {HULL_STEPS} steps")
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,6 @@ def projection_condition_check(
     gap_tol: float | None = None,
     cloud: PointCloud | None = None,
     cover: list[Cone] | None = None,
-    margin: float = DEFAULT_MARGIN,
     delta: float = 2.0**-10,
 ) -> ProjectionVerdict:
     """Decide whether depth-n cylinder projections along ``e`` are intervals.
@@ -178,7 +177,7 @@ def projection_condition_check(
     than ``gap_tol`` fails the check.  Verdicts are certified only up to the
     tested depth.
 
-    Directions whose carrier comes within ``margin`` of the orientation
+    Directions whose carrier comes within COVER_MARGIN of the orientation
     cover raise ExceptionalDirection.
     """
     if depth < 1:
@@ -187,10 +186,10 @@ def projection_condition_check(
         cover = orientation_cover(ifs, eps=1e-2)
     carrier = e.carrier()
     clearance = min(c.line_distance(carrier) for c in cover)
-    if clearance < margin:
+    if clearance < COVER_MARGIN:
         raise ExceptionalDirectionError(
             f"carrier at angle {carrier.angle:.4f} within {clearance:.4f} of the "
-            f"orientation cover (margin {margin})"
+            f"orientation cover (margin {COVER_MARGIN})"
         )
     if cloud is None:
         cloud = attractor_cloud(ifs, delta)
@@ -246,7 +245,6 @@ def direction_scan(
     n_dirs: int,
     depth: int = 5,
     gap_tol: float | None = None,
-    margin: float = DEFAULT_MARGIN,
     delta: float = 2.0**-10,
 ) -> list[ProjectionVerdict]:
     """Projection verdicts on a uniform angular grid over [0, 2*pi).
@@ -268,7 +266,7 @@ def direction_scan(
         if key not in by_carrier:
             try:
                 by_carrier[key] = projection_condition_check(
-                    ifs, d, depth, gap_tol, cloud=cloud, cover=cover, margin=margin
+                    ifs, d, depth, gap_tol, cloud=cloud, cover=cover
                 )
             except ExceptionalDirectionError:
                 by_carrier[key] = ProjectionVerdict(d, False, math.nan, math.nan, depth, True)

@@ -114,6 +114,9 @@ class Direction:
     angle: float
 
     def __post_init__(self) -> None:
+        # a ValueError, not an AffineVisError: the CLI reports it as bad input
+        if not math.isfinite(self.angle):
+            raise ValueError(f"direction angle must be finite, got {self.angle}")
         object.__setattr__(self, "angle", float(self.angle) % (2.0 * PI))
 
     def vector(self) -> np.ndarray:

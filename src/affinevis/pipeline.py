@@ -24,22 +24,6 @@ def ladder_grids(cloud: PointCloud, scales: list[float]) -> list:
     return [rasterize(cloud, delta) for delta in sorted(scales, reverse=True)]
 
 
-def sweep_visible_counts(
-    cloud: PointCloud,
-    e: Direction,
-    scales: list[float],
-    grids: list | None = None,
-) -> list[int]:
-    """Per-scale sizes of the delta-resolution visible part.
-
-    Each scale gets its own rasterization and sweep: delta-visibility is a
-    per-scale object, occlusion width and counting width move together.
-    """
-    if grids is None:
-        grids = ladder_grids(cloud, scales)
-    return [len(visible_sweep(grid, e)) for grid in grids]
-
-
 def vis_dim(
     cloud: PointCloud,
     e: Direction,
@@ -49,7 +33,9 @@ def vis_dim(
 ) -> DimEstimate:
     """Fit the scaling of the visible part over a scale ladder.
 
-    Default mode counts the per-scale sweep (column-quantized visibility).
+    Default mode counts the per-scale sweep (column-quantized visibility):
+    each scale gets its own rasterization and sweep, since delta-visibility
+    is a per-scale object whose occlusion and counting widths move together.
     ``exact`` mode instead computes the exact-ray visible subset of the
     cloud once and box-counts it across the ladder; use it at exceptional
     orientations, where column quantization collapses structure that exact
@@ -60,7 +46,9 @@ def vis_dim(
         visible = visible_exact(cloud, e)
         counts = box_count(visible.points, scales)
     else:
-        counts = sweep_visible_counts(cloud, e, scales, grids=grids)
+        if grids is None:
+            grids = ladder_grids(cloud, scales)
+        counts = [len(visible_sweep(grid, e)) for grid in grids]
     return fit_dimension(counts, scales)
 
 
@@ -70,16 +58,14 @@ def set_dim(cloud: PointCloud, scales: list[float]) -> DimEstimate:
     return fit_dimension(box_count(cloud.points, scales), scales)
 
 
-def spread_directions(
-    n: int, avoid_carrier_angle: float, min_distance: float, offset: float = 0.05
-) -> list[Direction]:
+def spread_directions(n: int, avoid_carrier_angle: float, min_distance: float) -> list[Direction]:
     """n near-uniform directions whose carriers all stay at least
     min_distance from the given carrier angle."""
     avoid = ProjLine(avoid_carrier_angle)
     m = n
     while m <= 16 * n:
         m += 1
-        cands = [Direction(offset + 2.0 * math.pi * k / m) for k in range(m)]
+        cands = [Direction(0.05 + 2.0 * math.pi * k / m) for k in range(m)]
         kept = [d for d in cands if proj_distance(d.carrier(), avoid) >= min_distance]
         if len(kept) >= n:
             return kept[:n]

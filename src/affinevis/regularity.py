@@ -38,12 +38,16 @@ PI = math.pi
 # "strictly inside" margin for cone containment certificates
 STRICT_MARGIN = 1e-9
 # domination verdict threshold for the per-level ratio root
-TAU_MIN_DEFAULT = 1.01
+TAU_MIN = 1.01
 # exhaustive level enumeration cap (kappa^n words)
 EXHAUSTIVE_WORDS = 1_000_000
+# random words probed per level past the exhaustive cap
+DOMINATION_SAMPLES = 4096
 # deepest-level word caps of the cone seed and the distortion probe
 THETA1_WORDS = 200_000
 DISTORTION_WORDS = 50_000
+# deepest level smallest_contraction_depth tries, and its answer past it
+CONTRACTION_DEPTH = 12
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,7 @@ def cones_disjoint(a: Cone, b: Cone) -> bool:
     return gap > a.half_width + b.half_width
 
 
-def merge_cones(cones: list[Cone], tol: float = 1e-12) -> list[Cone]:
+def merge_cones(cones: list[Cone]) -> list[Cone]:
     """Merge overlapping/touching angular intervals on the circle of length pi."""
     if not cones:
         return []
@@ -121,20 +125,20 @@ def merge_cones(cones: list[Cone], tol: float = 1e-12) -> list[Cone]:
     raw.sort()
     merged: list[list[float]] = []
     for lo, hi in raw:
-        if merged and lo <= merged[-1][1] + tol:
+        if merged and lo <= merged[-1][1] + 1e-12:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
     # the last interval may spill past pi and absorb leading ones
     if len(merged) >= 2 and merged[-1][1] > PI:
         overhang = merged[-1][1] - PI
-        while len(merged) >= 2 and merged[0][0] <= overhang + tol:
+        while len(merged) >= 2 and merged[0][0] <= overhang + 1e-12:
             overhang = max(overhang, merged[0][1])
             merged[-1][1] = PI + overhang
             merged.pop(0)
     out: list[Cone] = []
     for lo, hi in merged:
-        if hi - lo >= PI - tol:
+        if hi - lo >= PI - 1e-12:
             raise ImproperConeError("merged intervals cover the projective line")
         out.append(Cone(ProjLine(0.5 * (lo + hi)), max(0.5 * (hi - lo), 1e-15)))
     out.sort(key=lambda c: c.center.angle)
@@ -152,25 +156,21 @@ class DominationReport:
     levels: tuple[int, ...]
     min_ratio_roots: tuple[float, ...]
     tau_estimate: float
-    tau_min: float
     verdict: bool
     exhaustive_up_to: int
-    sampled_words_per_level: int
 
 
 def domination_report(
     ifs: IFS,
     n_max: int,
-    tau_min: float = TAU_MIN_DEFAULT,
-    samples: int = 4096,
     seed: int = 0,
     budget: int | None = None,
 ) -> DominationReport:
     """Minimum singular-value ratio root per word length.
 
     Levels with at most EXHAUSTIVE_WORDS words are enumerated exactly;
-    deeper levels are probed with ``samples`` random words.  The verdict is
-    true when every level's minimum n-th ratio root stays >= tau_min; a pass
+    deeper levels are probed with DOMINATION_SAMPLES random words.  The verdict
+    is true when every level's minimum n-th ratio root stays >= TAU_MIN; a pass
     certifies domination only up to ``n_max``.  Determinants are tracked as
     exact factor products so the ratio alpha1/alpha2 = alpha1^2/|det| stays
     accurate at any depth.
@@ -190,7 +190,8 @@ def domination_report(
             mats, dets = next(exact_levels)
             exhaustive_up_to = n
         else:
-            mats, dets = word_products(ifs, rng.integers(0, kappa, size=(samples, n)))
+            words = rng.integers(0, kappa, size=(DOMINATION_SAMPLES, n))
+            mats, dets = word_products(ifs, words)
         a1, a2 = alpha_pair_of_stack(mats, dets=dets)
         ratio = a1 / a2
         roots.append(float(np.min(ratio) ** (1.0 / n)))
@@ -203,16 +204,8 @@ def domination_report(
     else:
         slope = log_min[0]
     tau_est = float(math.exp(slope))
-    verdict = all(r >= tau_min for r in roots)
-    return DominationReport(
-        tuple(levels),
-        tuple(roots),
-        tau_est,
-        tau_min,
-        verdict,
-        exhaustive_up_to,
-        0 if exhaustive_up_to == n_max else samples,
-    )
+    verdict = all(r >= TAU_MIN for r in roots)
+    return DominationReport(tuple(levels), tuple(roots), tau_est, verdict, exhaustive_up_to)
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +252,10 @@ def _maps_into(mats: Iterable[Mat2], x: Cone, margin: float) -> bool:
         return False
 
 
-def cone_is_invariant(ifs: IFS, x: Cone, margin: float = STRICT_MARGIN) -> bool:
+def cone_is_invariant(ifs: IFS, x: Cone) -> bool:
     """A_i(X) and A_i^T(X) strictly inside X for every map."""
     mats = (m for f in ifs.maps for m in (f.linear, f.linear.transpose))
-    return _maps_into(mats, x, margin)
+    return _maps_into(mats, x, STRICT_MARGIN)
 
 
 def invariant_cone_search(ifs: IFS, depth: int) -> Cone:
@@ -356,7 +349,6 @@ def orientation_cover(
     eps: float,
     x: Cone | None = None,
     budget: int | None = None,
-    check_domination: bool = True,
 ) -> list[Cone]:
     """Certified interval cover of the limit-orientation set.
 
@@ -373,7 +365,7 @@ def orientation_cover(
         x = default_cover_cone(ifs)
     if not _maps_into((f.linear for f in ifs.maps), x, 0.0):
         raise NoConeError("cone is not forward invariant; cover not certified")
-    if check_domination and not domination_report(ifs, 4).verdict:
+    if not domination_report(ifs, 4).verdict:
         raise NoConeError("domination not verified at probe depth; cover not certified")
     if x.diameter <= eps:
         return [x]
@@ -473,12 +465,13 @@ class DistortionReport:
     max_ratio: float
 
 
-def smallest_contraction_depth(ifs: IFS, x: Cone, delta_sep: float, depth_cap: int = 12) -> int:
-    """First depth at which every image interval has diameter <= delta_sep."""
-    for k, (mats, _) in enumerate(word_levels(ifs, depth_cap), start=1):
+def smallest_contraction_depth(ifs: IFS, x: Cone, delta_sep: float) -> int:
+    """First depth at which every image interval has diameter <= delta_sep,
+    or CONTRACTION_DEPTH if none up to it does."""
+    for k, (mats, _) in enumerate(word_levels(ifs, CONTRACTION_DEPTH), start=1):
         if max(cone_image(Mat2.from_array(m), x).diameter for m in mats) <= delta_sep:
             return k
-    return depth_cap
+    return CONTRACTION_DEPTH
 
 
 def distortion_check(

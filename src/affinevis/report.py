@@ -109,11 +109,11 @@ def _fmt(v: Any) -> Any:
 # SVG
 
 
-def _svg_header(x0: float, y0: float, w: float, h: float, px: int = 720) -> str:
+def _svg_header(x0: float, y0: float, w: float, h: float) -> str:
     # y axis flipped so larger y draws upward
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{px}" '
-        f'height="{px}" viewBox="{x0} {y0} {w} {h}" '
+        '<svg xmlns="http://www.w3.org/2000/svg" width="720" '
+        f'height="720" viewBox="{x0} {y0} {w} {h}" '
         f'preserveAspectRatio="xMidYMid meet">\n'
         f'<g transform="translate(0,{2 * y0 + h}) scale(1,-1)">\n'
     )

@@ -36,7 +36,6 @@ from .pipeline import ladder_grids, ladder_scales, set_dim, spread_directions, v
 from .regularity import (
     Cone,
     distortion_check,
-    distortion_constants,
     domination_report,
     invariant_cone_search,
     orientation_cover,
@@ -295,7 +294,7 @@ def _run_positive_cone(
 
     t0 = time.perf_counter()
     levels = porosity_gap_levels(ifs, cone, depth=6)
-    consts = distortion_constants(ifs, cone)
+    consts = dist.constants
     stable = min(levels) > 0 and max(levels) / min(levels) <= consts.M**3
     report.add_assertion(
         "porosity-gap-stability",
@@ -407,8 +406,8 @@ def harmonic_points(k_max: int) -> np.ndarray:
     return np.concatenate([[0.0], 1.0 / s[::-1]])
 
 
-def harmonic_cell_count_1d(n: int, delta: float | None = None) -> int:
-    """Exact count of occupied delta-cells for the full (infinite) set.
+def harmonic_cell_count_1d(n: int) -> int:
+    """Exact count of occupied delta-cells of the full (infinite) set, delta = gap(n).
 
     At delta = gap(n), every cell of [0, 1/S_n] is occupied because the tail
     gaps are smaller than the cells; the finitely many points above 1/S_n
@@ -416,18 +415,17 @@ def harmonic_cell_count_1d(n: int, delta: float | None = None) -> int:
     enumerating the tail (reaching 1/S_k < delta needs k ~ exp(1/delta)).
     """
     s = harmonic_sums(n + 1)
-    if delta is None:
-        delta = float(1.0 / s[n - 1] - 1.0 / s[n])
+    delta = harmonic_gap(n)
     base_max = int(math.floor((1.0 / s[n - 1]) / delta))
     heads = np.floor((1.0 / s[: n - 1]) / delta).astype(np.int64)
     extra = np.unique(heads[heads > base_max]).size
     return base_max + 1 + extra
 
 
-def harmonic_product_count(n: int, delta: float | None = None) -> int:
-    """Occupied-cell count of the product set at scale delta: the grid of a
+def harmonic_product_count(n: int) -> int:
+    """Occupied-cell count of the product set at scale gap(n): the grid of a
     product is the product of the grids, so the count is the square."""
-    c = harmonic_cell_count_1d(n, delta)
+    c = harmonic_cell_count_1d(n)
     return c * c
 
 

@@ -7,6 +7,7 @@ fixed point of map 1, which always lies inside the attractor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -198,8 +199,8 @@ def antichain(
     level in lexicographic order.  alpha1 strictly decreases along prefixes,
     so every infinite word has exactly one prefix in the antichain.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     limit = budget_limit(budget)
     lin = ifs.linear_stack()
     tr = ifs.translation_stack()

@@ -20,6 +20,7 @@ from .errors import EmptyCylinderViewError, NoExitError
 from .linalg2 import PI, ProjLine
 from .symbolic import (
     IFS,
+    Cylinder,
     PointCloud,
     Word,
     attractor_cloud,
@@ -29,6 +30,8 @@ from .symbolic import (
 from .visibility import KakeyaSet
 
 DEFAULT_RECT_DELTA = 0.01
+# kakeya_extract snaps directions this close together to their circular mean
+CLUSTER_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,6 @@ def approx_rect(
     frame: TangentFrame,
     w: Sequence[int],
     delta: float = DEFAULT_RECT_DELTA,
-    base_cloud: PointCloud | None = None,
 ) -> ApproxRect:
     """Bounding rectangle of the magnified cylinder in its singular frame.
 
@@ -88,10 +90,12 @@ def approx_rect(
     Raises EmptyCylinderView when the magnified cylinder misses the unit
     ball entirely.
     """
-    cyl = cylinder(ifs, tuple(w))
-    if base_cloud is None:
-        base_cloud = attractor_cloud(ifs, delta)
-    pts = frame(cyl.map(base_cloud.points))
+    return _rect(cylinder(ifs, tuple(w)), frame, attractor_cloud(ifs, delta))
+
+
+def _rect(cyl: Cylinder, frame: TangentFrame, cloud: PointCloud) -> ApproxRect:
+    """``approx_rect`` of a composed cylinder, pushing forward a given base cloud."""
+    pts = frame(cyl.map(cloud.points))
     if np.min(np.hypot(pts[:, 0], pts[:, 1])) > 1.0:
         raise EmptyCylinderViewError(
             f"cylinder {cyl.word} does not meet the unit ball in this frame"
@@ -111,7 +115,6 @@ def tangent_sequence(
     i_stream: Sequence[int] | Iterable[int],
     n_max: int,
     c: float = 1.0,
-    delta: float = DEFAULT_RECT_DELTA,
 ) -> list[tuple[TangentFrame, ApproxRect]]:
     """Frames and rectangles along growing prefixes of a symbol stream.
 
@@ -119,14 +122,14 @@ def tangent_sequence(
     scale r_n = n * alpha2(prefix) / c, so alpha2 = c * r_n / n holds by
     construction.  Under domination h_n = c * (alpha1/alpha2) / n grows
     geometrically while v_n = c / n decays; both trends are measurable on
-    the emitted rectangles.
+    the emitted rectangles, whose base cloud has resolution DEFAULT_RECT_DELTA.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
     symbols = cyclic_prefix(i_stream, n_max)
-    base_cloud = attractor_cloud(ifs, delta)
+    cloud = attractor_cloud(ifs, DEFAULT_RECT_DELTA)
     out: list[tuple[TangentFrame, ApproxRect]] = []
     for n in range(1, n_max + 1):
         word = symbols[:n]
@@ -134,8 +137,7 @@ def tangent_sequence(
         r_n = min(1.0, n * cyl.alpha2 / c)
         anchor = cyl.map(ifs.anchor_point())
         frame = TangentFrame((float(anchor[0]), float(anchor[1])), r_n)
-        rect = approx_rect(ifs, frame, word, delta, base_cloud=base_cloud)
-        out.append((frame, rect))
+        out.append((frame, _rect(cyl, frame, cloud)))
     return out
 
 
@@ -172,12 +174,12 @@ def _cluster_angles(angles: np.ndarray, tol: float) -> np.ndarray:
     return result
 
 
-def kakeya_extract(rects: Sequence[ApproxRect], cluster_tol: float = 1e-2) -> KakeyaSet:
+def kakeya_extract(rects: Sequence[ApproxRect]) -> KakeyaSet:
     """Kakeya-set structure from a family of long approximating rectangles.
 
     Each rectangle must have h > 2 so at least one short side lies outside
     the unit ball; the extracted direction is the long-axis carrier signed
-    toward an exiting side.  Directions within ``cluster_tol`` are snapped
+    toward an exiting side.  Directions within CLUSTER_TOL are snapped
     to their circular mean; base points are the long-axis points nearest
     the origin.
     """
@@ -208,7 +210,7 @@ def kakeya_extract(rects: Sequence[ApproxRect], cluster_tol: float = 1e-2) -> Ka
         raw_angles.append(angle)
         t = float(np.clip(-(r.center @ u), -0.5 * r.h, 0.5 * r.h))
         bases.append(r.center + t * u)
-    thetas = _cluster_angles(np.array(raw_angles), cluster_tol)
+    thetas = _cluster_angles(np.array(raw_angles), CLUSTER_TOL)
     return KakeyaSet(np.array(bases), thetas)
 
 

@@ -22,6 +22,9 @@ from .linalg2 import PI, Direction, proj_distance
 from .symbolic import PointCloud
 
 BRUTE_FORCE_CAP = 10_000
+# visible_exact: sorted rotated abscissas at most this far apart chain into one
+# sight line; points within it of the line's lowest point stay visible
+ALIGN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,9 +82,9 @@ def rotation_to_down(e: Direction) -> np.ndarray:
 
 def rasterize(cloud: PointCloud, delta: float, budget: int | None = None) -> OccupancyGrid:
     """Occupied cells of the delta-grid snapped to delta-multiples."""
-    if not delta >= cloud.resolution:
+    if not cloud.resolution <= delta < math.inf:
         raise ValueError(
-            f"grid delta {delta} finer than cloud resolution {cloud.resolution}"
+            f"grid delta {delta} outside [cloud resolution {cloud.resolution}, inf)"
         )
     limit = budget_limit(budget)
     pts = cloud.points
@@ -121,9 +124,7 @@ def visible_sweep(grid: OccupancyGrid, e: Direction) -> OccupancyGrid:
     return OccupancyGrid(grid.delta, grid.origin, grid.cells[keep])
 
 
-def visible_bruteforce(
-    cloud: PointCloud, e: Direction, delta: float, budget_cap: int = BRUTE_FORCE_CAP
-) -> PointCloud:
+def visible_bruteforce(cloud: PointCloud, e: Direction, delta: float) -> PointCloud:
     """Pairwise occlusion oracle over points.
 
     q occludes p when both fall in the same rotated delta-column and q sits
@@ -132,8 +133,8 @@ def visible_bruteforce(
     """
     pts = cloud.points
     n = pts.shape[0]
-    if n > budget_cap:
-        raise BudgetError(f"brute force capped at {budget_cap} points, got {n}")
+    if n > BRUTE_FORCE_CAP:
+        raise BudgetError(f"brute force capped at {BRUTE_FORCE_CAP} points, got {n}")
     if n == 0:
         return cloud
     rot = rotation_to_down(e)
@@ -150,9 +151,7 @@ def visible_bruteforce(
     return PointCloud(pts[~occluded], cloud.resolution)
 
 
-def visible_exact(
-    cloud: PointCloud, e: Direction, align_tol: float = 1e-9
-) -> PointCloud:
+def visible_exact(cloud: PointCloud, e: Direction) -> PointCloud:
     """Visible points under exact ray semantics.
 
     p is occluded only if another point lies on (numerically) the same
@@ -168,10 +167,10 @@ def visible_exact(
     order = np.lexsort((uv[:, 1], uv[:, 0]))
     u_s, v_s = uv[order, 0], uv[order, 1]
     group_start = np.ones(len(u_s), dtype=bool)
-    group_start[1:] = np.diff(u_s) > align_tol
+    group_start[1:] = np.diff(u_s) > ALIGN_TOL
     group_ids = np.cumsum(group_start) - 1
     min_v = np.minimum.reduceat(v_s, np.flatnonzero(group_start))
-    keep_sorted = v_s <= min_v[group_ids] + align_tol
+    keep_sorted = v_s <= min_v[group_ids] + ALIGN_TOL
     keep = np.zeros(len(u_s), dtype=bool)
     keep[order] = keep_sorted
     return PointCloud(pts[keep], cloud.resolution)
@@ -246,7 +245,6 @@ def visible_envelope(
     e: Direction,
     window: tuple[float, float] | None = None,
     beta: float | None = None,
-    n_grid: int = 512,
 ) -> tuple[list[EnvelopeFn], list[float]]:
     """Lower envelopes of a Kakeya set seen against direction ``e``.
 
@@ -298,7 +296,7 @@ def visible_envelope(
         "semi-increasing": np.where(covers & ~full & ~rightward)[0],
     }
 
-    grid = np.linspace(w_lo, w_hi, n_grid)
+    grid = np.linspace(w_lo, w_hi, 512)
     interior = starts[(starts > w_lo) & (starts < w_hi)]
     abscissas = np.unique(np.concatenate([grid, interior]))
 

@@ -244,6 +244,12 @@ class TestCLI:
             ["vis-dim", "--dir", "0.3", "--base", "0.5"],
             ["vis-dim", "--dir", "0.3", "--base", "1"],
             ["vis-dim", "--dir", "0.3", "--base", "nan"],
+            ["check", "--projection", "--dir", "nan"],
+            ["vis", "--dir", "nan", "--delta", "0.0625"],
+            ["vis-dim", "--dir", "inf", "--ladder", "2:5"],
+            ["gen", "--delta", "inf"],
+            ["scan", "--dirs", "8", "--depth", "2", "--delta", "inf"],
+            ["tangent", "--c", "nan", "--n-max", "6"],
         ],
     )
     def test_nan_and_out_of_range_input_exit_code(self, argv):

@@ -245,6 +245,11 @@ class TestDirection:
         d = Direction(0.3)
         assert d.carrier().angle == pytest.approx(d.opposite().carrier().angle)
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, angle):
+        with pytest.raises(ValueError):
+            Direction(angle)
+
     def test_apply_point(self):
         f = AffineMap2(Mat2.diag(2.0, 3.0), (1.0, 1.0))
         assert f(np.array([1.0, 1.0])) == pytest.approx([3.0, 4.0])
