@@ -166,9 +166,8 @@ def _echo(args, extra=None) -> dict:
 def cmd_gen(args) -> int:
     ifs, src = _resolve_ifs(args)
     cloud = attractor_cloud(ifs, args.delta, budget=args.budget)
-    rows = [(float(x), float(y)) for x, y in cloud.points]
     if args.out:
-        write_csv(args.out, ["x", "y"], rows)
+        write_csv(args.out, ["x", "y"], cloud.points)
     else:
         print(f"{len(cloud)} points at resolution {args.delta}")
     if args.svg:
@@ -225,7 +224,11 @@ def cmd_check(args) -> int:
     if which["projection"]:
         try:
             v = projection_condition_check(
-                ifs, Direction(args.dir), depth=args.depth, delta=args.delta
+                ifs,
+                Direction(args.dir),
+                depth=args.depth,
+                delta=args.delta,
+                budget=args.budget,
             )
             report.results["projection"] = {
                 "passed": v.passed,
@@ -240,6 +243,8 @@ def cmd_check(args) -> int:
                 v.passed,
                 f"certified-to-depth {v.depth}, worst relative gap {v.worst_gap:.5f}",
             )
+        except BudgetError:
+            raise  # a cap, not a verdict: exit 3 like every other command
         except AffineVisError as exc:
             report.results["projection"] = {"passed": False, "reason": str(exc)}
             report.add_assertion("projection-condition", False, str(exc))
@@ -269,7 +274,7 @@ def cmd_vis(args) -> int:
     grid = rasterize(cloud, args.delta)
     vis = visible_sweep(grid, Direction(args.dir))
     if args.out:
-        write_csv(args.out, ["i", "j"], [(int(i), int(j)) for i, j in vis.cells])
+        write_csv(args.out, ["i", "j"], vis.cells)
     print(f"{len(vis)} visible cells of {len(grid)} at delta = {args.delta}")
     if args.svg:
         svg_cells(args.svg, [(grid, "#bbbbbb"), (vis, "#b03030")])
@@ -307,7 +312,9 @@ def cmd_vis_dim(args) -> int:
 
 def cmd_scan(args) -> int:
     ifs, src = _resolve_ifs(args)
-    rows = direction_scan(ifs, args.dirs, depth=args.depth, delta=args.delta)
+    rows = direction_scan(
+        ifs, args.dirs, depth=args.depth, delta=args.delta, budget=args.budget
+    )
     table = [
         (
             r.direction.angle,

@@ -168,6 +168,7 @@ def projection_condition_check(
     cloud: PointCloud | None = None,
     cover: list[Cone] | None = None,
     delta: float = 2.0**-10,
+    budget: int | None = None,
 ) -> ProjectionVerdict:
     """Decide whether depth-n cylinder projections along ``e`` are intervals.
 
@@ -178,12 +179,14 @@ def projection_condition_check(
     tested depth.
 
     Directions whose carrier comes within COVER_MARGIN of the orientation
-    cover raise ExceptionalDirection.
+    cover raise ExceptionalDirection.  A level whose points x lines
+    projection would exceed the budget raises BudgetError.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    limit = budget_limit(budget)
     if cover is None:
-        cover = orientation_cover(ifs, eps=1e-2)
+        cover = orientation_cover(ifs, eps=1e-2, budget=budget)
     carrier = e.carrier()
     clearance = min(c.line_distance(carrier) for c in cover)
     if clearance < COVER_MARGIN:
@@ -192,13 +195,18 @@ def projection_condition_check(
             f"orientation cover (margin {COVER_MARGIN})"
         )
     if cloud is None:
-        cloud = attractor_cloud(ifs, delta)
+        cloud = attractor_cloud(ifs, delta, budget)
     # breadth-first pullback of the carrier through inverse factor maps;
     # projectively identical pullbacks collapse, so diagonal systems cost
     # one axis per level instead of kappa^depth
     inverses = [f.linear.inverse for f in ifs.maps]
 
-    def level_verdict(lines: dict[float, ProjLine]) -> tuple[bool, float]:
+    def level_verdict(n: int, lines: dict[float, ProjLine]) -> tuple[bool, float]:
+        if len(cloud) * len(lines) > limit:
+            raise BudgetError(
+                f"pull-back projection at depth {n} needs {len(cloud)} points x "
+                f"{len(lines)} lines, over budget {limit}"
+            )
         back_angles = np.array(sorted(lines.keys()))
         # project along the pulled-back direction = onto its perpendicular axis
         axes = np.stack([-np.sin(back_angles), np.cos(back_angles)], axis=1)
@@ -233,7 +241,7 @@ def projection_condition_check(
         level = nxt
         # once a level has passed, only the last level's verdict is read
         if first_pass is None or n == depth:
-            passed, worst = level_verdict(level)
+            passed, worst = level_verdict(n, level)
             if passed and first_pass is None:
                 first_pass = n
     tol_repr = gap_tol if gap_tol is not None else 3.0 * cloud.resolution
@@ -246,6 +254,7 @@ def direction_scan(
     depth: int = 5,
     gap_tol: float | None = None,
     delta: float = 2.0**-10,
+    budget: int | None = None,
 ) -> list[ProjectionVerdict]:
     """Projection verdicts on a uniform angular grid over [0, 2*pi).
 
@@ -257,8 +266,8 @@ def direction_scan(
         raise ValueError("n_dirs must be >= 4")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    cover = orientation_cover(ifs, eps=1e-2)
-    cloud = attractor_cloud(ifs, delta)
+    cover = orientation_cover(ifs, eps=1e-2, budget=budget)
+    cloud = attractor_cloud(ifs, delta, budget)
     by_carrier: dict[float, ProjectionVerdict] = {}
 
     def row(d: Direction) -> ProjectionVerdict:
@@ -266,7 +275,7 @@ def direction_scan(
         if key not in by_carrier:
             try:
                 by_carrier[key] = projection_condition_check(
-                    ifs, d, depth, gap_tol, cloud=cloud, cover=cover
+                    ifs, d, depth, gap_tol, cloud=cloud, cover=cover, budget=budget
                 )
             except ExceptionalDirectionError:
                 by_carrier[key] = ProjectionVerdict(d, False, math.nan, math.nan, depth, True)

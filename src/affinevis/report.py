@@ -90,12 +90,23 @@ def write_report(report: RunReport, path: str | Path) -> None:
         write_json(side, _plain(report.timings))
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def write_csv(
+    path: str | Path, header: Sequence[str], rows: np.ndarray | Sequence[Sequence]
+) -> None:
+    """RFC 4180 CSV with CRLF lines; floats are written as their repr.
+
+    A 2-D numeric ndarray is formatted a column at a time, which writes the
+    same bytes as ``csv.writer`` over its rows: numbers never need quoting.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
     writer.writerow(list(header))
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    if isinstance(rows, np.ndarray):
+        cols = [map(str, rows[:, k].tolist()) for k in range(rows.shape[1])]
+        buf.writelines(line + "\r\n" for line in map(",".join, zip(*cols)))
+    else:
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
     atomic_write_bytes(path, buf.getvalue().encode())
 
 
@@ -127,7 +138,6 @@ def svg_cells(
     layers: Sequence[tuple[Any, str]],
 ) -> None:
     """Cell layers drawn back to front; each layer is (OccupancyGrid, color)."""
-    boxes = []
     x0 = y0 = np.inf
     x1 = y1 = -np.inf
     for grid, color in layers:
@@ -144,16 +154,28 @@ def svg_cells(
     pad = 0.02 * max(x1 - x0, y1 - y0, 1e-9)
     parts = [_svg_header(x0 - pad, y0 - pad, (x1 - x0) + 2 * pad, (y1 - y0) + 2 * pad)]
     for grid, color in layers:
-        d = grid.delta
-        origin = np.asarray(grid.origin)
         parts.append(f'<g fill="{color}" stroke="none">\n')
-        for i, j in grid.cells:
-            x = origin[0] + i * d
-            y = origin[1] + j * d
-            parts.append(f'<rect x="{x}" y="{y}" width="{d}" height="{d}"/>\n')
+        parts.extend(_svg_rects(grid))
         parts.append("</g>\n")
     parts.append(_SVG_FOOTER)
     atomic_write_bytes(path, "".join(parts).encode())
+
+
+def _svg_rects(grid: Any) -> list[str]:
+    """The layer's ``<rect/>`` lines in cell order, split in x and y halves.
+
+    Each distinct coordinate ``origin + index * delta`` is computed and
+    formatted once; the lines are assembled by indexing those string tables.
+    """
+    d = grid.delta
+    origin = np.asarray(grid.origin)
+    affixes = [('<rect x="', '" y="'), ("", f'" width="{d}" height="{d}"/>\n')]
+    halves = np.empty((len(grid), 2), dtype=object)
+    for k, (head, tail) in enumerate(affixes):
+        index, inverse = np.unique(grid.cells[:, k], return_inverse=True)
+        coords = (origin[k] + index * d).tolist()
+        halves[:, k] = np.array([head + str(c) + tail for c in coords], dtype=object)[inverse]
+    return halves.ravel().tolist()
 
 
 def svg_loglog(

@@ -227,6 +227,19 @@ class TestCLI:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--dirs", "8", "--depth", "2"],
+            ["check", "--projection", "--depth", "2"],
+        ],
+    )
+    def test_projection_commands_honour_budget(self, tmp_path, argv):
+        out = tmp_path / "out"
+        argv = argv + ["--scenario", "carpet-5.1", "--budget", "10", "--out", str(out)]
+        assert main(argv) == 3
+        assert not out.exists()
+
     def test_unknown_scenario_exit_code(self):
         assert main(["orient", "--scenario", "missing", "--eps", "0.1"]) == 2
 

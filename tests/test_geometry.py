@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from affinevis.errors import ExceptionalDirectionError
+from affinevis.errors import BudgetError, ExceptionalDirectionError
 from affinevis.geometry import (
     ConvexPolygon,
     ProjectionVerdict,
@@ -176,6 +176,17 @@ class TestProjectionCondition:
         # checked before the exceptional-direction test
         with pytest.raises(ValueError, match="depth must be >= 1"):
             projection_condition_check(carpet, Direction(math.pi / 2), depth=0)
+
+    def test_pullback_projection_within_budget(self, positive_pair):
+        e, delta = Direction(-math.pi / 4), 2.0**-7
+        n_points = len(attractor_cloud(positive_pair, delta))
+        budget = 4 * n_points  # the cloud and the cover fit; 8 lines at depth 3 do not
+        v = projection_condition_check(positive_pair, e, 2, delta=delta, budget=budget)
+        assert v.passed
+        with pytest.raises(BudgetError, match="depth 3 .* 8 lines"):
+            projection_condition_check(positive_pair, e, 3, delta=delta, budget=budget)
+        with pytest.raises(BudgetError):
+            direction_scan(positive_pair, 8, depth=3, delta=delta, budget=budget)
 
     def test_pullback_consistency(self, positive_pair):
         e = Direction(0.3)
