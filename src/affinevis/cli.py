@@ -22,7 +22,7 @@ import math
 import sys
 import time
 
-from .errors import AffineVisError, BudgetError
+from .errors import AffineVisError, BudgetError, budget_limit
 from .geometry import direction_scan, projection_condition_check
 from .linalg2 import Direction
 from .pipeline import ladder_scales, set_dim, vis_dim
@@ -177,6 +177,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.depth < 1:
+        raise ValueError("depth must be >= 1")
     ifs, src = _resolve_ifs(args)
     which = {
         "domination": args.domination or args.all,
@@ -391,6 +393,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "budget"):
+            budget_limit(args.budget)  # a bad budget exits 2 even where no cap is hit
         return _COMMANDS[args.command](args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

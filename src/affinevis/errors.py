@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 
 DEFAULT_BUDGET = 50_000_000
@@ -77,10 +78,20 @@ class UnknownScenarioError(AffineVisError):
 
 
 def budget_limit(override: int | None = None) -> int:
-    """Active budget: explicit override, else AFFINE_VIS_BUDGET, else the default."""
+    """Active budget: explicit override, else AFFINE_VIS_BUDGET, else the default.
+
+    A budget that is not a finite number >= 1 raises ValueError naming its source.
+    """
     if override is not None:
-        return int(override)
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        return int(float(env))
-    return DEFAULT_BUDGET
+        raw, source = override, "the budget argument"
+    else:
+        raw, source = os.environ.get(BUDGET_ENV_VAR), BUDGET_ENV_VAR
+        if not raw:
+            return DEFAULT_BUDGET
+    try:
+        value = float(raw)
+    except (ValueError, OverflowError):
+        value = math.nan
+    if not (math.isfinite(value) and value >= 1):
+        raise ValueError(f"budget {raw!r} from {source} must be a finite number >= 1")
+    return int(value)

@@ -23,6 +23,8 @@ COLLINEAR_TOL = 1e-12
 COVER_MARGIN = 0.2
 # hull iterations before attractor_hull gives up
 HULL_STEPS = 1_000
+# pulled-back lines projected and sorted together in level_verdict
+PULLBACK_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -210,15 +212,22 @@ def projection_condition_check(
         back_angles = np.array(sorted(lines.keys()))
         # project along the pulled-back direction = onto its perpendicular axis
         axes = np.stack([-np.sin(back_angles), np.cos(back_angles)], axis=1)
-        proj = cloud.points @ axes.T
-        # sort one contiguous copy of a column at a time: about twice as fast
-        # as sorting along axis 0, and no second (points x axes) array
-        spans = np.empty(proj.shape[1])
-        gaps = np.empty(proj.shape[1])
-        for j in range(proj.shape[1]):
-            col = np.sort(proj[:, j])
-            spans[j] = col[-1] - col[0]
-            gaps[j] = np.diff(col).max(initial=0.0)  # sorted: diffs are >= 0
+        # project and sort PULLBACK_BLOCK lines at a time, each line's values
+        # in one contiguous row sorted in place: no (points x lines) array and
+        # no strided column gathers. Every element equals the full product's
+        # only while each block is a BLAS gemm with points @ axes.T as here:
+        # axes @ points.T, or a one-line block (gemv), rounds some elements
+        # differently. So the last block ends on the last line, overlapping
+        # its predecessor instead of holding a lone line
+        m = len(axes)
+        spans = np.empty(m)
+        gaps = np.empty(m)
+        for j in range(0, m, PULLBACK_BLOCK):
+            rows = slice(max(min(j, m - PULLBACK_BLOCK), 0), j + PULLBACK_BLOCK)
+            blk = (cloud.points @ axes[rows].T).T.copy()
+            blk.sort(axis=1)
+            spans[rows] = blk[:, -1] - blk[:, 0]
+            gaps[rows] = np.diff(blk, axis=1).max(axis=1, initial=0.0)  # sorted: >= 0
         ok = spans > 0
         rel = np.zeros_like(spans)
         rel[ok] = gaps[ok] / spans[ok]

@@ -240,6 +240,32 @@ class TestCLI:
         assert main(argv) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "env, extra, source",
+        [
+            ("inf", [], "AFFINE_VIS_BUDGET"),
+            ("-3", [], "AFFINE_VIS_BUDGET"),
+            (None, ["--budget", "-5"], "budget argument"),
+        ],
+        ids=["env-inf", "env-negative", "option-negative"],
+    )
+    def test_bad_budget_exit_code(self, monkeypatch, capsys, env, extra, source):
+        if env is None:
+            monkeypatch.delenv("AFFINE_VIS_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("AFFINE_VIS_BUDGET", env)
+        argv = ["gen", "--scenario", "carpet-5.1", "--delta", "0.1"] + extra
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert source in err and "finite number >= 1" in err
+
+    @pytest.mark.parametrize("flag", ["--domination", "--cone", "--projection"])
+    def test_check_depth_zero_exit_code(self, tmp_path, flag):
+        out = tmp_path / "check.json"
+        argv = ["check", "--scenario", "positive-cone", flag, "--depth", "0"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_unknown_scenario_exit_code(self):
         assert main(["orient", "--scenario", "missing", "--eps", "0.1"]) == 2
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from affinevis.geometry import (
     projection_condition_check,
 )
 from affinevis.linalg2 import AffineMap2, Direction, Mat2, ProjLine, proj_apply
+from affinevis.regularity import orientation_cover
 from affinevis.symbolic import IFS, attractor_cloud, cylinder
 
 
@@ -77,6 +79,23 @@ def _gappy_pair():
     """diag(1/3, 1/2) pair whose y-marginal leaves a gap: some directions fail."""
     lin = Mat2.diag(1.0 / 3.0, 0.5)
     return IFS((AffineMap2(lin, (0.0, 0.0)), AffineMap2(lin, (2.0 / 3.0, 0.75))))
+
+
+def _three_positive():
+    """Three positive maps: 3, 8, 23, 68 distinct pull-back lines at depths 1-4."""
+    return IFS(
+        (
+            AffineMap2(Mat2(0.4, 0.1, 0.1, 0.3), (0.0, 0.0)),
+            AffineMap2(Mat2(0.35, 0.15, 0.05, 0.3), (0.6, 0.1)),
+            AffineMap2(Mat2(0.3, 0.1, 0.15, 0.35), (0.2, 0.6)),
+        )
+    )
+
+
+def _power_pair():
+    """Linear parts A and A^2: level n pulls back to the n + 1 lines A^-k, k = n..2n."""
+    a = Mat2(0.5, 0.15, 0.1, 0.4)
+    return IFS((AffineMap2(a, (0.0, 0.0)), AffineMap2(a @ a, (0.55, 0.45))))
 
 
 def _same_verdict(a: ProjectionVerdict, b: ProjectionVerdict) -> bool:
@@ -153,9 +172,14 @@ class TestProjectionCondition:
 
     @pytest.mark.parametrize("gap_tol", [None, 0.05])
     def test_matches_every_level_reference(self, carpet, positive_pair, gap_tol):
-        depth = 4
+        # beyond one 8-line block: 23 and 68 lines (partial last blocks),
+        # 64 lines (whole blocks) and 9 lines (a lone ninth line)
+        cases = [
+            (ifs, 4) for ifs in (carpet, positive_pair, _gappy_pair(), _three_positive())
+        ]
+        cases += [(positive_pair, 6), (_power_pair(), 8)]
         first_passes = set()
-        for ifs in (carpet, positive_pair, _gappy_pair()):
+        for ifs, depth in cases:
             cloud = attractor_cloud(ifs, 2.0**-7)
             # one direction per carrier line on a 36-grid
             for k in range(18):
@@ -187,6 +211,19 @@ class TestProjectionCondition:
             projection_condition_check(positive_pair, e, 3, delta=delta, budget=budget)
         with pytest.raises(BudgetError):
             direction_scan(positive_pair, 8, depth=3, delta=delta, budget=budget)
+
+    def test_pullback_projection_peak_memory(self, positive_pair):
+        e = Direction(-math.pi / 4)
+        cloud = attractor_cloud(positive_pair, 2.0**-9)
+        cover = orientation_cover(positive_pair, eps=1e-2)
+        tracemalloc.start()
+        try:
+            projection_condition_check(positive_pair, e, 7, cloud=cloud, cover=cover)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # depth 7 pulls back to 128 lines; the blocks never hold them all
+        assert peak < len(cloud) * 128 * 8 / 4, (peak, len(cloud))
 
     def test_pullback_consistency(self, positive_pair):
         e = Direction(0.3)
