@@ -144,8 +144,9 @@ def svg_cells(
         if len(grid) == 0:
             continue
         origin = np.asarray(grid.origin)
-        lo = origin + grid.cells.min(axis=0) * grid.delta
-        hi = origin + (grid.cells.max(axis=0) + 1) * grid.delta
+        i, j = grid.cells[:, 0], grid.cells[:, 1]  # column extents: no strided axis-0 reduce
+        lo = origin + np.array([i.min(), j.min()]) * grid.delta
+        hi = origin + np.array([i.max() + 1, j.max() + 1]) * grid.delta
         x0, y0 = min(x0, lo[0]), min(y0, lo[1])
         x1, y1 = max(x1, hi[0]), max(y1, hi[1])
     if not np.isfinite([x0, y0, x1, y1]).all():

@@ -457,9 +457,10 @@ def cantor_cross_segment(depth: int = 8) -> PointCloud:
 def load_ifs(path: str | Path) -> IFS:
     """Parse {"maps": [{"a": [[a11, a12], [a21, a22]], "t": [tx, ty]}, ...]}.
 
-    Matrices are row-major; entries are plain JSON numbers.  Raises
-    ParseError for malformed files, SingularInput for non-invertible linear
-    parts, NotContractive for maps with alpha1 >= 1.
+    Matrices are row-major; entries are finite JSON numbers.  Raises
+    ParseError for malformed files and non-finite entries, SingularInput
+    for non-invertible linear parts, NotContractive for maps with
+    alpha1 >= 1.
     """
     path = Path(path)
     try:
@@ -482,6 +483,9 @@ def load_ifs(path: str | Path) -> IFS:
             tr = (float(t[0]), float(t[1]))
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ParseError(f"{path}: map {k}: {exc}") from exc
+        # json reads NaN and Infinity; no affine map has them
+        if not all(map(math.isfinite, (lin.a11, lin.a12, lin.a21, lin.a22, *tr))):
+            raise ParseError(f"{path}: map {k}: entries must be finite numbers")
         maps.append(AffineMap2(lin, tr))
     # IFS validation raises SingularInput / NotContractive as appropriate
     return IFS(tuple(maps))

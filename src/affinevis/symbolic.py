@@ -212,15 +212,18 @@ def antichain(
     total = 0
     while True:
         done = alpha_pair_of_stack(mats)[0] <= delta
-        if np.any(done):
+        n_done = int(np.count_nonzero(done))
+        total += n_done
+        if n_done == len(done):  # the whole level is done: no copy of it
+            if not done_mats:
+                return mats, trans
+            return np.concatenate(done_mats + [mats]), np.concatenate(done_trans + [trans])
+        active_m, active_t = mats, trans
+        if n_done:
             done_mats.append(mats[done])
             done_trans.append(trans[done])
-            total += int(done.sum())
-        active_m = mats[~done]
-        active_t = trans[~done]
+            active_m, active_t = mats[~done], trans[~done]
         n_active = active_m.shape[0]
-        if n_active == 0:
-            return np.concatenate(done_mats), np.concatenate(done_trans)
         if total + n_active * ifs.kappa > limit:
             raise BudgetError(
                 f"refinement would exceed budget {limit}; increase delta"

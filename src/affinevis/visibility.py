@@ -25,6 +25,7 @@ BRUTE_FORCE_CAP = 10_000
 # visible_exact: sorted rotated abscissas at most this far apart chain into one
 # sight line; points within it of the line's lowest point stay visible
 ALIGN_TOL = 1e-9
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -50,12 +51,28 @@ class OccupancyGrid:
 def distinct_cells(cells: np.ndarray) -> np.ndarray:
     """Index of the first occurrence of each distinct row of an (n, 2) int
     array, rows in lexicographic order: the ``return_index`` of numpy's
-    row-wise ``unique``, since the lexsort is stable.  Every cell-set dedup runs on it."""
-    order = np.lexsort((cells[:, 1], cells[:, 0]))
-    first = np.zeros(len(order), dtype=bool)
-    first[:1] = True
-    for k in (0, 1):  # a column at a time: no sorted (n, 2) copy, lower peak memory
-        col = cells[order, k]
+    row-wise ``unique``.  Every cell-set dedup runs on it.
+
+    One stable argsort of the packed key ``(i - i_min) * span_j + (j - j_min)``,
+    which orders rows as (i, j) does; a stable lexsort of the two columns
+    only when ``span_i * span_j`` exceeds the int64 range.
+    """
+    n = len(cells)
+    if n == 0:
+        return np.zeros(0, dtype=np.intp)
+    i, j = cells[:, 0], cells[:, 1]
+    i_min, j_min = int(i.min()), int(j.min())
+    span_j = int(j.max()) - j_min + 1
+    if (int(i.max()) - i_min + 1) * span_j <= _INT64_MAX:
+        key = (i - i_min) * span_j  # no overflow: every key is below the span product
+        key += j - j_min
+        order, keys = np.argsort(key, kind="stable"), (key,)
+    else:
+        order, keys = np.lexsort((j, i)), (i, j)
+    first = np.zeros(n, dtype=bool)
+    first[0] = True
+    for col in keys:  # a column at a time: no sorted (n, 2) copy
+        col = col[order]
         first[1:] |= col[1:] != col[:-1]
     return order[first]
 
@@ -92,7 +109,8 @@ def rasterize(cloud: PointCloud, delta: float, budget: int | None = None) -> Occ
         return OccupancyGrid(delta, (0.0, 0.0), np.empty((0, 2), dtype=np.int64))
     if pts.shape[0] > limit:
         raise BudgetError(f"cloud size {pts.shape[0]} exceeds budget {limit}")
-    origin = np.floor(pts.min(axis=0) / delta) * delta
+    # one column at a time: a min over axis 0 of an (n, 2) array is a slow strided reduce
+    origin = np.floor(np.array([pts[:, 0].min(), pts[:, 1].min()]) / delta) * delta
     cells = np.floor((pts - origin) / delta).astype(np.int64)
     return OccupancyGrid(delta, (float(origin[0]), float(origin[1])), cells)
 
@@ -103,7 +121,8 @@ def visible_sweep(grid: OccupancyGrid, e: Direction) -> OccupancyGrid:
     Works on cell centers re-rasterized in the rotated frame on the absolute
     delta-grid (absolute indices keep the sweep idempotent); all cells
     mapping into a column's minimal-row rotated cell are retained (ties are
-    unoccluded at resolution delta).  O(#cells).
+    unoccluded at resolution delta).  One argsort of the rotated column
+    index, then the minimal row of each column by ``np.minimum.reduceat``.
     """
     if len(grid) == 0:
         return grid
@@ -111,16 +130,15 @@ def visible_sweep(grid: OccupancyGrid, e: Direction) -> OccupancyGrid:
     uv = grid.centers() @ rot.T
     cols = np.floor(uv[:, 0] / grid.delta).astype(np.int64)
     rows = np.floor(uv[:, 1] / grid.delta).astype(np.int64)
-    order = np.lexsort((rows, cols))
+    order = np.argsort(cols)
     cols_s, rows_s = cols[order], rows[order]
     new_col = np.ones(len(cols_s), dtype=bool)
     new_col[1:] = cols_s[1:] != cols_s[:-1]
-    # first entry of each column in (col, row)-sorted order carries min row
-    min_row_per_col = rows_s[new_col]
-    col_ids = np.cumsum(new_col) - 1
-    keep_sorted = rows_s == min_row_per_col[col_ids]
+    starts = np.flatnonzero(new_col)
+    min_row = np.minimum.reduceat(rows_s, starts)
     keep = np.zeros(len(cols), dtype=bool)
-    keep[order] = keep_sorted
+    # keep is set in input order, so the order of ties within a column is moot
+    keep[order] = rows_s == np.repeat(min_row, np.diff(starts, append=len(rows_s)))
     return OccupancyGrid(grid.delta, grid.origin, grid.cells[keep])
 
 
@@ -164,15 +182,16 @@ def visible_exact(cloud: PointCloud, e: Direction) -> PointCloud:
         return cloud
     rot = rotation_to_down(e)
     uv = pts @ rot.T
-    order = np.lexsort((uv[:, 1], uv[:, 0]))
+    order = np.argsort(uv[:, 0])
     u_s, v_s = uv[order, 0], uv[order, 1]
     group_start = np.ones(len(u_s), dtype=bool)
     group_start[1:] = np.diff(u_s) > ALIGN_TOL
-    group_ids = np.cumsum(group_start) - 1
-    min_v = np.minimum.reduceat(v_s, np.flatnonzero(group_start))
-    keep_sorted = v_s <= min_v[group_ids] + ALIGN_TOL
+    starts = np.flatnonzero(group_start)
+    # the sorted u sequence, hence each group's point set, is the same for any
+    # order of equal u; a min ignores order and keep is set in input order
+    min_v = np.minimum.reduceat(v_s, starts)
     keep = np.zeros(len(u_s), dtype=bool)
-    keep[order] = keep_sorted
+    keep[order] = v_s <= np.repeat(min_v, np.diff(starts, append=len(v_s))) + ALIGN_TOL
     return PointCloud(pts[keep], cloud.resolution)
 
 

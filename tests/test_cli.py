@@ -211,6 +211,27 @@ class TestCLI:
         bad.write_text('{"maps": [{"a": [[2.0, 0.0], [0.0, 0.5]], "t": [0, 0]}]}')
         assert main(["gen", "--ifs", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize(
+        "a2, t2",
+        [
+            ("[[0.5, 0.0], [0.0, 0.5]]", "[NaN, 0.0]"),
+            ("[[0.5, NaN], [0.0, 0.5]]", "[0.5, 0.0]"),
+            ("[[0.5, 0.0], [0.0, 0.5]]", "[0.5, -Infinity]"),
+        ],
+        ids=["nan-translation", "nan-matrix", "infinite-translation"],
+    )
+    def test_non_finite_config_exit_code(self, tmp_path, capsys, a2, t2):
+        # json reads NaN and Infinity; the loader must reject them
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"maps": [{"a": [[0.5, 0.0], [0.0, 0.5]], "t": [0.0, 0.0]}, '
+            f'{{"a": {a2}, "t": {t2}}}]}}'
+        )
+        out = tmp_path / "x.csv"
+        assert main(["gen", "--ifs", str(bad), "--budget", "1000", "--out", str(out)]) == 2
+        assert "map 1: entries must be finite numbers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_budget_exit_code(self, tmp_path):
         code = main(
             [

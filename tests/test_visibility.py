@@ -9,11 +9,13 @@ from affinevis.errors import BudgetError, DirectionInConeError
 from affinevis.linalg2 import Direction
 from affinevis.symbolic import PointCloud
 from affinevis.visibility import (
+    ALIGN_TOL,
     EnvelopeFn,
     KakeyaSet,
     OccupancyGrid,
     distinct_cells,
     rasterize,
+    rotation_to_down,
     visible_bruteforce,
     visible_exact,
     visible_envelope,
@@ -21,6 +23,7 @@ from affinevis.visibility import (
 )
 
 DOWN = Direction(-math.pi / 2)
+INT64_MAX = 2**63 - 1
 
 # cell coordinates: a small pool (heavy duplication, negatives), values near
 # +/-2^62, and the whole int64 range
@@ -89,6 +92,10 @@ class TestDistinctCells:
     @example([])
     @example([(5, -7)])
     @example([(1, 2)] * 5 + [(-1, 2)] * 3)
+    # span product 7 * (2^63 - 1) / 7 = 2^63 - 1: the largest that packs into int64
+    @example([(0, 0), (6, INT64_MAX // 7 - 1), (3, 5), (0, 0), (6, INT64_MAX // 7 - 1)])
+    # span product 2 * 2^62 = 2^63: one past it, so the two-column lexsort runs
+    @example([(0, 0), (1, 2**62 - 1), (0, 5), (1, 2**62 - 1), (0, 0)])
     def test_matches_numpy_unique(self, rows):
         cells = np.array(rows, dtype=np.int64).reshape(-1, 2)
         ref_rows, ref_index = np.unique(cells, axis=0, return_index=True)
@@ -101,6 +108,91 @@ class TestDistinctCells:
         g = OccupancyGrid(1.0, (0.0, 0.0), cells)
         assert g.cells.dtype == np.int64
         assert g.cells.tolist() == [[-4, 0], [0, -2], [0, 3], [2, -1]]
+
+
+def lexsort_sweep(grid, e):
+    """``visible_sweep`` as a two-key lexsort on (column, row): the reference
+    the one-key column sort must match row for row."""
+    if len(grid) == 0:
+        return grid
+    uv = grid.centers() @ rotation_to_down(e).T
+    cols = np.floor(uv[:, 0] / grid.delta).astype(np.int64)
+    rows = np.floor(uv[:, 1] / grid.delta).astype(np.int64)
+    order = np.lexsort((rows, cols))
+    cols_s, rows_s = cols[order], rows[order]
+    new_col = np.ones(len(cols_s), dtype=bool)
+    new_col[1:] = cols_s[1:] != cols_s[:-1]
+    # first entry of each column in (col, row)-sorted order carries min row
+    min_row_per_col = rows_s[new_col]
+    col_ids = np.cumsum(new_col) - 1
+    keep_sorted = rows_s == min_row_per_col[col_ids]
+    keep = np.zeros(len(cols), dtype=bool)
+    keep[order] = keep_sorted
+    return OccupancyGrid(grid.delta, grid.origin, grid.cells[keep])
+
+
+def lexsort_exact(cloud, e):
+    """``visible_exact`` as a two-key lexsort on (u, v): the reference the
+    one-key u sort must match row for row."""
+    pts = cloud.points
+    if pts.shape[0] == 0:
+        return cloud
+    uv = pts @ rotation_to_down(e).T
+    order = np.lexsort((uv[:, 1], uv[:, 0]))
+    u_s, v_s = uv[order, 0], uv[order, 1]
+    group_start = np.ones(len(u_s), dtype=bool)
+    group_start[1:] = np.diff(u_s) > ALIGN_TOL
+    group_ids = np.cumsum(group_start) - 1
+    min_v = np.minimum.reduceat(v_s, np.flatnonzero(group_start))
+    keep_sorted = v_s <= min_v[group_ids] + ALIGN_TOL
+    keep = np.zeros(len(u_s), dtype=bool)
+    keep[order] = keep_sorted
+    return PointCloud(pts[keep], cloud.resolution)
+
+
+def same_rows(got, want):
+    return np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+# sight directions: the four cardinal ones (exact rotations) and any other
+SIGHT = st.one_of(
+    st.sampled_from([-math.pi / 2, 0.0, math.pi / 2, math.pi]),
+    st.floats(0.0, 2 * math.pi),
+).map(Direction)
+
+
+class TestOneKeySortsMatchLexsort:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-4, 4), st.integers(-30, 30)), max_size=150),
+        SIGHT,
+        st.sampled_from([1.0, 0.1, 2.0**-6]),
+        st.sampled_from([(0.0, 0.0), (-0.35, 0.2)]),
+    )
+    @example([(0, j) for j in range(-5, 5)] + [(-1, 3), (-1, -7), (-1, -7)], DOWN, 1.0, (0.0, 0.0))
+    def test_sweep(self, rows, e, delta, origin):
+        # few columns, many cells in each, negative indices
+        grid = OccupancyGrid(delta, origin, np.array(rows, dtype=np.int64))
+        assert same_rows(visible_sweep(grid, e).cells, lexsort_sweep(grid, e).cells)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, -0.0, 1e-10, 2.5e-10, 0.5, 0.5 + 5e-10, -0.25]),
+                st.sampled_from([0.0, -0.0, 1e-10, 0.75, -0.75, 0.5]),
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+        SIGHT,
+    )
+    @example([(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 1e-10), (0.5, -0.0)], DOWN)
+    @example([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (1e-10, 0.5)], Direction(0.0))
+    def test_exact(self, pts, e):
+        # repeated u, chains of u within ALIGN_TOL, and +/-0.0 in v
+        cloud = PointCloud(np.array(pts), 1e-6)
+        assert same_rows(visible_exact(cloud, e).points, lexsort_exact(cloud, e).points)
 
 
 class TestVisibleSweep:
