@@ -40,7 +40,6 @@ from .symbolic import (
     antichain,
     attractor_cloud,
     cylinder,
-    symbolic_point,
 )
 from .regularity import (
     Cone,
@@ -52,7 +51,6 @@ from .regularity import (
     invariant_cone_search,
     limit_orientation,
     orientation_cover,
-    porosity_gap,
     strong_cone_separation_check,
 )
 from .geometry import (

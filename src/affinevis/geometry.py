@@ -166,7 +166,6 @@ def projection_condition_check(
     ifs: IFS,
     e: Direction,
     depth: int = 5,
-    gap_tol: float | None = None,
     cloud: PointCloud | None = None,
     cover: list[Cone] | None = None,
     delta: float = 2.0**-10,
@@ -176,9 +175,11 @@ def projection_condition_check(
 
     For each word of the given length, the direction is pulled back through
     the inverse cylinder map and the attractor cloud is projected onto the
-    axis perpendicular to the pulled-back direction; a relative gap larger
-    than ``gap_tol`` fails the check.  Verdicts are certified only up to the
-    tested depth.
+    axis perpendicular to the pulled-back direction.  A delta-net shows
+    spurious gaps up to about 2 delta, so a projection fails when its
+    largest gap exceeds ``gap_tol`` = 3 * cloud.resolution; ``worst_gap``
+    is the largest gap relative to its projection's span.  Verdicts are
+    certified only up to the tested depth.
 
     Directions whose carrier comes within COVER_MARGIN of the orientation
     cover raise ExceptionalDirection.  A level whose points x lines
@@ -231,12 +232,8 @@ def projection_condition_check(
         ok = spans > 0
         rel = np.zeros_like(spans)
         rel[ok] = gaps[ok] / spans[ok]
-        if gap_tol is not None:
-            tols = np.full_like(spans, gap_tol)
-        else:
-            # a delta-net can show spurious gaps up to ~2 delta
-            tols = np.zeros_like(spans)
-            tols[ok] = 3.0 * cloud.resolution / spans[ok]
+        tols = np.zeros_like(spans)
+        tols[ok] = 3.0 * cloud.resolution / spans[ok]
         return bool(np.all(rel[ok] <= tols[ok])), float(rel[ok].max(initial=0.0))
 
     level = {round(carrier.angle, 12): carrier}
@@ -253,15 +250,15 @@ def projection_condition_check(
             passed, worst = level_verdict(n, level)
             if passed and first_pass is None:
                 first_pass = n
-    tol_repr = gap_tol if gap_tol is not None else 3.0 * cloud.resolution
-    return ProjectionVerdict(e, passed, worst, float(tol_repr), depth, False, first_pass)
+    return ProjectionVerdict(
+        e, passed, worst, float(3.0 * cloud.resolution), depth, False, first_pass
+    )
 
 
 def direction_scan(
     ifs: IFS,
     n_dirs: int,
     depth: int = 5,
-    gap_tol: float | None = None,
     delta: float = 2.0**-10,
     budget: int | None = None,
 ) -> list[ProjectionVerdict]:
@@ -284,7 +281,7 @@ def direction_scan(
         if key not in by_carrier:
             try:
                 by_carrier[key] = projection_condition_check(
-                    ifs, d, depth, gap_tol, cloud=cloud, cover=cover, budget=budget
+                    ifs, d, depth, cloud=cloud, cover=cover, budget=budget
                 )
             except ExceptionalDirectionError:
                 by_carrier[key] = ProjectionVerdict(d, False, math.nan, math.nan, depth, True)

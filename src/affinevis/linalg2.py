@@ -39,11 +39,6 @@ class Mat2:
         return cls(float(d1), 0.0, 0.0, float(d2))
 
     @classmethod
-    def rotation(cls, angle: float) -> "Mat2":
-        c, s = math.cos(angle), math.sin(angle)
-        return cls(c, -s, s, c)
-
-    @classmethod
     def from_array(cls, a) -> "Mat2":
         a = np.asarray(a, dtype=float)
         return cls(float(a[0, 0]), float(a[0, 1]), float(a[1, 0]), float(a[1, 1]))
@@ -119,15 +114,9 @@ class Direction:
             raise ValueError(f"direction angle must be finite, got {self.angle}")
         object.__setattr__(self, "angle", float(self.angle) % (2.0 * PI))
 
-    def vector(self) -> np.ndarray:
-        return np.array([math.cos(self.angle), math.sin(self.angle)])
-
     def carrier(self) -> ProjLine:
         """The line spanned by this direction; theta and theta+pi agree."""
         return ProjLine(self.angle)
-
-    def opposite(self) -> "Direction":
-        return Direction(self.angle + PI)
 
 
 @dataclass(frozen=True)
@@ -140,11 +129,6 @@ class SingularData:
     theta2: ProjLine
     eta1: tuple[float, float]
     eta2: tuple[float, float]
-
-    @property
-    def ratio(self) -> float:
-        """alpha1 / alpha2, always >= 1."""
-        return self.alpha1 / self.alpha2
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,13 @@ DOMINATION_SAMPLES = 4096
 # deepest-level word caps of the cone seed and the distortion probe
 THETA1_WORDS = 200_000
 DISTORTION_WORDS = 50_000
+# word length of the orientation cover's seed hull
+COVER_SEED_DEPTH = 6
+# word length of the eta2 probe behind the distortion constants
+DISTORTION_PROBE_DEPTH = 5
+# sampled line pairs and their word length in the distortion sandwich
+DISTORTION_SAMPLES = 10_000
+DISTORTION_WORD_LENGTH = 8
 # deepest level smallest_contraction_depth tries, and its answer past it
 CONTRACTION_DEPTH = 12
 
@@ -73,8 +80,8 @@ class Cone:
             ProjLine(self.center.angle + self.half_width),
         )
 
-    def contains_line(self, line: ProjLine, margin: float = 0.0) -> bool:
-        return abs(proj_signed_gap(line, self.center)) <= self.half_width - margin
+    def contains_line(self, line: ProjLine) -> bool:
+        return abs(proj_signed_gap(line, self.center)) <= self.half_width
 
     def contains_cone(self, other: "Cone", margin: float = 0.0) -> bool:
         gap = abs(proj_signed_gap(other.center, self.center))
@@ -337,32 +344,28 @@ def _projective_children(
     return children
 
 
-def default_cover_cone(ifs: IFS, depth: int = 6) -> Cone:
-    """Seed cone from the angular hull of depth-limited orientations, +10%."""
-    hull = angular_hull(_theta1_lines(ifs, depth))
+def default_cover_cone(ifs: IFS) -> Cone:
+    """Seed cone from the angular hull of the orientations of all words of
+    length COVER_SEED_DEPTH, +10%."""
+    hull = angular_hull(_theta1_lines(ifs, COVER_SEED_DEPTH))
     hw = min(max(hull.half_width * 1.1, 0.01), PI / 2 - 1e-6)
     return Cone(hull.center, hw)
 
 
-def orientation_cover(
-    ifs: IFS,
-    eps: float,
-    x: Cone | None = None,
-    budget: int | None = None,
-) -> list[Cone]:
+def orientation_cover(ifs: IFS, eps: float, budget: int | None = None) -> list[Cone]:
     """Certified interval cover of the limit-orientation set.
 
-    Refines the nested image intervals A_w(X) until every interval has
-    angular diameter <= eps, then merges overlaps.  Projectively identical
-    products are deduplicated, so self-similar direction dynamics (e.g.
-    diagonal systems) refine in linear time.  The seed X, supplied or
-    ``default_cover_cone``, must be forward invariant; otherwise NoConeError.
+    Refines the nested image intervals A_w(X) of the seed X =
+    ``default_cover_cone(ifs)`` until every interval has angular diameter
+    <= eps, then merges overlaps.  Projectively identical products are
+    deduplicated, so self-similar direction dynamics (e.g. diagonal
+    systems) refine in linear time.  The seed must be forward invariant;
+    otherwise NoConeError.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     limit = budget_limit(budget)
-    if x is None:
-        x = default_cover_cone(ifs)
+    x = default_cover_cone(ifs)
     if not _maps_into((f.linear for f in ifs.maps), x, 0.0):
         raise NoConeError("cone is not forward invariant; cover not certified")
     if not domination_report(ifs, 4).verdict:
@@ -433,14 +436,12 @@ class DistortionConstants:
             raise ValueError("M too small for the separation constraint")
 
 
-def distortion_constants(ifs: IFS, x: Cone, probe_depth: int = 5) -> DistortionConstants:
-    """delta_sep = min distance of eta2(w) lines from X over shallow words;
-    M = max of the interval constraint (pi - d)/d and the tangent derivative
-    bound sec^2(pi/2 - d/2)."""
-    if probe_depth < 1:
-        raise ValueError("probe_depth must be >= 1")
+def distortion_constants(ifs: IFS, x: Cone) -> DistortionConstants:
+    """delta_sep = min distance of eta2(w) lines from X over the words of
+    length 1..DISTORTION_PROBE_DEPTH; M = max of the interval constraint
+    (pi - d)/d and the tangent derivative bound sec^2(pi/2 - d/2)."""
     d_min = math.inf
-    for mats, dets in word_levels(ifs, probe_depth, cap=DISTORTION_WORDS):
+    for mats, dets in word_levels(ifs, DISTORTION_PROBE_DEPTH, cap=DISTORTION_WORDS):
         for m, d in zip(mats, dets):
             sd = singular_data(Mat2.from_array(m), det=d)
             eta2_line = ProjLine(math.atan2(sd.eta2[1], sd.eta2[0]))
@@ -474,30 +475,25 @@ def smallest_contraction_depth(ifs: IFS, x: Cone, delta_sep: float) -> int:
     return CONTRACTION_DEPTH
 
 
-def distortion_check(
-    ifs: IFS,
-    x: Cone,
-    samples: int = 10_000,
-    word_length: int = 8,
-    seed: int = 0,
-) -> DistortionReport:
+def distortion_check(ifs: IFS, x: Cone, seed: int = 0) -> DistortionReport:
     """Sample the two-sided angular contraction sandwich on the cone.
 
-    For random line pairs a, b in X and random words w of the given length,
-    the angle between the images must lie between
+    For DISTORTION_SAMPLES random line pairs a, b in X and random words w
+    of length DISTORTION_WORD_LENGTH, the angle between the images must lie
+    between
     M^-1 (alpha2/alpha1) angle(a,b)   and   M^2 (alpha2/alpha1) angle(a,b).
     Report-only: violations are counted, never raised.
     """
     consts = distortion_constants(ifs, x)
     k0 = smallest_contraction_depth(ifs, x, consts.delta_sep)
     rng = np.random.default_rng(seed)
-    words = rng.integers(0, ifs.kappa, size=(samples, word_length))
+    words = rng.integers(0, ifs.kappa, size=(DISTORTION_SAMPLES, DISTORTION_WORD_LENGTH))
     mats, dets = word_products(ifs, words)
     a1, a2 = alpha_pair_of_stack(mats, dets=dets)
     rho = a2 / a1
 
-    ang_a = x.center.angle + rng.uniform(-x.half_width, x.half_width, samples)
-    ang_b = x.center.angle + rng.uniform(-x.half_width, x.half_width, samples)
+    ang_a = x.center.angle + rng.uniform(-x.half_width, x.half_width, DISTORTION_SAMPLES)
+    ang_b = x.center.angle + rng.uniform(-x.half_width, x.half_width, DISTORTION_SAMPLES)
     va = np.stack([np.cos(ang_a), np.sin(ang_a)], axis=1)
     vb = np.stack([np.cos(ang_b), np.sin(ang_b)], axis=1)
     ia = matvec_stack(mats, va)
@@ -521,9 +517,9 @@ def distortion_check(
     ratios = out / ang_in[nz]
     return DistortionReport(
         consts,
-        word_length,
+        DISTORTION_WORD_LENGTH,
         k0,
-        samples,
+        DISTORTION_SAMPLES,
         violations,
         float(up_excess.max(initial=0.0)),
         float(lo_excess.max(initial=0.0)),
@@ -570,13 +566,3 @@ def porosity_gap_levels(ifs: IFS, x: Cone, depth: int) -> list[float]:
             level_min = min(level_min, g / s)
         out.append(level_min)
     return out
-
-
-def porosity_gap(ifs: IFS, x: Cone, depth: int) -> float:
-    """Measured minimum relative gap over levels 1..depth (positive if the
-    level-1 images are separated; NoGap otherwise)."""
-    levels = porosity_gap_levels(ifs, x, depth)
-    val = min(levels)
-    if val <= 0:
-        raise NoGapError("relative gap vanished during refinement")
-    return val

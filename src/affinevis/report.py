@@ -8,8 +8,6 @@ across reruns.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import tempfile
@@ -93,27 +91,17 @@ def write_report(report: RunReport, path: str | Path) -> None:
 def write_csv(
     path: str | Path, header: Sequence[str], rows: np.ndarray | Sequence[Sequence]
 ) -> None:
-    """RFC 4180 CSV with CRLF lines; floats are written as their repr.
+    """RFC 4180 CSV with CRLF lines; every field is a number or empty.
 
-    A 2-D numeric ndarray is formatted a column at a time, which writes the
-    same bytes as ``csv.writer`` over its rows: numbers never need quoting.
+    ``rows`` is a 2-D numeric ndarray or a sequence of rows of numbers and
+    ``""``.  The table is formatted a column at a time, each number as its
+    repr (``str`` of a numpy scalar is the same text), so no field and no
+    header name ever needs quoting.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-    writer.writerow(list(header))
-    if isinstance(rows, np.ndarray):
-        cols = [map(str, rows[:, k].tolist()) for k in range(rows.shape[1])]
-        buf.writelines(line + "\r\n" for line in map(",".join, zip(*cols)))
-    else:
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    atomic_write_bytes(path, buf.getvalue().encode())
-
-
-def _fmt(v: Any) -> Any:
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
+    cols = np.asarray(rows, dtype=object).reshape(-1, len(header)).T
+    lines = map(",".join, zip(*(map(str, col.tolist()) for col in cols)))
+    text = ",".join(header) + "\r\n" + "".join(line + "\r\n" for line in lines)
+    atomic_write_bytes(path, text.encode())
 
 
 # ---------------------------------------------------------------------------

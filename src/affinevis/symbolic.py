@@ -29,7 +29,11 @@ Word = tuple[int, ...]
 
 @dataclass(frozen=True)
 class IFS:
-    """An ordered tuple of contractive invertible affine maps."""
+    """An ordered tuple of contractive invertible affine maps.
+
+    Every matrix and translation entry must be finite (ValueError
+    otherwise, naming the 1-based map), checked before the singular data.
+    """
 
     maps: tuple[AffineMap2, ...]
 
@@ -37,7 +41,11 @@ class IFS:
         if len(self.maps) < 1:
             raise ValueError("IFS needs at least one map")
         for k, f in enumerate(self.maps):
-            sd = singular_data(f.linear)
+            m = f.linear
+            # NaN passes every comparison below and would hang the refiners
+            if not all(map(math.isfinite, (m.a11, m.a12, m.a21, m.a22, *f.translation))):
+                raise ValueError(f"map {k + 1}: entries must be finite numbers")
+            sd = singular_data(m)
             if sd.alpha1 >= 1.0:
                 raise NotContractiveError(
                     f"map {k + 1} has alpha1 = {sd.alpha1:.6g} >= 1"
@@ -84,10 +92,6 @@ class Cylinder:
     det: float = 1.0
 
     @property
-    def alpha1(self) -> float:
-        return self.sdata.alpha1
-
-    @property
     def alpha2(self) -> float:
         return self.sdata.alpha2
 
@@ -105,22 +109,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-
-def common_prefix_length(a: Word, b: Word) -> int:
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
-
-
-def word_distance(a: Word, b: Word) -> float:
-    """2^-(length of the longest common prefix); 0 for equal words."""
-    if a == b:
-        return 0.0
-    return 2.0 ** (-common_prefix_length(a, b))
 
 
 def _check_word(ifs: IFS, word: Sequence[int]) -> Word:
@@ -244,20 +232,6 @@ def attractor_cloud(ifs: IFS, delta: float, budget: int | None = None) -> PointC
     # matmul rounds differently from matvec_stack; the cloud's bits keep it
     pts = mats @ ifs.anchor_point() + trans
     return PointCloud(pts, float(delta))
-
-
-def symbolic_point(ifs: IFS, prefix: Sequence[int], depth: int) -> np.ndarray:
-    """phi_w(p0) for w = prefix extended cyclically up to ``depth``.
-
-    The result is within alpha1(w) * diam(E) of the coding-map image of the
-    periodic word prefix^infinity.  An empty prefix pads with symbol 1.
-    """
-    w = _check_word(ifs, prefix)
-    if depth < len(w):
-        raise ValueError(f"depth {depth} shorter than prefix length {len(w)}")
-    padded = cyclic_prefix(w if w else (1,), depth) if depth > 0 else ()
-    cyl = cylinder(ifs, padded)
-    return cyl.map(ifs.anchor_point())
 
 
 def cyclic_prefix(stream: Sequence[int] | Iterable[int], n: int) -> Word:

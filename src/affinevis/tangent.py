@@ -76,25 +76,17 @@ def magnify(cloud: PointCloud, frame: TangentFrame) -> PointCloud:
     return PointCloud(pts[keep], cloud.resolution / frame.scale)
 
 
-def approx_rect(
-    ifs: IFS,
-    frame: TangentFrame,
-    w: Sequence[int],
-    delta: float = DEFAULT_RECT_DELTA,
-) -> ApproxRect:
+def approx_rect(cyl: Cylinder, frame: TangentFrame, cloud: PointCloud) -> ApproxRect:
     """Bounding rectangle of the magnified cylinder in its singular frame.
 
-    The cylinder's point set is the pushforward of a delta-resolution base
-    cloud through the cylinder map, so the strongly contracted extent keeps
-    its relative accuracy; h and v carry about +/- 2 delta relative error.
-    Raises EmptyCylinderView when the magnified cylinder misses the unit
-    ball entirely.
+    The cylinder's point set is the pushforward of ``cloud``, a base cloud
+    of the whole attractor, through the cylinder map, so the strongly
+    contracted extent keeps its relative accuracy; h and v carry about
+    +/- 2 delta relative error for a cloud of resolution delta
+    (``tangent_sequence`` uses DEFAULT_RECT_DELTA).  Raises
+    EmptyCylinderView when the magnified cylinder misses the unit ball
+    entirely.
     """
-    return _rect(cylinder(ifs, tuple(w)), frame, attractor_cloud(ifs, delta))
-
-
-def _rect(cyl: Cylinder, frame: TangentFrame, cloud: PointCloud) -> ApproxRect:
-    """``approx_rect`` of a composed cylinder, pushing forward a given base cloud."""
     pts = frame(cyl.map(cloud.points))
     if np.min(np.hypot(pts[:, 0], pts[:, 1])) > 1.0:
         raise EmptyCylinderViewError(
@@ -137,7 +129,7 @@ def tangent_sequence(
         r_n = min(1.0, n * cyl.alpha2 / c)
         anchor = cyl.map(ifs.anchor_point())
         frame = TangentFrame((float(anchor[0]), float(anchor[1])), r_n)
-        out.append((frame, _rect(cyl, frame, cloud)))
+        out.append((frame, approx_rect(cyl, frame, cloud)))
     return out
 
 

@@ -1,4 +1,5 @@
-import numpy as np
+import math
+
 import pytest
 
 from affinevis.linalg2 import AffineMap2, Mat2
@@ -22,7 +23,8 @@ def positive_pair():
 def rotation_pair():
     """Rotation by pi/2 mixed with a diagonal map; destroys domination."""
     d = Mat2.diag(0.5, 0.25)
-    r = Mat2.rotation(np.pi / 2) @ d
+    c, s = math.cos(math.pi / 2), math.sin(math.pi / 2)
+    r = Mat2(c, -s, s, c) @ d
     return IFS((AffineMap2(r, (0.0, 0.0)), AffineMap2(d, (0.5, 0.5))))
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -28,12 +29,15 @@ def carpet_cfg(tmp_path):
 
 class TestReportEmission:
     def test_csv_rfc4180(self, tmp_path):
+        # fields are numbers or empty, so none is quoted; a csv reader
+        # gets back each number's repr
         p = tmp_path / "t.csv"
-        write_csv(p, ["a", "b"], [(1.5, 'say "hi"'), (2, "x,y")])
+        write_csv(p, ["a", "b", "c"], [(1.5, "", 3), (-0.0, 1e-05, "")])
         data = p.read_bytes()
-        assert b"\r\n" in data
-        assert b'"say ""hi"""' in data
-        assert b'"x,y"' in data
+        assert data == b"a,b,c\r\n1.5,,3\r\n-0.0,1e-05,\r\n"
+        with p.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["a", "b", "c"], ["1.5", "", "3"], ["-0.0", "1e-05", ""]]
 
     def test_json_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -229,7 +233,7 @@ class TestCLI:
         )
         out = tmp_path / "x.csv"
         assert main(["gen", "--ifs", str(bad), "--budget", "1000", "--out", str(out)]) == 2
-        assert "map 1: entries must be finite numbers" in capsys.readouterr().err
+        assert "map 2: entries must be finite numbers" in capsys.readouterr().err
         assert not out.exists()
 
     def test_budget_exit_code(self, tmp_path):

@@ -25,7 +25,6 @@ from affinevis.regularity import (
     limit_orientation,
     merge_cones,
     orientation_cover,
-    porosity_gap,
     porosity_gap_levels,
     strong_cone_separation_check,
 )
@@ -168,21 +167,14 @@ class TestOrientationCover:
         assert cover[0].diameter <= 1e-3
 
     def test_positive_pair_cover_splits(self, positive_pair):
-        cone = invariant_cone_search(positive_pair, depth=6)
-        cover = orientation_cover(positive_pair, eps=1e-2, x=cone)
+        cover = orientation_cover(positive_pair, eps=1e-2)
         assert len(cover) >= 2
         for a, b in zip(cover, cover[1:]):
             assert cones_disjoint(a, b)
 
     def test_eps_wider_than_cone(self, positive_pair):
-        cone = invariant_cone_search(positive_pair, depth=6)
-        cover = orientation_cover(positive_pair, eps=2 * math.pi, x=cone)
-        assert cover == [cone]
-
-    def test_non_invariant_cone_rejected(self, positive_pair):
-        bad = Cone(ProjLine(2.5), 0.1)
-        with pytest.raises(NoConeError):
-            orientation_cover(positive_pair, eps=0.1, x=bad)
+        cover = orientation_cover(positive_pair, eps=2 * math.pi)
+        assert cover == [default_cover_cone(positive_pair)]
 
     def test_non_invariant_default_cone_rejected(self):
         # dominated, but the default seed cone is not forward invariant
@@ -199,16 +191,12 @@ class TestOrientationCover:
             orientation_cover(positive_pair, eps=eps, budget=1000)
 
     def test_budget_enforced(self, positive_pair):
-        from affinevis.errors import BudgetError
-
-        cone = invariant_cone_search(positive_pair, depth=6)
         with pytest.raises(BudgetError):
-            orientation_cover(positive_pair, eps=1e-7, x=cone, budget=64)
+            orientation_cover(positive_pair, eps=1e-7, budget=64)
 
     def test_cover_nesting_across_eps(self, positive_pair):
-        cone = invariant_cone_search(positive_pair, depth=6)
-        coarse = orientation_cover(positive_pair, eps=5e-2, x=cone)
-        fine = orientation_cover(positive_pair, eps=5e-3, x=cone)
+        coarse = orientation_cover(positive_pair, eps=5e-2)
+        fine = orientation_cover(positive_pair, eps=5e-3)
         for c in fine:
             assert any(
                 big.contains_cone(c, -1e-9) or big.contains_line(c.center)
@@ -217,10 +205,10 @@ class TestOrientationCover:
 
     def test_theta1_inside_cover(self, positive_pair):
         cone = invariant_cone_search(positive_pair, depth=6)
-        cover = orientation_cover(positive_pair, eps=1e-2, x=cone)
+        cover = orientation_cover(positive_pair, eps=1e-2)
         for word in [(1,), (2,), (1, 2), (2, 1), (1, 1, 2, 2), (2, 2, 1, 1)]:
             theta, _ = limit_orientation(positive_pair, word, 14, cone=cone)
-            assert any(c.contains_line(theta, -1e-6) for c in cover)
+            assert any(c.line_distance(theta) <= 1e-6 for c in cover)
 
 
 class TestLimitOrientation:
@@ -248,7 +236,7 @@ class TestLimitOrientation:
         pushed = proj_apply(cyl_w.map.linear, theta_j)
         # the projective action of A_w stretches angles by at most its
         # singular ratio, so the finite-depth discrepancy is controlled
-        lipschitz_w = cyl_w.sdata.ratio
+        lipschitz_w = cyl_w.sdata.alpha1 / cyl_w.sdata.alpha2
         assert (
             proj_distance(pushed, theta_wj)
             <= lipschitz_w * bound_j + bound_wj + 1e-12
@@ -276,7 +264,7 @@ class TestDistortion:
 
     def test_positive_pair_no_violations(self, positive_pair):
         cone = invariant_cone_search(positive_pair, depth=6)
-        rep = distortion_check(positive_pair, cone, samples=10_000, word_length=8)
+        rep = distortion_check(positive_pair, cone)
         assert rep.violations == 0
         assert rep.k0 >= 1
 
@@ -285,10 +273,9 @@ class TestDistortion:
         # measurable on the invariant vertical cone: the tangent contraction
         # factor is exactly (2/3)^n
         cone = Cone(VERTICAL, 0.3)
-        n = 5
-        rep = distortion_check(carpet, cone, samples=2000, word_length=n, seed=1)
+        rep = distortion_check(carpet, cone, seed=1)
         consts = rep.constants
-        ratio = (2.0 / 3.0) ** n
+        ratio = (2.0 / 3.0) ** rep.word_length
         assert rep.min_ratio >= ratio / consts.M - 1e-12
         assert rep.max_ratio <= ratio * consts.M**2 + 1e-12
         assert rep.violations == 0
@@ -305,18 +292,25 @@ class TestPorosity:
 
     def test_carpet_no_gap(self, carpet):
         with pytest.raises(NoGapError):
-            porosity_gap(carpet, Cone(VERTICAL, 0.3), depth=3)
+            porosity_gap_levels(carpet, Cone(VERTICAL, 0.3), depth=3)
 
     def test_single_map_no_gap(self, single_map):
         with pytest.raises(NoGapError):
-            porosity_gap(single_map, Cone(VERTICAL, 0.3), depth=2)
+            porosity_gap_levels(single_map, Cone(VERTICAL, 0.3), depth=2)
 
 
 def five_maps():
-    """Five maps: level 7 (78,125 words) is the first past the distortion
-    probe's 50k cap, level 8 (390,625) the first past the cone seed's 200k."""
+    """Five maps: level 8 (390,625 words) is the first past the cone seed's
+    200k cap."""
     lin = Mat2.diag(0.2, 0.1)
     return IFS(tuple(AffineMap2(lin, (0.2 * k, 0.0)) for k in range(5)))
+
+
+def fifteen_maps():
+    """Fifteen maps: level 4 (50,625 words) is the first past the distortion
+    probe's 50k cap, one short of its depth 5."""
+    lin = Mat2.diag(1.0 / 15.0, 0.05)
+    return IFS(tuple(AffineMap2(lin, (k / 15.0, 0.0)) for k in range(15)))
 
 
 class TestHonestCaps:
@@ -325,15 +319,11 @@ class TestHonestCaps:
             _theta1_lines(five_maps(), 9)
 
     def test_distortion_constants_raise_short_of_depth(self):
-        with pytest.raises(BudgetError, match="depth 7 of 8"):
-            distortion_constants(five_maps(), QUADRANT_MARGIN, probe_depth=8)
+        with pytest.raises(BudgetError, match="depth 4 of 5"):
+            distortion_constants(fifteen_maps(), QUADRANT_MARGIN)
 
 
 class TestDepthGuards:
     def test_cover_cone_depth_zero_rejected(self, carpet):
         with pytest.raises(ValueError, match="depth must be >= 1"):
-            default_cover_cone(carpet, 0)
-
-    def test_distortion_probe_depth_zero_rejected(self, positive_pair):
-        with pytest.raises(ValueError, match="probe_depth must be >= 1"):
-            distortion_constants(positive_pair, QUADRANT_MARGIN, probe_depth=0)
+            invariant_cone_search(carpet, 0)

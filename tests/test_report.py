@@ -34,7 +34,7 @@ def _csv_oracle(header, rows) -> bytes:
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
     writer.writerow(list(header))
     for row in rows:
-        writer.writerow([v.item() for v in row])
+        writer.writerow([v.item() if isinstance(v, np.generic) else v for v in row])
     return buf.getvalue().encode()
 
 
@@ -68,6 +68,19 @@ def _svg_oracle(path, layers) -> None:
     path.write_bytes("".join(parts).encode())
 
 
+# a float as a Python float or a numpy scalar, as tables built from cones,
+# verdicts and rectangles may hold either
+ANY_FLOAT = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(width=64)).flatmap(
+    lambda x: st.sampled_from([x, np.float64(x)])
+)
+SCAN_ROWS = st.tuples(
+    ANY_FLOAT,
+    st.integers(0, 1),
+    st.integers(0, 1),
+    st.one_of(ANY_FLOAT, st.just("")),
+    st.one_of(st.integers(1, 30), st.just("")),
+)
+TANGENT_ROWS = st.tuples(st.integers(1, 10**6), *[ANY_FLOAT] * 6)
 SHAPES = st.tuples(st.integers(0, 12), st.integers(1, 4))
 FLOAT_ARRAYS = hnp.arrays(
     np.float64,
@@ -101,6 +114,19 @@ class TestCsvArrays:
         header = [f"n{k}" for k in range(rows.shape[1])]
         write_csv(p, header, rows)
         assert p.read_bytes() == _csv_oracle(header, rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(SCAN_ROWS, max_size=12), st.lists(TANGENT_ROWS, max_size=12))
+    @example([(0.5, 1, 0, "", "")], [(1, 0.0, -0.0, 0.25, np.float64(1e16), 1e-5, 3.0)])
+    def test_mixed_rows_match_csv_writer(self, tmp_path_factory, scan, tangent):
+        out = tmp_path_factory.mktemp("csv")
+        tables = [
+            (["angle", "exceptional", "passed", "worst_gap", "first_pass_depth"], scan),
+            (["n", "center_x", "center_y", "scale", "h", "v", "orientation"], tangent),
+        ]
+        for k, (header, rows) in enumerate(tables):
+            write_csv(out / f"{k}.csv", header, rows)
+            assert (out / f"{k}.csv").read_bytes() == _csv_oracle(header, rows)
 
     def test_array_matches_sequence_path(self, tmp_path):
         rows = np.array([[0.5, -0.0], [np.nan, 1e16], [3.0, 1e-5]])

@@ -15,8 +15,6 @@ from affinevis.scenarios import (
     cantor_cross_segment,
     harmonic_cell_count_1d,
     harmonic_gap,
-    harmonic_points,
-    harmonic_product_count,
     harmonic_product_sample,
     harmonic_sums,
     load_ifs,
@@ -25,6 +23,17 @@ from affinevis.scenarios import (
 )
 
 LOG32 = math.log(2) / math.log(3)
+
+
+def expected_values(name):
+    return {ev.name: ev.value for ev in scenario(name).expected}
+
+
+def harmonic_points(k_max):
+    """{0} and the reciprocal partial sums down to index k_max, on the line:
+    the truncated set whose cell counts ``harmonic_cell_count_1d`` gives."""
+    s = harmonic_sums(k_max)
+    return np.concatenate([[0.0], 1.0 / s[::-1]])
 
 
 class TestScenarioRegistry:
@@ -65,18 +74,16 @@ class TestScenarioRegistry:
             assert spec.build_ifs().kappa >= 1
 
     def test_carpet_expected_values(self):
-        spec = scenario("carpet-5.1")
-        assert spec.expected_value("hausdorff_dimension") == pytest.approx(
-            math.log2(2.0**LOG32 + 1.0)
-        )
-        assert spec.expected_value("hausdorff_dimension") == pytest.approx(1.3497, abs=1e-4)
-        assert spec.expected_value("assouad_dimension") == pytest.approx(1.6309, abs=1e-4)
-        assert spec.expected_value("box_dimension") == pytest.approx(1.3691, abs=1e-4)
+        ev = expected_values("carpet-5.1")
+        assert ev["hausdorff_dimension"] == pytest.approx(math.log2(2.0**LOG32 + 1.0))
+        assert ev["hausdorff_dimension"] == pytest.approx(1.3497, abs=1e-4)
+        assert ev["assouad_dimension"] == pytest.approx(1.6309, abs=1e-4)
+        assert ev["box_dimension"] == pytest.approx(1.3691, abs=1e-4)
 
     def test_harmonic_expected(self):
-        spec = scenario("harmonic-5.2")
-        assert spec.expected_value("box_dimension_A") == 1.0
-        assert spec.expected_value("box_dimension_K") == 2.0
+        ev = expected_values("harmonic-5.2")
+        assert ev["box_dimension_A"] == 1.0
+        assert ev["box_dimension_K"] == 2.0
 
     def test_sources_labeled(self):
         for name in scenario_names():
@@ -103,9 +110,6 @@ class TestHarmonicSet:
         count = harmonic_cell_count_1d(n)
         assert target / 4 <= count <= target * 4
 
-    def test_product_count_is_square(self):
-        assert harmonic_product_count(100) == harmonic_cell_count_1d(100) ** 2
-
     def test_truncated_enumeration_agrees_where_it_can(self):
         # direct enumeration of the truncated set matches the analytic count
         # once the truncation covers the whole gap range
@@ -121,10 +125,10 @@ class TestHarmonicSet:
         assert analytic - cells.size <= missing_bound
 
     def test_sample_contains_axes(self):
-        cloud = harmonic_product_sample(30)
+        cloud = harmonic_product_sample()
         pts = cloud.points
-        assert (pts[:, 0] == 0).sum() == 31
-        assert len(cloud) == 31 * 31
+        assert (pts[:, 0] == 0).sum() == 71
+        assert len(cloud) == 71 * 71
 
 
 class TestCantorCross:

@@ -3,20 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from affinevis.errors import BadSymbolError, BudgetError
 from affinevis.linalg2 import AffineMap2, Mat2, alpha_pair_of_stack, singular_data
 from affinevis.symbolic import (
     IFS,
     antichain,
     attractor_cloud,
-    common_prefix_length,
     cyclic_prefix,
     cylinder,
-    symbolic_point,
-    word_distance,
     word_levels,
     word_products,
 )
@@ -27,17 +21,30 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     return max(d.min(axis=1).max(), d.min(axis=0).max())
 
 
+class TestIFSEntries:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", range(6))
+    def test_non_finite_entry_rejected(self, entry, value):
+        # a11, a12, a21, a22, tx, ty of the second map
+        entries = [0.5, 0.0, 0.0, 0.5, 0.5, 0.0]
+        entries[entry] = value
+        bad = AffineMap2(Mat2(*entries[:4]), (entries[4], entries[5]))
+        good = AffineMap2(Mat2.diag(0.5, 0.5), (0.0, 0.0))
+        with pytest.raises(ValueError, match="map 2: entries must be finite numbers"):
+            IFS((good, bad))
+
+
 class TestCylinder:
     def test_empty_word_is_identity(self, carpet):
         c = cylinder(carpet, ())
-        assert c.alpha1 == pytest.approx(1.0)
+        assert c.sdata.alpha1 == pytest.approx(1.0)
         assert c.alpha2 == pytest.approx(1.0)
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_repeated_first_symbol(self, carpet, n):
         c = cylinder(carpet, (1,) * n)
         assert c.map.linear.as_array() == pytest.approx(np.diag([3.0**-n, 2.0**-n]))
-        assert c.alpha1 == pytest.approx(2.0**-n)
+        assert c.sdata.alpha1 == pytest.approx(2.0**-n)
         assert c.sdata.theta1.angle == pytest.approx(math.pi / 2)
 
     def test_third_map_translation(self, carpet):
@@ -57,10 +64,10 @@ def antichain_oracle(ifs, delta):
     for n in itertools.count():
         words = itertools.product(range(1, ifs.kappa + 1), repeat=n)
         level = [cylinder(ifs, w) for w in words]
-        out += [c for c in level if c.alpha1 <= delta < parent_alpha1[c.word[:-1]]]
-        if all(c.alpha1 <= delta for c in level):
+        out += [c for c in level if c.sdata.alpha1 <= delta < parent_alpha1[c.word[:-1]]]
+        if all(c.sdata.alpha1 <= delta for c in level):
             return out
-        parent_alpha1 = {c.word: c.alpha1 for c in level}
+        parent_alpha1 = {c.word: c.sdata.alpha1 for c in level}
 
 
 def assert_matches_oracle(ifs, delta):
@@ -95,8 +102,7 @@ class TestRefineCylinders:
         assert len({len(w) for w in words}) > 1
         for i, a in enumerate(words):
             for b in words[i + 1 :]:
-                k = common_prefix_length(a, b)
-                assert k < min(len(a), len(b))
+                assert b[: len(a)] != a and a[: len(b)] != b
 
     def test_budget(self, carpet):
         with pytest.raises(BudgetError):
@@ -201,29 +207,27 @@ class TestWordLevels:
 
 
 class TestSymbolicPoint:
+    """The anchor of the cylinder of prefix^depth approximates the coding-map
+    image of the periodic word prefix^infinity."""
+
+    @staticmethod
+    def periodic_anchor(ifs, prefix, depth):
+        return cylinder(ifs, cyclic_prefix(prefix, depth)).map(ifs.anchor_point())
+
     def test_fixed_point_of_first_map(self, carpet):
         for depth in (1, 5, 12):
-            assert symbolic_point(carpet, (1,), depth) == pytest.approx([0.0, 0.0])
+            assert self.periodic_anchor(carpet, (1,), depth) == pytest.approx([0.0, 0.0])
 
     def test_prefix_two(self, carpet):
-        p = symbolic_point(carpet, (2,), 20)
+        p = self.periodic_anchor(carpet, (2,), 20)
         assert p == pytest.approx([0.5, 1.0], abs=2.0**-19)
 
     def test_prefix_three(self, carpet):
-        p = symbolic_point(carpet, (3,), 30)
+        p = self.periodic_anchor(carpet, (3,), 30)
         assert p == pytest.approx([1.0, 0.0], abs=2.0**-29)
-
-    def test_depth_shorter_than_prefix(self, carpet):
-        with pytest.raises(ValueError):
-            symbolic_point(carpet, (1, 2, 3), 2)
 
 
 class TestWords:
-    def test_word_distance(self):
-        assert word_distance((1, 2, 3), (1, 2, 3)) == 0.0
-        assert word_distance((1, 2, 3), (1, 2)) == 0.25
-        assert word_distance((1,), (2,)) == 1.0
-
     def test_cyclic_prefix(self):
         assert cyclic_prefix((1, 2), 5) == (1, 2, 1, 2, 1)
         assert cyclic_prefix(iter([1, 2, 3]), 2) == (1, 2)
@@ -233,15 +237,3 @@ class TestWords:
 
         with pytest.raises(StreamExhaustedError):
             cyclic_prefix(iter([1, 2]), 5)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.integers(1, 3), max_size=8),
-        st.lists(st.integers(1, 3), max_size=8),
-    )
-    def test_word_distance_ultrametric(self, a, b):
-        wa, wb = tuple(a), tuple(b)
-        d = word_distance(wa, wb)
-        assert d == word_distance(wb, wa)
-        if wa != wb:
-            assert d == 2.0 ** -common_prefix_length(wa, wb)

@@ -5,8 +5,8 @@ import pytest
 
 from affinevis.errors import EmptyCylinderViewError, NoExitError
 from affinevis.linalg2 import ProjLine, proj_distance
-from affinevis.regularity import invariant_cone_search, orientation_cover
-from affinevis.symbolic import attractor_cloud, cylinder, symbolic_point
+from affinevis.regularity import orientation_cover
+from affinevis.symbolic import attractor_cloud, cylinder
 from affinevis.tangent import (
     ApproxRect,
     TangentFrame,
@@ -56,8 +56,9 @@ class TestApproxRect:
     def test_carpet_first_map_words(self, carpet):
         delta = 0.01
         frame = TangentFrame((0.0, 0.0), 1.0)
+        cloud = attractor_cloud(carpet, delta)
         for n in (1, 3, 5):
-            rect = approx_rect(carpet, frame, (1,) * n, delta)
+            rect = approx_rect(cylinder(carpet, (1,) * n), frame, cloud)
             assert rect.orientation.angle == pytest.approx(math.pi / 2)
             assert rect.h == pytest.approx(2.0**-n, abs=2 * delta)
             assert rect.v == pytest.approx(3.0**-n, abs=2 * delta)
@@ -66,21 +67,24 @@ class TestApproxRect:
     def test_empty_view(self, carpet):
         frame = TangentFrame((0.0, 0.0), 2.0**-8)
         with pytest.raises(EmptyCylinderViewError):
-            approx_rect(carpet, frame, (3, 3))  # cylinder near x = 1
+            # cylinder near x = 1
+            approx_rect(cylinder(carpet, (3, 3)), frame, attractor_cloud(carpet, 0.01))
 
     def test_ratio_grows_by_tau(self, carpet):
         frame = TangentFrame((0.0, 0.0), 1.0)
-        prev = approx_rect(carpet, frame, (1,) * 2)
+        cloud = attractor_cloud(carpet, 0.01)
+        prev = approx_rect(cylinder(carpet, (1,) * 2), frame, cloud)
         for n in (3, 4, 5):
-            cur = approx_rect(carpet, frame, (1,) * n)
+            cur = approx_rect(cylinder(carpet, (1,) * n), frame, cloud)
             growth = (cur.h / cur.v) / (prev.h / prev.v)
             assert growth >= 1.5 * (1 - 0.05)
             prev = cur
 
     def test_rect_stable_under_finer_delta(self, carpet):
         frame = TangentFrame((0.0, 0.0), 1.0)
-        r1 = approx_rect(carpet, frame, (1, 2), delta=0.02)
-        r2 = approx_rect(carpet, frame, (1, 2), delta=0.005)
+        cyl = cylinder(carpet, (1, 2))
+        r1 = approx_rect(cyl, frame, attractor_cloud(carpet, 0.02))
+        r2 = approx_rect(cyl, frame, attractor_cloud(carpet, 0.005))
         assert abs(r1.h - r2.h) <= 2 * 0.02
         assert abs(r1.v - r2.v) <= 2 * 0.02
 
@@ -155,8 +159,7 @@ class TestKakeyaExtract:
             assert proj_distance(Direction(theta).carrier(), ProjLine(math.pi / 2)) < 1e-6
 
     def test_carriers_inside_orientation_cover(self, positive_pair):
-        cone = invariant_cone_search(positive_pair, depth=6)
-        cover = orientation_cover(positive_pair, eps=1e-2, x=cone)
+        cover = orientation_cover(positive_pair, eps=1e-2)
         seq = tangent_sequence(positive_pair, (1, 2), 12)
         rects = [rect for _, rect in seq if rect.h > 2.0]
         assert rects
