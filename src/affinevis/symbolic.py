@@ -177,60 +177,130 @@ def word_products(ifs: IFS, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mats, dets
 
 
+def _linear_parts(ifs: IFS) -> tuple[np.ndarray, list[int]]:
+    """Distinct linear parts of the maps and the part of each map.
+
+    Returns ``(parts, part_of)``: the (m, 2, 2) distinct matrices in order
+    of first occurrence, and for map i (0-based) the row of ``parts`` equal
+    to its matrix.  Equality is of the entries' bits, so a product built
+    from ``parts`` has the bits of the one built from the maps.
+    """
+    lin = ifs.linear_stack()
+    first: dict[bytes, int] = {}  # entry bytes -> first map with them
+    for i, m in enumerate(lin):
+        first.setdefault(m.tobytes(), i)
+    rows = list(first.values())
+    return lin[rows], [rows.index(first[m.tobytes()]) for m in lin]
+
+
+def _child_rows(index: np.ndarray, n_parts: int, part_of: list[int]) -> np.ndarray:
+    """Table rows of the children of cylinders in table rows ``index``:
+    child i of row r is row r * n_parts + part_of[i] of the next table."""
+    base = index * n_parts
+    out = np.empty((len(index), len(part_of)), dtype=np.intp)
+    for i, part in enumerate(part_of):  # a column at a time: no broadcast loop
+        np.add(base, part, out=out[:, i])
+    return out.reshape(-1)
+
+
 def antichain(
     ifs: IFS, delta: float, budget: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Cylinders of the minimal antichain at ``alpha1 <= delta``.
 
-    Returns the (n, 2, 2) linear parts and (n, 2) translations of the words
-    w with alpha1(w) <= delta < alpha1(parent of w), level by level, each
-    level in lexicographic order.  alpha1 strictly decreases along prefixes,
-    so every infinite word has exactly one prefix in the antichain.
+    The cylinders are the words w with alpha1(w) <= delta < alpha1(parent
+    of w), level by level, each level in lexicographic order.  alpha1
+    strictly decreases along prefixes, so every infinite word has exactly
+    one prefix in the antichain.
+
+    Returns ``(products, index, trans)``: cylinder k has linear part
+    ``products[index[k]]`` and translation ``trans[k]`` (shape (n, 2)).
+    alpha1 depends only on the linear part, so each level refines one
+    product per distinct linear word (see ``_linear_parts``), and
+    ``products`` holds each level's distinct products, in level order.
+    When no two maps share a linear part, every product is its own
+    cylinder's: ``index`` is None and ``products`` has shape (n, 2, 2).
+    The budget counts cylinders, not products.
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     limit = budget_limit(budget)
-    lin = ifs.linear_stack()
     tr = ifs.translation_stack()
+    parts, part_of = _linear_parts(ifs)
+    if len(parts) == ifs.kappa:  # every part is its map's: no index
+        part_of = None
 
-    mats = np.eye(2)[None, :, :]
+    # index[k] is cylinder k's row of table; every row has a cylinder
+    table = np.eye(2)[None, :, :]
+    index = None if part_of is None else np.zeros(1, dtype=np.intp)
     trans = np.zeros((1, 2))
-    done_mats: list[np.ndarray] = []
+    done_table: list[np.ndarray] = []
+    done_index: list[np.ndarray] = []
     done_trans: list[np.ndarray] = []
+    n_rows = 0  # rows in done_table
     total = 0
     while True:
-        done = alpha_pair_of_stack(mats)[0] <= delta
+        row_done = alpha_pair_of_stack(table)[0] <= delta
+        done = row_done if index is None else np.take(row_done, index)
         n_done = int(np.count_nonzero(done))
         total += n_done
         if n_done == len(done):  # the whole level is done: no copy of it
-            if not done_mats:
-                return mats, trans
-            return np.concatenate(done_mats + [mats]), np.concatenate(done_trans + [trans])
-        active_m, active_t = mats, trans
+            done_table.append(table)
+            done_trans.append(trans)
+            if index is not None:
+                done_index.append(index + n_rows if n_rows else index)
+            break
+        active, active_t = table, trans
         if n_done:
-            done_mats.append(mats[done])
             done_trans.append(trans[done])
-            active_m, active_t = mats[~done], trans[~done]
-        n_active = active_m.shape[0]
+            active_t = trans[~done]
+            if index is None:
+                done_table.append(table[done])
+                active = table[~done]
+            else:
+                # compact to the rows each half uses: a row's cylinders
+                # are all done or all active
+                done_table.append(table[row_done])
+                done_index.append(np.take(np.cumsum(row_done) - 1 + n_rows, index[done]))
+                n_rows += done_table[-1].shape[0]
+                keep = ~row_done
+                active = table[keep]
+                index = np.take(np.cumsum(keep) - 1, index[~done])
+        n_active = active_t.shape[0]
         if total + n_active * ifs.kappa > limit:
             raise BudgetError(
                 f"refinement would exceed budget {limit}; increase delta"
             )
-        mats = _children(active_m, lin)
-        trans = matvec_stack(active_m[:, None], tr)
+        table = _children(active, parts)
+        trans = matvec_stack(active[:, None], tr)
+        if index is not None:
+            trans = np.take(trans, index, axis=0)
+            index = _child_rows(index, parts.shape[0], part_of)
         trans += active_t[:, None, :]  # in place: no second (n, kappa, 2) array
         trans = trans.reshape(-1, 2)
+    if len(done_trans) == 1:
+        return table, index, trans
+    return (
+        np.concatenate(done_table),
+        None if index is None else np.concatenate(done_index),
+        np.concatenate(done_trans),
+    )
 
 
 def attractor_cloud(ifs: IFS, delta: float, budget: int | None = None) -> PointCloud:
-    """One anchor per cylinder of the ``alpha1 <= delta`` antichain.
+    """One anchor per cylinder of the ``alpha1 <= delta`` antichain, in
+    ``antichain``'s order.
 
     Every anchor lies in the attractor, and every attractor point is within
-    alpha1 * diam(E) <= delta * diam(E) of some anchor.
+    alpha1 * diam(E) <= delta * diam(E) of some anchor.  The linear image
+    of map 1's fixed point is computed once per distinct product.
     """
-    mats, trans = antichain(ifs, delta, budget)
+    products, index, trans = antichain(ifs, delta, budget)
     # matmul rounds differently from matvec_stack; the cloud's bits keep it
-    pts = mats @ ifs.anchor_point() + trans
+    pts = products @ ifs.anchor_point()
+    if index is not None:
+        pts = np.take(pts, index, axis=0)
+    pts += trans
     return PointCloud(pts, float(delta))
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from affinevis.errors import BudgetError, ExceptionalDirectionError
 from affinevis.geometry import (
-    ConvexPolygon,
     ProjectionVerdict,
     attractor_hull,
     convex_hull,
@@ -15,7 +14,7 @@ from affinevis.geometry import (
     hausdorff_polygons,
     projection_condition_check,
 )
-from affinevis.linalg2 import AffineMap2, Direction, Mat2, ProjLine, proj_apply
+from affinevis.linalg2 import AffineMap2, Direction, Mat2, proj_apply
 from affinevis.regularity import orientation_cover
 from affinevis.symbolic import IFS, attractor_cloud, cylinder
 

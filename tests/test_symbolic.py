@@ -1,10 +1,18 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from affinevis.errors import BadSymbolError, BudgetError
-from affinevis.linalg2 import AffineMap2, Mat2, alpha_pair_of_stack, singular_data
+from affinevis.errors import BadSymbolError, BudgetError, budget_limit
+from affinevis.linalg2 import (
+    AffineMap2,
+    Mat2,
+    alpha_pair_of_stack,
+    matmul_stack,
+    matvec_stack,
+    singular_data,
+)
 from affinevis.symbolic import (
     IFS,
     antichain,
@@ -70,26 +78,103 @@ def antichain_oracle(ifs, delta):
         parent_alpha1 = {c.word: c.sdata.alpha1 for c in level}
 
 
+def reference_antichain(ifs, delta, budget=None):
+    """The antichain refined word by word: one product per cylinder, with
+    the same level order, closed-form arithmetic and budget check."""
+    limit = budget_limit(budget)
+    lin = ifs.linear_stack()
+    tr = ifs.translation_stack()
+    mats = np.eye(2)[None, :, :]
+    trans = np.zeros((1, 2))
+    done_mats, done_trans = [], []
+    total = 0
+    while True:
+        done = alpha_pair_of_stack(mats)[0] <= delta
+        total += int(np.count_nonzero(done))
+        done_mats.append(mats[done])
+        done_trans.append(trans[done])
+        if done.all():
+            return np.concatenate(done_mats), np.concatenate(done_trans)
+        active_m, active_t = mats[~done], trans[~done]
+        if total + active_m.shape[0] * ifs.kappa > limit:
+            raise BudgetError("reference refinement exceeds the budget")
+        mats = matmul_stack(active_m[:, None], lin).reshape(-1, 2, 2)
+        trans = (matvec_stack(active_m[:, None], tr) + active_t[:, None, :]).reshape(-1, 2)
+
+
+def reference_cloud(ifs, delta):
+    mats, trans = reference_antichain(ifs, delta)
+    return mats @ ifs.anchor_point() + trans
+
+
+def per_cylinder(products, index):
+    """One linear part per cylinder from antichain's table and index."""
+    return products if index is None else products[index]
+
+
+def shared_ifs(linears, translations):
+    return IFS(tuple(AffineMap2(m, t) for m, t in zip(linears, translations)))
+
+
+# two linear parts B, A, B: the shared part is neither adjacent nor first
+# in sorted order
+_A = Mat2(0.4, 0.1, 0.0, 0.3)
+_B = Mat2(0.2, 0.0, 0.1, 0.5)
+B_A_B = shared_ifs((_B, _A, _B), ((0.0, 0.0), (0.5, 0.1), (0.3, 0.6)))
+
+# two linear parts alternating over eight translations
+_B1 = Mat2(0.30, 0.10, 0.05, 0.12)
+_B2 = Mat2(0.26, 0.16, 0.02, 0.14)
+ALTERNATING = shared_ifs(
+    (_B1, _B2) * 4,
+    ((0, 0), (0.35, 0.05), (0.6, 0.1), (0.1, 0.45),
+     (0.45, 0.5), (0.7, 0.55), (0.2, 0.8), (0.55, 0.85)),
+)
+
+
 def assert_matches_oracle(ifs, delta):
-    mats, trans = antichain(ifs, delta)
+    products, index, trans = antichain(ifs, delta)
+    mats = per_cylinder(products, index)
     oracle = antichain_oracle(ifs, delta)
     assert mats.shape == (len(oracle), 2, 2)
+    assert trans.shape == (len(oracle), 2)
     for m, t, c in zip(mats, trans, oracle):
         assert np.array_equal(m, c.map.linear.as_array())
         assert t == pytest.approx(c.map.translation, abs=1e-15)
     return oracle
 
 
+def budget_threshold(refine, ifs, delta):
+    """Smallest budget at which ``refine`` does not raise BudgetError."""
+    lo, hi = 1, 1
+    while True:
+        try:
+            refine(ifs, delta, budget=hi)
+            break
+        except BudgetError:
+            lo, hi = hi, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            refine(ifs, delta, budget=mid)
+            hi = mid
+        except BudgetError:
+            lo = mid + 1
+    return lo
+
+
 class TestRefineCylinders:
     def test_depth_one(self, carpet):
-        mats, trans = antichain(carpet, 0.75)
-        assert np.array_equal(mats, carpet.linear_stack())
+        products, index, trans = antichain(carpet, 0.75)
+        # the carpet's three maps share one linear part
+        assert np.array_equal(products, carpet.linear_stack()[:1])
+        assert index.tolist() == [0, 0, 0]
         assert np.array_equal(trans, carpet.translation_stack())
 
     def test_alpha1_half(self, carpet):
-        mats, _ = antichain(carpet, 0.5)
-        assert len(mats) == 3
-        assert alpha_pair_of_stack(mats)[0] == pytest.approx(0.5)
+        products, index, _ = antichain(carpet, 0.5)
+        assert len(index) == 3
+        assert alpha_pair_of_stack(products)[0] == pytest.approx(0.5)
 
     def test_alpha1_quarter(self, carpet):
         oracle = assert_matches_oracle(carpet, 0.25)
@@ -104,9 +189,36 @@ class TestRefineCylinders:
             for b in words[i + 1 :]:
                 assert b[: len(a)] != a and a[: len(b)] != b
 
+    @pytest.mark.parametrize("ifs, delta", [(B_A_B, 0.03), (ALTERNATING, 0.03)])
+    def test_shared_parts_match_oracle(self, ifs, delta):
+        oracle = assert_matches_oracle(ifs, delta)
+        assert len({len(c.word) for c in oracle}) > 1
+
+    def test_distinct_parts_build_no_index(self, positive_pair):
+        products, index, trans = antichain(positive_pair, 0.05)
+        assert index is None
+        assert products.shape == (len(trans), 2, 2)
+
+    def test_one_row_per_distinct_product(self, carpet):
+        products, index, _ = antichain(carpet, 2.0**-6)
+        assert products.shape == (1, 2, 2)
+        assert len(index) == 3**6
+        products, index, _ = antichain(ALTERNATING, 0.03)
+        # one row per distinct linear word: odd symbols carry B1, even B2
+        oracle = antichain_oracle(ALTERNATING, 0.03)
+        linear_words = {tuple((s - 1) % 2 for s in c.word) for c in oracle}
+        assert len(products) == len(linear_words) < len(index)
+        assert np.array_equal(np.unique(index), np.arange(len(products)))
+
     def test_budget(self, carpet):
         with pytest.raises(BudgetError):
             antichain(carpet, 1e-6, budget=100)
+
+    @pytest.mark.parametrize("ifs, delta", [(B_A_B, 2.0**-8), (ALTERNATING, 2.0**-6)])
+    def test_budget_counts_cylinders(self, ifs, delta):
+        want = budget_threshold(reference_antichain, ifs, delta)
+        assert budget_threshold(antichain, ifs, delta) == want
+        assert want > len(antichain(ifs, delta)[0])
 
     def test_delta_must_be_positive(self, carpet):
         with pytest.raises(ValueError):
@@ -124,13 +236,17 @@ class TestRefineCylinders:
         def pressure(s):
             return sum(x**s for x in a)
 
+        def alpha1(delta):
+            products, index, _ = antichain(positive_pair, delta)
+            return per_cylinder(alpha_pair_of_stack(products)[0], index)
+
         lo, hi = 0.1, 20.0
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if pressure(mid) > 1 else (lo, mid)
         s_star = 0.5 * (lo + hi)
-        coarse = alpha_pair_of_stack(antichain(positive_pair, 0.3)[0])[0]
-        fine = alpha_pair_of_stack(antichain(positive_pair, 0.1)[0])[0]
+        coarse = alpha1(0.3)
+        fine = alpha1(0.1)
         assert np.sum(fine**s_star) <= np.sum(coarse**s_star) * (1 + 1e-9)
 
 
@@ -163,6 +279,28 @@ class TestAttractorCloud:
         anchors = np.array(sorted(tuple(c.map(p0)) for c in oracle))
         got = np.array(sorted(map(tuple, cloud.points)))
         assert got == pytest.approx(anchors)
+
+    @pytest.mark.parametrize(
+        "name, delta",
+        [("carpet", 2.0**-9), ("positive_pair", 2.0**-8), ("b_a_b", 2.0**-8),
+         ("alternating", 2.0**-7)],
+    )
+    def test_bytes_match_reference(self, request, name, delta):
+        ifs = {"b_a_b": B_A_B, "alternating": ALTERNATING}.get(name)
+        ifs = ifs or request.getfixturevalue(name)
+        got = attractor_cloud(ifs, delta).points
+        assert got.tobytes() == reference_cloud(ifs, delta).tobytes()
+
+    def test_carpet_peak_memory(self, carpet):
+        # 177,147 points: the points, translations and row index, no
+        # per-cylinder products
+        tracemalloc.start()
+        try:
+            attractor_cloud(carpet, 2.0**-11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6, peak
 
     def test_refinement_consistency(self, carpet):
         delta = 2.0**-5

@@ -10,7 +10,6 @@ from affinevis.linalg2 import Direction
 from affinevis.symbolic import PointCloud
 from affinevis.visibility import (
     ALIGN_TOL,
-    EnvelopeFn,
     KakeyaSet,
     OccupancyGrid,
     distinct_cells,
@@ -75,7 +74,8 @@ class TestRasterize:
         grid = rasterize(attractor_cloud(carpet, delta / 2), delta)
         box_cells = set()
         unit = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        for m, t in zip(*antichain(carpet, delta)):
+        products, index, trans = antichain(carpet, delta)
+        for m, t in zip(products[index], trans):
             img = unit @ m.T + t
             i0, j0 = np.floor(img.min(axis=0) / delta).astype(int)
             i1, j1 = np.floor((img.max(axis=0) - 1e-12) / delta).astype(int)
