@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetError, TooFewScalesError, budget_limit
 from .symbolic import PointCloud
-from .visibility import distinct_cells
+from .visibility import count_cells, distinct_cells
 
 # drop the two coarsest scales and refit when the residual exceeds this
 RESIDUAL_TRIM_THRESHOLD = 0.1
@@ -51,8 +51,21 @@ def _cells_of(data, finest: float) -> np.ndarray:
     if isinstance(data, PointCloud):
         data = data.points
     pts = np.asarray(data, dtype=float).reshape(-1, 2)
-    cells = np.floor(pts / finest + _CELL_SNAP).astype(np.int64)
-    return cells[distinct_cells(cells)]
+    return np.floor(pts / finest + _CELL_SNAP).astype(np.int64)
+
+
+def _first_per_cell(keys: np.ndarray) -> np.ndarray:
+    """Index of the first point in each occupied cell, in point order.
+
+    The cells of a coarse grid are few, so the first index of each packed
+    key is a ``minimum.at`` into one slot per key of the span.
+    """
+    i, j = keys[:, 0] - keys[:, 0].min(), keys[:, 1] - keys[:, 1].min()
+    span_j = int(j.max()) + 1
+    n = len(keys)
+    first = np.full((int(i.max()) + 1) * span_j, n)
+    np.minimum.at(first, i * span_j + j, np.arange(n))
+    return np.sort(first[first < n])
 
 
 def box_count(data, delta_ladder, budget: int | None = None) -> list[int]:
@@ -60,14 +73,17 @@ def box_count(data, delta_ladder, budget: int | None = None) -> list[int]:
 
     ``data`` may be a PointCloud or a raw (n, 2) array of points.
     Every ladder scale must be an integer multiple of the finest one so
-    that counts come from exact block merges of a single fine grid.
+    that counts come from exact block merges of a single fine grid: the
+    distinct fine cells, floor-divided per level and counted by
+    ``count_cells`` (a bitmap count when the level's key range is dense,
+    a sort otherwise).
     """
     ladder = sorted((float(d) for d in delta_ladder), reverse=True)
     if not ladder:
         raise ValueError("empty ladder")
     finest = ladder[-1]
     limit = budget_limit(budget)
-    cells = _cells_of(data, finest)
+    cells = distinct_cells(_cells_of(data, finest))
     if cells.shape[0] > limit:
         raise BudgetError(f"{cells.shape[0]} occupied cells exceed budget {limit}")
     counts = []
@@ -78,7 +94,7 @@ def box_count(data, delta_ladder, budget: int | None = None) -> list[int]:
             raise ValueError(
                 f"ladder scale {delta} is not an integer multiple of {finest}"
             )
-        counts.append(len(distinct_cells(np.floor_divide(cells, r))))
+        counts.append(count_cells(np.floor_divide(cells, r)))
     return counts
 
 
@@ -153,7 +169,7 @@ def assouad_estimate(
     if centers is None:
         coarse = extent / 8.0
         keys = np.floor(pts / coarse).astype(np.int64)
-        centers = pts[np.sort(distinct_cells(keys))]
+        centers = pts[_first_per_cell(keys)]
         if centers.shape[0] > ASSOUAD_BALLS:
             idx = rng.choice(centers.shape[0], size=ASSOUAD_BALLS, replace=False)
             centers = centers[np.sort(idx)]
@@ -170,6 +186,6 @@ def assouad_estimate(
             local = pts[d <= big_r]
             if local.shape[0] == 0:
                 continue
-            n = len(_cells_of(local, small_r))
+            n = count_cells(_cells_of(local, small_r))
             best = max(best, math.log(n) / math.log(big_r / small_r))
     return best

@@ -224,7 +224,16 @@ def _theta1_lines(ifs: IFS, depth: int, transpose: bool = False) -> list[ProjLin
         raise ValueError("depth must be >= 1")
     for mats, dets in word_levels(ifs, depth, transpose, cap=THETA1_WORDS):
         pass  # only the deepest level is used
-    return [singular_data(Mat2.from_array(m), det=d).theta1 for m, d in zip(mats, dets)]
+    # one singular_data per distinct (product, det), keyed by their bytes so
+    # that every word gets the bits its own call would give
+    memo: dict[bytes, ProjLine] = {}
+    lines = []
+    for m, d in zip(mats, dets):
+        key = m.tobytes() + d.tobytes()
+        if key not in memo:
+            memo[key] = singular_data(Mat2.from_array(m), det=d).theta1
+        lines.append(memo[key])
+    return lines
 
 
 def angular_hull(lines: list[ProjLine]) -> Cone:

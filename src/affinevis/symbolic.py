@@ -26,6 +26,9 @@ from .linalg2 import (
 
 Word = tuple[int, ...]
 
+# attractor_cloud adds the gathered anchor images this many rows at a time
+_CLOUD_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class IFS:
@@ -298,9 +301,14 @@ def attractor_cloud(ifs: IFS, delta: float, budget: int | None = None) -> PointC
     products, index, trans = antichain(ifs, delta, budget)
     # matmul rounds differently from matvec_stack; the cloud's bits keep it
     pts = products @ ifs.anchor_point()
-    if index is not None:
-        pts = np.take(pts, index, axis=0)
-    pts += trans
+    if index is None:  # one product per cylinder
+        pts += trans
+    else:
+        # gathered into trans in place, a block of rows at a time: no second
+        # per-cylinder array (the sum commutes, so the bits are the same)
+        for lo in range(0, len(index), _CLOUD_BLOCK):
+            trans[lo : lo + _CLOUD_BLOCK] += np.take(pts, index[lo : lo + _CLOUD_BLOCK], axis=0)
+        pts = trans
     return PointCloud(pts, float(delta))
 
 

@@ -22,8 +22,9 @@ from .linalg2 import PI, Direction, proj_distance
 from .symbolic import PointCloud
 
 BRUTE_FORCE_CAP = 10_000
-# visible_exact: sorted rotated abscissas at most this far apart chain into one
-# sight line; points within it of the line's lowest point stay visible
+# visible_exact: a sight line holds the sorted rotated abscissas at most this
+# far above its first (anchor) point; points within it of the line's lowest
+# point stay visible
 ALIGN_TOL = 1e-9
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -39,7 +40,17 @@ class OccupancyGrid:
 
     def __post_init__(self) -> None:
         c = np.asarray(self.cells, dtype=np.int64).reshape(-1, 2)
-        object.__setattr__(self, "cells", c[distinct_cells(c)])
+        object.__setattr__(self, "cells", distinct_cells(c))
+
+    @classmethod
+    def _of_distinct(
+        cls, delta: float, origin: tuple[float, float], cells: np.ndarray
+    ) -> OccupancyGrid:
+        """A grid of rows that are already distinct and sorted: no second dedup."""
+        grid = object.__new__(cls)
+        for name, value in (("delta", delta), ("origin", origin), ("cells", cells)):
+            object.__setattr__(grid, name, value)
+        return grid
 
     def __len__(self) -> int:
         return self.cells.shape[0]
@@ -48,33 +59,81 @@ class OccupancyGrid:
         return np.asarray(self.origin) + (self.cells + 0.5) * self.delta
 
 
-def distinct_cells(cells: np.ndarray) -> np.ndarray:
-    """Index of the first occurrence of each distinct row of an (n, 2) int
-    array, rows in lexicographic order: the ``return_index`` of numpy's
-    row-wise ``unique``.  Every cell-set dedup runs on it.
+def _occupancy(cells: np.ndarray):
+    """Occupancy bitmap of the packed key ``(i - i_min) * span_j + (j - j_min)``
+    of non-empty (n, 2) int rows, or the key itself when the bitmap would be
+    the larger allocation.
 
-    One stable argsort of the packed key ``(i - i_min) * span_j + (j - j_min)``,
-    which orders rows as (i, j) does; a stable lexsort of the two columns
-    only when ``span_i * span_j`` exceeds the int64 range.
+    Returns ``(occ, key, span_j, i_min, j_min)`` with exactly one of ``occ``
+    and ``key`` set; both are None when ``span_i * span_j`` exceeds int64.
+    The key orders rows as (i, j) does.  The sort path holds the int64 key
+    and its int64 argsort order, 16 bytes a row; the bitmap holds one byte
+    per key in the span.  So the bitmap is taken when ``span <= 16 * n``:
+    never more memory than the sort, and O(n + span) time instead of a sort.
     """
-    n = len(cells)
-    if n == 0:
-        return np.zeros(0, dtype=np.intp)
     i, j = cells[:, 0], cells[:, 1]
     i_min, j_min = int(i.min()), int(j.min())
     span_j = int(j.max()) - j_min + 1
-    if (int(i.max()) - i_min + 1) * span_j <= _INT64_MAX:
-        key = (i - i_min) * span_j  # no overflow: every key is below the span product
-        key += j - j_min
+    span = (int(i.max()) - i_min + 1) * span_j
+    if span > _INT64_MAX:
+        return None, None, span_j, i_min, j_min
+    key = (i - i_min) * span_j  # no overflow: every key is below the span
+    key += j - j_min
+    if span > 2 * key.nbytes:  # 2 * nbytes: the key plus its argsort order
+        return None, key, span_j, i_min, j_min
+    occ = np.zeros(span, dtype=bool)
+    occ[key] = True
+    return occ, None, span_j, i_min, j_min
+
+
+def _sort_distinct(cells: np.ndarray, key: np.ndarray | None):
+    """Stable sort order of the rows and, in that order, the mask of each
+    distinct row's first entry: one argsort of the packed key, or a lexsort
+    of the two columns when there is no key."""
+    if key is not None:
         order, keys = np.argsort(key, kind="stable"), (key,)
     else:
-        order, keys = np.lexsort((j, i)), (i, j)
-    first = np.zeros(n, dtype=bool)
+        order, keys = np.lexsort((cells[:, 1], cells[:, 0])), (cells[:, 0], cells[:, 1])
+    first = np.zeros(len(cells), dtype=bool)
     first[0] = True
     for col in keys:  # a column at a time: no sorted (n, 2) copy
         col = col[order]
         first[1:] |= col[1:] != col[:-1]
-    return order[first]
+    return order, first
+
+
+def distinct_cells(cells: np.ndarray) -> np.ndarray:
+    """Distinct rows of an (n, 2) int64 array in lexicographic (i, j)
+    order: numpy's row-wise ``unique``.  Every cell-set dedup runs on it.
+
+    When the packed key range is dense, the rows are the set bits of an
+    occupancy bitmap, read in key order and split by ``divmod``: no sort.
+    Dense means the bitmap, one byte per key of the span, is no larger than
+    the int64 key and argsort order the sort would hold (see
+    ``_occupancy``).  Otherwise one stable argsort of the packed key, or a
+    stable lexsort of the two columns when the key would overflow int64.
+    """
+    if len(cells) == 0:
+        return cells
+    occ, key, span_j, i_min, j_min = _occupancy(cells)
+    if occ is None:
+        order, first = _sort_distinct(cells, key)
+        return cells[order[first]]
+    out = np.empty((int(np.count_nonzero(occ)), 2), dtype=np.int64)
+    np.divmod(np.flatnonzero(occ), span_j, out=(out[:, 0], out[:, 1]))
+    out[:, 0] += i_min
+    out[:, 1] += j_min
+    return out
+
+
+def count_cells(cells: np.ndarray) -> int:
+    """Number of distinct rows of an (n, 2) int64 array: the set bits of
+    the occupancy bitmap when the key range is dense, with no row decode."""
+    if len(cells) == 0:
+        return 0
+    occ, key = _occupancy(cells)[:2]
+    bits = occ if occ is not None else _sort_distinct(cells, key)[1]
+    return int(np.count_nonzero(bits))
 
 
 def rotation_to_down(e: Direction) -> np.ndarray:
@@ -139,7 +198,8 @@ def visible_sweep(grid: OccupancyGrid, e: Direction) -> OccupancyGrid:
     keep = np.zeros(len(cols), dtype=bool)
     # keep is set in input order, so the order of ties within a column is moot
     keep[order] = rows_s == np.repeat(min_row, np.diff(starts, append=len(rows_s)))
-    return OccupancyGrid(grid.delta, grid.origin, grid.cells[keep])
+    # a subset of sorted distinct rows is sorted and distinct
+    return OccupancyGrid._of_distinct(grid.delta, grid.origin, grid.cells[keep])
 
 
 def visible_bruteforce(cloud: PointCloud, e: Direction, delta: float) -> PointCloud:
@@ -169,6 +229,27 @@ def visible_bruteforce(cloud: PointCloud, e: Direction, delta: float) -> PointCl
     return PointCloud(pts[~occluded], cloud.resolution)
 
 
+def _split_at_anchors(u_s: np.ndarray, group_start: np.ndarray) -> None:
+    """Start a new sight line, in place, wherever sorted ``u_s`` exceeds the
+    first u of its line by more than ALIGN_TOL.
+
+    ``group_start`` marks neighbour gaps > ALIGN_TOL on entry.  Only a run
+    of smaller gaps that is wider than ALIGN_TOL holds more than one line,
+    and such chains are rare, so each is split point by point.
+    """
+    starts = np.flatnonzero(group_start)
+    sizes = np.diff(starts, append=len(u_s))
+    runs = sizes > 1
+    lo, hi = starts[runs], starts[runs] + sizes[runs]
+    wide = u_s[hi - 1] - u_s[lo] > ALIGN_TOL
+    for a, b in zip(lo[wide].tolist(), hi[wide].tolist()):
+        anchor = float(u_s[a])
+        for k, u in enumerate(u_s[a + 1 : b].tolist(), a + 1):
+            if u - anchor > ALIGN_TOL:
+                group_start[k] = True
+                anchor = u
+
+
 def visible_exact(cloud: PointCloud, e: Direction) -> PointCloud:
     """Visible points under exact ray semantics.
 
@@ -184,8 +265,10 @@ def visible_exact(cloud: PointCloud, e: Direction) -> PointCloud:
     uv = pts @ rot.T
     order = np.argsort(uv[:, 0])
     u_s, v_s = uv[order, 0], uv[order, 1]
+    del uv  # the largest array here: not held while the lines are built
     group_start = np.ones(len(u_s), dtype=bool)
     group_start[1:] = np.diff(u_s) > ALIGN_TOL
+    _split_at_anchors(u_s, group_start)
     starts = np.flatnonzero(group_start)
     # the sorted u sequence, hence each group's point set, is the same for any
     # order of equal u; a min ignores order and keep is set in input order

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinevis.dimension import (
     DimEstimate,
@@ -35,7 +37,40 @@ def segment_cloud(n: int) -> PointCloud:
     return PointCloud(np.stack([xs, np.zeros_like(xs)], axis=1), 1.0 / n)
 
 
+DYADIC = ladder_scales(1, 7)
+TERNARY = [3.0**-k for k in range(1, 7)]
+
+
+def unique_counts(pts, ladder):
+    """Box counts from numpy's row-wise unique of the snapped fine cells."""
+    d = min(ladder)
+    fine = np.floor(np.asarray(pts, dtype=float).reshape(-1, 2) / d + 1e-9).astype(np.int64)
+    return [len(np.unique(fine // round(s / d), axis=0)) for s in sorted(ladder, reverse=True)]
+
+
 class TestBoxCount:
+    @pytest.mark.parametrize("ladder", [DYADIC, TERNARY], ids=["dyadic", "ternary"])
+    def test_counts_match_numpy_unique(self, carpet, ladder):
+        pts = shifted_carpet_cloud(carpet).points
+        assert box_count(pts, ladder) == unique_counts(pts, ladder)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.sampled_from([0.0, 0.0, 1e6])
+            ),
+            min_size=1,
+            max_size=120,
+        ),
+        st.sampled_from([DYADIC, TERNARY]),
+    )
+    def test_counts_match_numpy_unique_dense_or_sparse(self, rows, ladder):
+        # a point moved 1e6 away spreads the cell keys far past the bitmap
+        # bound, so both the bitmap and the sort count
+        pts = np.array([(x + far, y) for x, y, far in rows])
+        assert box_count(pts, ladder) == unique_counts(pts, ladder)
+
     def test_unit_segment(self):
         cloud = segment_cloud(4097)
         ladder = ladder_scales(1, 6)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from affinevis.errors import (
@@ -9,7 +10,14 @@ from affinevis.errors import (
     NoConeError,
     NoGapError,
 )
-from affinevis.linalg2 import AffineMap2, Mat2, ProjLine, proj_apply, proj_distance
+from affinevis.linalg2 import (
+    AffineMap2,
+    Mat2,
+    ProjLine,
+    proj_apply,
+    proj_distance,
+    singular_data,
+)
 from affinevis.regularity import (
     Cone,
     _theta1_lines,
@@ -27,7 +35,7 @@ from affinevis.regularity import (
     porosity_gap_levels,
     strong_cone_separation_check,
 )
-from affinevis.symbolic import IFS, cylinder
+from affinevis.symbolic import IFS, cylinder, word_levels
 
 VERTICAL = ProjLine(math.pi / 2)
 QUADRANT_MARGIN = Cone(ProjLine(math.pi / 4), math.pi / 4 - 0.05)
@@ -310,6 +318,22 @@ def fifteen_maps():
     probe's 50k cap, one short of its depth 5."""
     lin = Mat2.diag(1.0 / 15.0, 0.05)
     return IFS(tuple(AffineMap2(lin, (k / 15.0, 0.0)) for k in range(15)))
+
+
+class TestTheta1Lines:
+    @pytest.mark.parametrize("name, depth", [("carpet", 9), ("positive_pair", 8)])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_one_line_per_word_as_its_own_call_gives(self, request, name, depth, transpose):
+        # one singular_data per distinct product: the carpet's 19,683 words
+        # share one, positive-cone's 256 are all distinct
+        ifs = request.getfixturevalue(name)
+        for mats, dets in word_levels(ifs, depth, transpose):
+            pass
+        want = [singular_data(Mat2.from_array(m), det=d).theta1 for m, d in zip(mats, dets)]
+        got = _theta1_lines(ifs, depth, transpose)
+        assert len(got) == len(want) == len(dets)
+        angles = lambda lines: np.array([line.angle for line in lines]).tobytes()
+        assert angles(got) == angles(want)
 
 
 class TestHonestCaps:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from affinevis import symbolic
 from affinevis.errors import BadSymbolError, BudgetError, budget_limit
 from affinevis.linalg2 import (
     AffineMap2,
@@ -291,6 +292,13 @@ class TestAttractorCloud:
         got = attractor_cloud(ifs, delta).points
         assert got.tobytes() == reference_cloud(ifs, delta).tobytes()
 
+    @pytest.mark.parametrize("ifs", [B_A_B, ALTERNATING], ids=["b_a_b", "alternating"])
+    def test_bytes_match_reference_in_small_blocks(self, monkeypatch, ifs):
+        # a block size that divides no level: the last block is partial
+        monkeypatch.setattr(symbolic, "_CLOUD_BLOCK", 7)
+        got = attractor_cloud(ifs, 2.0**-7).points
+        assert got.tobytes() == reference_cloud(ifs, 2.0**-7).tobytes()
+
     def test_carpet_peak_memory(self, carpet):
         # 177,147 points: the points, translations and row index, no
         # per-cylinder products
@@ -301,6 +309,18 @@ class TestAttractorCloud:
         finally:
             tracemalloc.stop()
         assert peak < 12e6, peak
+
+    def test_cloud_adds_anchor_images_in_place(self, carpet):
+        # 531,441 points: the anchor images are gathered into the
+        # translations a block at a time, so the peak stays the refiner's
+        # (a per-cylinder gather beside the translations read 21.3 MB)
+        tracemalloc.start()
+        try:
+            attractor_cloud(carpet, 2.0**-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 19e6, peak
 
     def test_refinement_consistency(self, carpet):
         delta = 2.0**-5

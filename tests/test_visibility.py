@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from affinevis.visibility import (
     ALIGN_TOL,
     KakeyaSet,
     OccupancyGrid,
+    _occupancy,
+    count_cells,
     distinct_cells,
     rasterize,
     rotation_to_down,
@@ -86,22 +89,81 @@ class TestRasterize:
         assert 0.5 <= ratio <= 2.0
 
 
+def assert_matches_unique(cells):
+    """``distinct_cells`` and ``count_cells`` against numpy's row-wise unique."""
+    want = np.unique(cells, axis=0)
+    got = distinct_cells(cells)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert count_cells(cells) == len(want)
+
+
+def sort_dedup(cells):
+    """The sort path alone: one stable argsort of the packed key."""
+    i, j = cells[:, 0], cells[:, 1]
+    span_j = int(j.max()) - int(j.min()) + 1
+    key = (i - int(i.min())) * span_j
+    key += j - int(j.min())
+    order = np.argsort(key, kind="stable")
+    first = np.ones(len(key), dtype=bool)
+    key = key[order]
+    first[1:] = key[1:] != key[:-1]
+    return cells[order[first]]
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestDistinctCells:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(COORD, COORD), max_size=60))
     @example([])
     @example([(5, -7)])
+    @example([(-2, 9)] * 7)
     @example([(1, 2)] * 5 + [(-1, 2)] * 3)
     # span product 7 * (2^63 - 1) / 7 = 2^63 - 1: the largest that packs into int64
     @example([(0, 0), (6, INT64_MAX // 7 - 1), (3, 5), (0, 0), (6, INT64_MAX // 7 - 1)])
     # span product 2 * 2^62 = 2^63: one past it, so the two-column lexsort runs
     @example([(0, 0), (1, 2**62 - 1), (0, 5), (1, 2**62 - 1), (0, 0)])
     def test_matches_numpy_unique(self, rows):
-        cells = np.array(rows, dtype=np.int64).reshape(-1, 2)
-        ref_rows, ref_index = np.unique(cells, axis=0, return_index=True)
-        index = distinct_cells(cells)
-        assert np.array_equal(index, ref_index)
-        assert np.array_equal(cells[index], ref_rows)
+        assert_matches_unique(np.array(rows, dtype=np.int64).reshape(-1, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.integers(-2, 2),
+        st.booleans(),
+        st.tuples(st.integers(-(10**12), 10**12), st.integers(-(10**12), 10**12)),
+        st.data(),
+    )
+    def test_spans_at_the_density_bound(self, n, over, along_i, origin, data):
+        # n rows whose key span is 16 n + over along one axis: the bitmap
+        # runs up to 16 bytes a row (over <= 0) and the sort past it
+        span = 16 * n + over
+        inner = data.draw(st.lists(st.integers(0, span - 1), min_size=n - 2, max_size=n - 2))
+        offsets = np.array([span - 1, 0] + inner, dtype=np.int64)
+        cells = np.tile(np.array(origin, dtype=np.int64), (n, 1))
+        cells[:, 0 if along_i else 1] += offsets
+        assert (_occupancy(cells)[0] is not None) == (over <= 0)
+        assert_matches_unique(cells)
+
+    def test_sparse_input_allocates_no_more_than_the_sort(self):
+        # two clusters 2^40 cells apart: a bitmap over their span would need
+        # about 2^46 bytes, so the dedup must take the sort path
+        rng = np.random.default_rng(11)
+        cells = rng.integers(-32, 32, size=(20_000, 2))
+        cells[::2, 0] += 2**40
+        assert _occupancy(cells)[0] is None
+        assert_matches_unique(cells)
+        # the same arrays as the sort alone, up to a few small Python objects
+        assert traced_peak(distinct_cells, cells) <= traced_peak(sort_dedup, cells) + 4096
 
     def test_grid_stores_sorted_distinct_cells(self):
         cells = np.array([[2, -1], [0, 3], [2, -1], [-4, 0], [0, 3], [0, -2]])
@@ -132,8 +194,8 @@ def lexsort_sweep(grid, e):
 
 
 def lexsort_exact(cloud, e):
-    """``visible_exact`` as a two-key lexsort on (u, v): the reference the
-    one-key u sort must match row for row."""
+    """``visible_exact`` as a two-key lexsort on (u, v) and a point-by-point
+    anchor scan: the reference the one-key u sort must match row for row."""
     pts = cloud.points
     if pts.shape[0] == 0:
         return cloud
@@ -141,7 +203,12 @@ def lexsort_exact(cloud, e):
     order = np.lexsort((uv[:, 1], uv[:, 0]))
     u_s, v_s = uv[order, 0], uv[order, 1]
     group_start = np.ones(len(u_s), dtype=bool)
-    group_start[1:] = np.diff(u_s) > ALIGN_TOL
+    anchor = u_s[0]
+    for k in range(1, len(u_s)):
+        if u_s[k] - anchor > ALIGN_TOL:
+            anchor = u_s[k]
+        else:
+            group_start[k] = False
     group_ids = np.cumsum(group_start) - 1
     min_v = np.minimum.reduceat(v_s, np.flatnonzero(group_start))
     keep_sorted = v_s <= min_v[group_ids] + ALIGN_TOL
@@ -179,7 +246,9 @@ class TestOneKeySortsMatchLexsort:
     @given(
         st.lists(
             st.tuples(
-                st.sampled_from([0.0, -0.0, 1e-10, 2.5e-10, 0.5, 0.5 + 5e-10, -0.25]),
+                st.sampled_from(
+                    [0.0, -0.0, 1e-10, 2.5e-10, 6e-10, 1.2e-9, 1.8e-9, 0.5, 0.5 + 5e-10, -0.25]
+                ),
                 st.sampled_from([0.0, -0.0, 1e-10, 0.75, -0.75, 0.5]),
             ),
             min_size=1,
@@ -189,8 +258,10 @@ class TestOneKeySortsMatchLexsort:
     )
     @example([(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 1e-10), (0.5, -0.0)], DOWN)
     @example([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (1e-10, 0.5)], Direction(0.0))
+    @example([(1.8e-9, 0.5), (0.0, 0.75), (6e-10, 0.0), (1.2e-9, -0.75), (6e-10, 0.5)], DOWN)
     def test_exact(self, pts, e):
-        # repeated u, chains of u within ALIGN_TOL, and +/-0.0 in v
+        # repeated u, neighbour gaps within ALIGN_TOL that chain past it, and
+        # +/-0.0 in v
         cloud = PointCloud(np.array(pts), 1e-6)
         assert same_rows(visible_exact(cloud, e).points, lexsort_exact(cloud, e).points)
 
@@ -279,6 +350,20 @@ class TestVisibleExact:
         out = visible_exact(cloud, DOWN)
         got = sorted(map(tuple, out.points))
         assert got == [(0.0, 0.0), (0.5, 0.7)]
+
+    def test_sight_lines_group_against_their_anchor(self):
+        # neighbour gaps of 0.6e-9 chain past ALIGN_TOL: the third point
+        # leaves the first one's sight line and starts its own
+        u = [0.0, 0.6e-9, 1.2e-9]
+        cloud = PointCloud(np.array([[u[0], 0.0], [u[1], 1.0], [u[2], 2.0]]), 1e-6)
+        got = visible_exact(cloud, DOWN).points.tolist()
+        assert got == [[u[0], 0.0], [u[2], 2.0]]
+
+    def test_close_pair_and_far_pair(self):
+        close = PointCloud(np.array([[0.0, 0.0], [0.6e-9, 1.0]]), 1e-6)
+        assert visible_exact(close, DOWN).points.tolist() == [[0.0, 0.0]]
+        far = PointCloud(np.array([[0.0, 1.0], [0.5, 0.0]]), 1e-6)
+        assert visible_exact(far, DOWN).points.tolist() == [[0.0, 1.0], [0.5, 0.0]]
 
     def test_no_alignment_keeps_everything(self, carpet):
         from affinevis.symbolic import attractor_cloud
