@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import time
 
 from .errors import AffineVisError, BudgetError, budget_limit
 from .geometry import direction_scan, projection_condition_check
@@ -163,6 +162,16 @@ def _echo(args, extra=None) -> dict:
     return params
 
 
+def _verdicts(report: RunReport, out: str | None) -> int:
+    """Write the report to ``out`` when given, print one line per assertion
+    and return the exit code: EXIT_ASSERTION when any assertion failed."""
+    if out:
+        write_report(report, out)
+    for a in report.assertions:
+        print(f"[{'PASS' if a['passed'] else 'FAIL'}] {a['name']}: {a['detail']}")
+    return EXIT_OK if report.all_passed else EXIT_ASSERTION
+
+
 def cmd_gen(args) -> int:
     ifs, src = _resolve_ifs(args)
     cloud = attractor_cloud(ifs, args.delta, budget=args.budget)
@@ -180,82 +189,75 @@ def cmd_check(args) -> int:
     if args.depth < 1:
         raise ValueError("depth must be >= 1")
     ifs, src = _resolve_ifs(args)
-    which = {
-        "domination": args.domination or args.all,
-        "cone": args.cone or args.all,
-        "projection": args.projection or args.all,
-    }
+    which = {k: getattr(args, k) or args.all for k in ("domination", "cone", "projection")}
     if not any(which.values()):
-        which = {k: True for k in which}
+        which = dict.fromkeys(which, True)
     report = RunReport(command="check", params=_echo(args, {"source": src}))
-    t0 = time.perf_counter()
-    if which["domination"]:
-        dom = domination_report(ifs, max(args.depth, 4), seed=args.seed, budget=args.budget)
-        report.results["domination"] = {
-            "verdict": dom.verdict,
-            "tau_estimate": dom.tau_estimate,
-            "levels": list(dom.levels),
-            "min_ratio_roots": list(dom.min_ratio_roots),
-            "exhaustive_up_to": dom.exhaustive_up_to,
-        }
-        report.add_assertion(
-            "domination",
-            dom.verdict,
-            f"verified to depth {len(dom.levels)}, tau ~ {dom.tau_estimate:.4f}",
-        )
-    if which["cone"]:
-        try:
-            cone = invariant_cone_search(ifs, depth=min(args.depth, 8))
-            sep = strong_cone_separation_check(ifs, cone)
-            report.results["cone"] = {
-                "found": True,
-                "center": cone.center.angle,
-                "half_width": cone.half_width,
-                "separation": sep.verdict,
-                "witness": list(sep.witness) if sep.witness else None,
-            }
-            report.add_assertion("invariant-cone", True, "certificate found")
-            report.add_assertion(
-                "strong-cone-separation",
-                sep.verdict,
-                "image intervals pairwise disjoint" if sep.verdict else f"witness {sep.witness}",
-            )
-        except AffineVisError as exc:
-            report.results["cone"] = {"found": False, "reason": str(exc)}
-            report.add_assertion("invariant-cone", False, str(exc))
-    if which["projection"]:
-        try:
-            v = projection_condition_check(
-                ifs,
-                Direction(args.dir),
-                depth=args.depth,
-                delta=args.delta,
-                budget=args.budget,
-            )
-            report.results["projection"] = {
-                "passed": v.passed,
-                "worst_gap": v.worst_gap,
-                "gap_tol": v.gap_tol,
-                "depth": v.depth,
-                "first_pass_depth": v.first_pass_depth,
-                "certified_to_depth": v.depth,
+    with report.stage("seconds"):
+        if which["domination"]:
+            dom = domination_report(ifs, max(args.depth, 4), seed=args.seed, budget=args.budget)
+            report.results["domination"] = {
+                "verdict": dom.verdict,
+                "tau_estimate": dom.tau_estimate,
+                "levels": list(dom.levels),
+                "min_ratio_roots": list(dom.min_ratio_roots),
+                "exhaustive_up_to": dom.exhaustive_up_to,
             }
             report.add_assertion(
-                "projection-condition",
-                v.passed,
-                f"certified-to-depth {v.depth}, worst relative gap {v.worst_gap:.5f}",
+                "domination",
+                dom.verdict,
+                f"verified to depth {len(dom.levels)}, tau ~ {dom.tau_estimate:.4f}",
             )
-        except BudgetError:
-            raise  # a cap, not a verdict: exit 3 like every other command
-        except AffineVisError as exc:
-            report.results["projection"] = {"passed": False, "reason": str(exc)}
-            report.add_assertion("projection-condition", False, str(exc))
-    report.timings["seconds"] = time.perf_counter() - t0
-    if args.out:
-        write_report(report, args.out)
-    for a in report.assertions:
-        print(f"[{'PASS' if a['passed'] else 'FAIL'}] {a['name']}: {a['detail']}")
-    return EXIT_OK if report.all_passed else EXIT_ASSERTION
+        if which["cone"]:
+            try:
+                cone = invariant_cone_search(ifs, depth=min(args.depth, 8))
+                sep = strong_cone_separation_check(ifs, cone)
+                report.results["cone"] = {
+                    "found": True,
+                    "center": cone.center.angle,
+                    "half_width": cone.half_width,
+                    "separation": sep.verdict,
+                    "witness": list(sep.witness) if sep.witness else None,
+                }
+                report.add_assertion("invariant-cone", True, "certificate found")
+                report.add_assertion(
+                    "strong-cone-separation",
+                    sep.verdict,
+                    "image intervals pairwise disjoint"
+                    if sep.verdict
+                    else f"witness {sep.witness}",
+                )
+            except AffineVisError as exc:
+                report.results["cone"] = {"found": False, "reason": str(exc)}
+                report.add_assertion("invariant-cone", False, str(exc))
+        if which["projection"]:
+            try:
+                v = projection_condition_check(
+                    ifs,
+                    Direction(args.dir),
+                    depth=args.depth,
+                    delta=args.delta,
+                    budget=args.budget,
+                )
+                report.results["projection"] = {
+                    "passed": v.passed,
+                    "worst_gap": v.worst_gap,
+                    "gap_tol": v.gap_tol,
+                    "depth": v.depth,
+                    "first_pass_depth": v.first_pass_depth,
+                    "certified_to_depth": v.depth,
+                }
+                report.add_assertion(
+                    "projection-condition",
+                    v.passed,
+                    f"certified-to-depth {v.depth}, worst relative gap {v.worst_gap:.5f}",
+                )
+            except BudgetError:
+                raise  # a cap, not a verdict: exit 3 like every other command
+            except AffineVisError as exc:
+                report.results["projection"] = {"passed": False, "reason": str(exc)}
+                report.add_assertion("projection-condition", False, str(exc))
+    return _verdicts(report, args.out)
 
 
 def cmd_orient(args) -> int:
@@ -369,12 +371,7 @@ def cmd_scenario(args) -> int:
             spec = scenario(name)
             print(f"{name}: {spec.description}")
         return EXIT_OK
-    report = run_scenario(args.name, seed=args.seed, budget=args.budget)
-    for a in report.assertions:
-        print(f"[{'PASS' if a['passed'] else 'FAIL'}] {a['name']}: {a['detail']}")
-    if args.out:
-        write_report(report, args.out)
-    return EXIT_OK if report.all_passed else EXIT_ASSERTION
+    return _verdicts(run_scenario(args.name, seed=args.seed, budget=args.budget), args.out)
 
 
 _COMMANDS = {

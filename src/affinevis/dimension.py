@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetError, TooFewScalesError, budget_limit
 from .symbolic import PointCloud
-from .visibility import count_cells, distinct_cells
+from .visibility import _cell_key, count_cells, distinct_cells
 
 # drop the two coarsest scales and refit when the residual exceeds this
 RESIDUAL_TRIM_THRESHOLD = 0.1
@@ -58,13 +58,12 @@ def _first_per_cell(keys: np.ndarray) -> np.ndarray:
     """Index of the first point in each occupied cell, in point order.
 
     The cells of a coarse grid are few, so the first index of each packed
-    key is a ``minimum.at`` into one slot per key of the span.
+    key (``_cell_key``) is a ``minimum.at`` into one slot per key of the span.
     """
-    i, j = keys[:, 0] - keys[:, 0].min(), keys[:, 1] - keys[:, 1].min()
-    span_j = int(j.max()) + 1
+    key, span = _cell_key(keys)[:2]
     n = len(keys)
-    first = np.full((int(i.max()) + 1) * span_j, n)
-    np.minimum.at(first, i * span_j + j, np.arange(n))
+    first = np.full(span, n)
+    np.minimum.at(first, key, np.arange(n))
     return np.sort(first[first < n])
 
 

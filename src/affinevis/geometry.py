@@ -182,7 +182,7 @@ def projection_condition_check(
     certified only up to the tested depth.
 
     Directions whose carrier comes within COVER_MARGIN of the orientation
-    cover raise ExceptionalDirection.  A level whose points x lines
+    cover raise ExceptionalDirectionError.  A level whose points x lines
     projection would exceed the budget raises BudgetError.
     """
     if depth < 1:

@@ -165,6 +165,21 @@ def compose(f: AffineMap2, g: AffineMap2) -> AffineMap2:
     return AffineMap2(lin, (float(t[0]), float(t[1])))
 
 
+def _gram_eigenvalues(a11, a12, a21, a22, det):
+    """``(p, q, r, lam1, lam2, spread)``: the Gram matrix [[p, q], [q, r]] of
+    [[a11, a12], [a21, a22]] (floats, or arrays of entries), its eigenvalues
+    and their half gap; see ``singular_data``.  ``det`` None stands for the
+    entries' own determinant, computed last: a stack's process peak is lower."""
+    p = a11 * a11 + a21 * a21
+    r = a12 * a12 + a22 * a22
+    q = a11 * a12 + a21 * a22
+    spread = np.hypot(0.5 * (p - r), q)
+    lam1 = 0.5 * (p + r) + spread
+    if det is None:
+        det = a11 * a22 - a12 * a21
+    return p, q, r, lam1, (det * det) / lam1, spread
+
+
 def singular_data(m: Mat2, det: float | None = None) -> SingularData:
     """Exact eigendecomposition of m^T m via the 2x2 quadratic formula.
 
@@ -179,20 +194,13 @@ def singular_data(m: Mat2, det: float | None = None) -> SingularData:
     if det is None:
         if m.is_singular():
             raise SingularInputError(f"matrix {m} is numerically singular")
-        det = m.det
     elif det == 0.0:
         raise SingularInputError(f"matrix {m} has zero determinant")
-    p = m.a11 * m.a11 + m.a21 * m.a21
-    r = m.a12 * m.a12 + m.a22 * m.a22
-    q = m.a11 * m.a12 + m.a21 * m.a22
-    mean = 0.5 * (p + r)
-    spread = math.hypot(0.5 * (p - r), q)
-    lam1 = mean + spread
-    lam2 = (det * det) / lam1
+    p, q, r, lam1, lam2, spread = _gram_eigenvalues(m.a11, m.a12, m.a21, m.a22, det)
     alpha1 = math.sqrt(lam1)
     alpha2 = math.sqrt(lam2)
 
-    if spread <= _ISO_RTOL * mean:
+    if spread <= _ISO_RTOL * (0.5 * (p + r)):
         # m^-1 (1, 0) is proportional to (a22, -a21); normalizing avoids
         # dividing by the (possibly tiny) determinant
         nrm = math.hypot(m.a22, m.a21)
@@ -205,11 +213,9 @@ def singular_data(m: Mat2, det: float | None = None) -> SingularData:
         v = np.array([lam1 - r, q])
     else:
         v = np.array([q, lam1 - p])
-    nrm = np.hypot(v[0], v[1])
-    if nrm == 0.0:
-        v = np.array([1.0, 0.0]) if p >= r else np.array([0.0, 1.0])
-        nrm = 1.0
-    e1 = v / nrm
+    # lam1 - r >= (p - r) / 2 + spread > 0 when p >= r, and likewise
+    # lam1 - p > 0 otherwise: off the isotropic case v is never 0
+    e1 = v / np.hypot(v[0], v[1])
     eta1 = (float(e1[0]), float(e1[1]))
     eta2 = (-eta1[1], eta1[0])
     img1 = m.apply(np.array(eta1))
@@ -228,14 +234,8 @@ def alpha_pair_of_stack(
     ``dets`` may supply exact determinants (products of factor determinants),
     avoiding cancellation for strongly anisotropic stacks.
     """
-    p = mats[:, 0, 0] ** 2 + mats[:, 1, 0] ** 2
-    r = mats[:, 0, 1] ** 2 + mats[:, 1, 1] ** 2
-    q = mats[:, 0, 0] * mats[:, 0, 1] + mats[:, 1, 0] * mats[:, 1, 1]
-    spread = np.hypot(0.5 * (p - r), q)
-    lam1 = 0.5 * (p + r) + spread
-    if dets is None:
-        dets = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-    lam2 = (dets * dets) / lam1
+    entries = (mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
+    lam1, lam2 = _gram_eigenvalues(*entries, dets)[3:5]
     return np.sqrt(lam1), np.sqrt(lam2)
 
 

@@ -32,6 +32,7 @@ from .linalg2 import (
     singular_data,
 )
 from .symbolic import IFS, Word, cylinder, cyclic_prefix, word_levels, word_products
+from .symbolic import _distinct_rows
 
 PI = math.pi
 
@@ -43,9 +44,11 @@ TAU_MIN = 1.01
 EXHAUSTIVE_WORDS = 1_000_000
 # random words probed per level past the exhaustive cap
 DOMINATION_SAMPLES = 4096
-# deepest-level word caps of the cone seed and the distortion probe
+# deepest-level word caps of the cone seed and the distortion probe, and
+# the cap on the porosity refinement's distinct products per level
 THETA1_WORDS = 200_000
 DISTORTION_WORDS = 50_000
+POROSITY_WORDS = 100_000
 # word length of the orientation cover's seed hull
 COVER_SEED_DEPTH = 6
 # word length of the eta2 probe behind the distortion constants
@@ -224,16 +227,9 @@ def _theta1_lines(ifs: IFS, depth: int, transpose: bool = False) -> list[ProjLin
         raise ValueError("depth must be >= 1")
     for mats, dets in word_levels(ifs, depth, transpose, cap=THETA1_WORDS):
         pass  # only the deepest level is used
-    # one singular_data per distinct (product, det), keyed by their bytes so
-    # that every word gets the bits its own call would give
-    memo: dict[bytes, ProjLine] = {}
-    lines = []
-    for m, d in zip(mats, dets):
-        key = m.tobytes() + d.tobytes()
-        if key not in memo:
-            memo[key] = singular_data(Mat2.from_array(m), det=d).theta1
-        lines.append(memo[key])
-    return lines
+    first, which = _distinct_rows(mats, dets)
+    lines = [singular_data(Mat2.from_array(mats[k]), det=dets[k]).theta1 for k in first]
+    return [lines[c] for c in which]
 
 
 def angular_hull(lines: list[ProjLine]) -> Cone:
@@ -451,8 +447,8 @@ def distortion_constants(ifs: IFS, x: Cone) -> DistortionConstants:
     (pi - d)/d and the tangent derivative bound sec^2(pi/2 - d/2)."""
     d_min = math.inf
     for mats, dets in word_levels(ifs, DISTORTION_PROBE_DEPTH, cap=DISTORTION_WORDS):
-        for m, d in zip(mats, dets):
-            sd = singular_data(Mat2.from_array(m), det=d)
+        for k in _distinct_rows(mats, dets)[0]:
+            sd = singular_data(Mat2.from_array(mats[k]), det=dets[k])
             eta2_line = ProjLine(math.atan2(sd.eta2[1], sd.eta2[0]))
             d_min = min(d_min, x.line_distance(eta2_line))
     if not math.isfinite(d_min) or d_min <= 0:
@@ -478,9 +474,10 @@ class DistortionReport:
 def smallest_contraction_depth(ifs: IFS, x: Cone, delta_sep: float) -> int:
     """First depth at which every image interval has diameter <= delta_sep,
     or CONTRACTION_DEPTH if none up to it does."""
-    for k, (mats, _) in enumerate(word_levels(ifs, CONTRACTION_DEPTH), start=1):
-        if max(cone_image(Mat2.from_array(m), x).diameter for m in mats) <= delta_sep:
-            return k
+    for n, (mats, _) in enumerate(word_levels(ifs, CONTRACTION_DEPTH), start=1):
+        rows = _distinct_rows(mats)[0]
+        if max(cone_image(Mat2.from_array(mats[k]), x).diameter for k in rows) <= delta_sep:
+            return n
     return CONTRACTION_DEPTH
 
 
@@ -557,21 +554,26 @@ def _level1_gaps(ifs: IFS, x: Cone) -> list[Cone]:
 
 def porosity_gap_levels(ifs: IFS, x: Cone, depth: int) -> list[float]:
     """Per-level minimum of diam(A_w(I)) / diam(A_w(X)) for the widest
-    level-1 gap I, over deduplicated words w of each length 1..depth."""
+    level-1 gap I, over deduplicated words w of each length 1..depth.  A
+    level past POROSITY_WORDS products or with numerically singular ones is
+    too fine a resolution: BudgetError, naming its depth."""
     gaps = _level1_gaps(ifs, x)
     widest = max(gaps, key=lambda g: g.half_width)
     lin = [f.linear.as_array() for f in ifs.maps]
     active = [np.eye(2)]
     out: list[float] = []
-    for _ in range(depth):
+    for n in range(1, depth + 1):
         active = list(_projective_children(active, lin).values())
-        if len(active) > 100_000:
-            raise BudgetError("porosity refinement too wide; reduce depth")
-        level_min = math.inf
-        for m in active:
-            mm = Mat2.from_array(m)
-            g = cone_image(mm, widest).diameter
-            s = cone_image(mm, x).diameter
-            level_min = min(level_min, g / s)
-        out.append(level_min)
+        if len(active) > POROSITY_WORDS:
+            raise BudgetError(
+                f"porosity refinement stops at depth {n} of {depth}: "
+                f"{len(active)} products exceed the cap {POROSITY_WORDS}"
+            )
+        mats = [Mat2.from_array(m) for m in active]
+        if any(m.is_singular() for m in mats):
+            raise BudgetError(
+                f"porosity refinement stops at depth {n} of {depth}: "
+                "its products are numerically singular"
+            )
+        out.append(min(cone_image(m, widest).diameter / cone_image(m, x).diameter for m in mats))
     return out

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -30,6 +32,14 @@ class RunReport:
         self.assertions.append(
             {"name": name, "passed": bool(passed), "detail": detail}
         )
+
+    @contextmanager
+    def stage(self, key: str):
+        """Time the block into ``timings[key]``, in wall seconds; a block
+        that raises records nothing."""
+        t0 = time.perf_counter()
+        yield
+        self.timings[key] = time.perf_counter() - t0
 
     @property
     def all_passed(self) -> bool:
@@ -84,8 +94,7 @@ def write_report(report: RunReport, path: str | Path) -> None:
     """Deterministic report plus a timing sidecar next to it."""
     write_json(path, report.payload())
     if report.timings:
-        side = Path(path).with_suffix(".timings.json")
-        write_json(side, _plain(report.timings))
+        write_json(Path(path).with_suffix(".timings.json"), report.timings)
 
 
 def write_csv(

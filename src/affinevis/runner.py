@@ -3,7 +3,7 @@ scenario's battery, then its description and expected values."""
 
 from __future__ import annotations
 
-import time
+from dataclasses import asdict
 
 from .report import RunReport
 from .scenarios import scenario
@@ -15,12 +15,8 @@ def run_scenario(name: str, seed: int = 0, budget: int | None = None) -> RunRepo
         command=f"scenario run {name}",
         params={"scenario": name, "seed": seed, "budget": budget},
     )
-    t0 = time.perf_counter()
-    spec.battery(spec, report, seed, budget)
-    report.timings["total_seconds"] = time.perf_counter() - t0
+    with report.stage("total_seconds"):
+        spec.battery(spec, report, seed, budget)
     report.results["scenario_description"] = spec.description
-    report.results["expected"] = [
-        {"name": ev.name, "value": ev.value, "source": ev.source, "note": ev.note}
-        for ev in spec.expected
-    ]
+    report.results["expected"] = [asdict(ev) for ev in spec.expected]
     return report

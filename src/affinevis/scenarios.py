@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -108,75 +107,64 @@ def _run_carpet(
     scales = ladder_scales(6, 12)
 
     # visible-part scaling away from the exceptional orientation
-    t0 = time.perf_counter()
-    cloud = attractor_cloud(ifs, 2.0**-13, budget=budget)
-    grids = ladder_grids(cloud, scales)
-    dirs = spread_directions(16, VERTICAL, 0.15)
-    slopes = []
-    for d in dirs:
-        est = vis_dim(cloud, d, scales, grids=grids)
-        slopes.append(est.slope)
-    lo, hi = min(slopes), max(slopes)
-    report.add_assertion(
-        "visible-dimension-off-vertical",
-        0.90 <= lo and hi <= 1.12,
-        f"16 directions >= 0.15 rad from vertical: slopes in [{lo:.4f}, {hi:.4f}], "
-        "required within [0.90, 1.12]",
-    )
-    report.results["off_vertical_slopes"] = slopes
-    report.timings["off_vertical_seconds"] = time.perf_counter() - t0
+    with report.stage("off_vertical_seconds"):
+        cloud = attractor_cloud(ifs, 2.0**-13, budget=budget)
+        grids = ladder_grids(cloud, scales)
+        dirs = spread_directions(16, VERTICAL, 0.15)
+        slopes = [vis_dim(cloud, d, scales, grids=grids).slope for d in dirs]
+        lo, hi = min(slopes), max(slopes)
+        report.add_assertion(
+            "visible-dimension-off-vertical",
+            0.90 <= lo and hi <= 1.12,
+            f"16 directions >= 0.15 rad from vertical: slopes in [{lo:.4f}, {hi:.4f}], "
+            "required within [0.90, 1.12]",
+        )
+        report.results["off_vertical_slopes"] = slopes
 
     # sharpness at the exceptional orientation: exact sight lines keep the
     # full structure, so the visible part scales like the set itself
-    t0 = time.perf_counter()
-    fine = attractor_cloud(ifs, 2.0**-14, budget=budget)
-    est_vis = vis_dim(fine, DOWN, scales, exact=True)
-    est_set = set_dim(fine, scales)
-    diff = abs(est_vis.slope - est_set.slope)
-    report.add_assertion(
-        "exceptional-direction-sharpness",
-        est_vis.slope >= 1.25 and diff <= 0.08,
-        f"exact-ray visible slope {est_vis.slope:.4f} (required >= 1.25), "
-        f"|diff from set slope {est_set.slope:.4f}| = {diff:.4f} (required <= 0.08)",
-    )
-    report.results["exceptional_visible_slope"] = est_vis.slope
-    report.results["set_slope"] = est_set.slope
-    report.timings["exceptional_seconds"] = time.perf_counter() - t0
+    with report.stage("exceptional_seconds"):
+        fine = attractor_cloud(ifs, 2.0**-14, budget=budget)
+        est_vis = vis_dim(fine, DOWN, scales, exact=True)
+        est_set = set_dim(fine, scales)
+        diff = abs(est_vis.slope - est_set.slope)
+        report.add_assertion(
+            "exceptional-direction-sharpness",
+            est_vis.slope >= 1.25 and diff <= 0.08,
+            f"exact-ray visible slope {est_vis.slope:.4f} (required >= 1.25), "
+            f"|diff from set slope {est_set.slope:.4f}| = {diff:.4f} (required <= 0.08)",
+        )
+        report.results["exceptional_visible_slope"] = est_vis.slope
+        report.results["set_slope"] = est_set.slope
 
     # tangent collapse: the Cantor-cross tangent seen from below shrinks to
     # a Cantor set of dimension log3(2)
-    t0 = time.perf_counter()
-    cross = cantor_cross_segment(8)
-    ternary = [3.0**-k for k in range(1, 9)]
-    counts = []
-    for delta in ternary:
-        counts.append(len(visible_sweep(rasterize(cross, delta), DOWN)))
-    est_cross = fit_dimension(counts, ternary)
-    target = math.log(2.0) / math.log(3.0)
-    report.add_assertion(
-        "tangent-visibility-collapse",
-        0.58 <= est_cross.slope <= 0.69,
-        f"downward visible slope of the Cantor cross: {est_cross.slope:.4f}, "
-        f"required within [0.58, 0.69] (target {target:.4f})",
-    )
-    report.timings["tangent_collapse_seconds"] = time.perf_counter() - t0
+    with report.stage("tangent_collapse_seconds"):
+        cross = cantor_cross_segment(8)
+        ternary = [3.0**-k for k in range(1, 9)]
+        counts = [len(visible_sweep(rasterize(cross, delta), DOWN)) for delta in ternary]
+        est_cross = fit_dimension(counts, ternary)
+        report.add_assertion(
+            "tangent-visibility-collapse",
+            0.58 <= est_cross.slope <= 0.69,
+            f"downward visible slope of the Cantor cross: {est_cross.slope:.4f}, "
+            f"required within [0.58, 0.69] (target {LOG32:.4f})",
+        )
 
     # orientation cover collapses to one interval at the vertical carrier
-    t0 = time.perf_counter()
-    cover = orientation_cover(ifs, eps=1e-3)
-    one_interval = len(cover) == 1 and cover[0].contains_line(ProjLine(VERTICAL))
-    report.add_assertion(
-        "orientation-cover-singleton",
-        one_interval and cover[0].diameter <= 1e-3,
-        f"cover has {len(cover)} interval(s); first centered at "
-        f"{cover[0].center.angle:.6f} with diameter {cover[0].diameter:.2e}",
-    )
-    report.timings["cover_seconds"] = time.perf_counter() - t0
+    with report.stage("cover_seconds"):
+        cover = orientation_cover(ifs, eps=1e-3)
+        one_interval = len(cover) == 1 and cover[0].contains_line(ProjLine(VERTICAL))
+        report.add_assertion(
+            "orientation-cover-singleton",
+            one_interval and cover[0].diameter <= 1e-3,
+            f"cover has {len(cover)} interval(s); first centered at "
+            f"{cover[0].center.angle:.6f} with diameter {cover[0].diameter:.2e}",
+        )
 
     # tangent sequence trends and extracted directions
-    t0 = time.perf_counter()
-    _tangent_assertions(report, ifs, (2,), cover)
-    report.timings["tangent_seconds"] = time.perf_counter() - t0
+    with report.stage("tangent_seconds"):
+        _tangent_assertions(report, ifs, (2,), cover)
 
 
 def _tangent_assertions(report: RunReport, ifs: IFS, stream, cover: list[Cone]) -> None:
@@ -211,45 +199,38 @@ def _run_harmonic(
     spec: ScenarioSpec, report: RunReport, seed: int, budget: int | None
 ) -> None:
     # product box counts at the natural gap scales
-    t0 = time.perf_counter()
-    ratios = []
-    ok = True
-    for n in (100, 1000, 10_000):
-        s = harmonic_sums(n + 1)
-        dn = harmonic_gap(n)
-        target = (1.0 / dn) ** 2 * (1.0 / s[n - 1]) ** 2
-        exact_sq = float(harmonic_cell_count_1d(n)) ** 2
-        ratio = exact_sq / target
-        ratios.append(ratio)
-        if not (1.0 / 16.0 <= ratio <= 16.0):
-            ok = False
-    report.add_assertion(
-        "product-count-matches-gap-scaling",
-        ok,
-        "count(delta_n)^2 / (delta_n^-2 S_n^-2) at n = 100, 1000, 10000: "
-        + ", ".join(f"{r:.3f}" for r in ratios)
-        + " (required within factor 16)",
-    )
-    report.results["count_ratios"] = ratios
-    report.timings["count_seconds"] = time.perf_counter() - t0
+    with report.stage("count_seconds"):
+        ratios = []
+        for n in (100, 1000, 10_000):
+            s = harmonic_sums(n + 1)
+            dn = harmonic_gap(n)
+            target = (1.0 / dn) ** 2 * (1.0 / s[n - 1]) ** 2
+            ratios.append(float(harmonic_cell_count_1d(n)) ** 2 / target)
+        report.add_assertion(
+            "product-count-matches-gap-scaling",
+            all(1.0 / 16.0 <= r <= 16.0 for r in ratios),
+            "count(delta_n)^2 / (delta_n^-2 S_n^-2) at n = 100, 1000, 10000: "
+            + ", ".join(f"{r:.3f}" for r in ratios)
+            + " (required within factor 16)",
+        )
+        report.results["count_ratios"] = ratios
 
     # a countable set is almost entirely visible from a generic direction;
     # the strip width sits far below the sample spacing so only genuine
     # alignments could occlude
-    t0 = time.perf_counter()
-    sample = harmonic_product_sample()
-    n_points = len(sample)
-    e = Direction(0.41 + 2e-4 * (seed % 7))
-    visible = visible_bruteforce(sample, e, delta=1e-7)
-    removed = n_points - len(visible)
-    frac = removed / n_points
-    report.add_assertion(
-        "generic-direction-keeps-countable-set",
-        n_points >= 5000 and frac < 0.01,
-        f"brute force removed {removed} of {n_points} sample points "
-        f"({100 * frac:.3f}%), required < 1%",
-    )
-    report.timings["visibility_seconds"] = time.perf_counter() - t0
+    with report.stage("visibility_seconds"):
+        sample = harmonic_product_sample()
+        n_points = len(sample)
+        e = Direction(0.41 + 2e-4 * (seed % 7))
+        visible = visible_bruteforce(sample, e, delta=1e-7)
+        removed = n_points - len(visible)
+        frac = removed / n_points
+        report.add_assertion(
+            "generic-direction-keeps-countable-set",
+            n_points >= 5000 and frac < 0.01,
+            f"brute force removed {removed} of {n_points} sample points "
+            f"({100 * frac:.3f}%), required < 1%",
+        )
 
 
 def _run_positive_cone(
@@ -257,52 +238,48 @@ def _run_positive_cone(
 ) -> None:
     ifs = spec.build_ifs()
 
-    t0 = time.perf_counter()
-    dom = domination_report(ifs, 8, seed=seed)
-    report.add_assertion(
-        "domination",
-        dom.verdict,
-        f"verdict {dom.verdict} to depth 8, tau estimate {dom.tau_estimate:.3f}",
-    )
+    with report.stage("cone_seconds"):
+        dom = domination_report(ifs, 8, seed=seed)
+        report.add_assertion(
+            "domination",
+            dom.verdict,
+            f"verdict {dom.verdict} to depth 8, tau estimate {dom.tau_estimate:.3f}",
+        )
 
-    cone = invariant_cone_search(ifs, depth=6)
-    sep = strong_cone_separation_check(ifs, cone)
-    report.add_assertion(
-        "strong-cone-separation",
-        sep.verdict,
-        f"invariant {sep.invariant}, disjoint images {sep.disjoint} "
-        f"(cone center {cone.center.angle:.4f}, half-width {cone.half_width:.4f})",
-    )
-    report.timings["cone_seconds"] = time.perf_counter() - t0
+        cone = invariant_cone_search(ifs, depth=6)
+        sep = strong_cone_separation_check(ifs, cone)
+        report.add_assertion(
+            "strong-cone-separation",
+            sep.verdict,
+            f"invariant {sep.invariant}, disjoint images {sep.disjoint} "
+            f"(cone center {cone.center.angle:.4f}, half-width {cone.half_width:.4f})",
+        )
 
-    t0 = time.perf_counter()
-    dist = distortion_check(ifs, cone, seed=seed)
-    report.add_assertion(
-        "bounded-distortion-sandwich",
-        dist.violations == 0,
-        f"{dist.violations} violations over {dist.samples} sampled pairs at "
-        f"word length {dist.word_length} (M = {dist.constants.M:.2f}, "
-        f"k0 = {dist.k0})",
-    )
-    report.timings["distortion_seconds"] = time.perf_counter() - t0
+    with report.stage("distortion_seconds"):
+        dist = distortion_check(ifs, cone, seed=seed)
+        report.add_assertion(
+            "bounded-distortion-sandwich",
+            dist.violations == 0,
+            f"{dist.violations} violations over {dist.samples} sampled pairs at "
+            f"word length {dist.word_length} (M = {dist.constants.M:.2f}, "
+            f"k0 = {dist.k0})",
+        )
 
-    t0 = time.perf_counter()
-    levels = porosity_gap_levels(ifs, cone, depth=6)
-    consts = dist.constants
-    stable = min(levels) > 0 and max(levels) / min(levels) <= consts.M**3
-    report.add_assertion(
-        "porosity-gap-stability",
-        stable,
-        f"relative gaps per depth 1..6: "
-        + ", ".join(f"{g:.4f}" for g in levels)
-        + f"; spread factor {max(levels) / min(levels):.2f} <= M^3 = {consts.M**3:.3g}",
-    )
-    report.results["porosity_levels"] = levels
-    report.timings["porosity_seconds"] = time.perf_counter() - t0
+    with report.stage("porosity_seconds"):
+        levels = porosity_gap_levels(ifs, cone, depth=6)
+        consts = dist.constants
+        stable = min(levels) > 0 and max(levels) / min(levels) <= consts.M**3
+        report.add_assertion(
+            "porosity-gap-stability",
+            stable,
+            f"relative gaps per depth 1..6: "
+            + ", ".join(f"{g:.4f}" for g in levels)
+            + f"; spread factor {max(levels) / min(levels):.2f} <= M^3 = {consts.M**3:.3g}",
+        )
+        report.results["porosity_levels"] = levels
 
-    t0 = time.perf_counter()
-    _tangent_assertions(report, ifs, (1,), orientation_cover(ifs, eps=1e-2))
-    report.timings["tangent_seconds"] = time.perf_counter() - t0
+    with report.stage("tangent_seconds"):
+        _tangent_assertions(report, ifs, (1,), orientation_cover(ifs, eps=1e-2))
 
 
 _SCENARIOS = {
@@ -439,10 +416,12 @@ def cantor_cross_segment(depth: int = 8) -> PointCloud:
 def load_ifs(path: str | Path) -> IFS:
     """Parse {"maps": [{"a": [[a11, a12], [a21, a22]], "t": [tx, ty]}, ...]}.
 
-    Matrices are row-major.  Raises ParseError for malformed files; the
-    IFS itself raises ValueError for non-finite entries (which json reads
-    as NaN and Infinity), SingularInput for non-invertible linear parts
-    and NotContractive for maps with alpha1 >= 1.
+    Matrices are row-major.  Raises ParseError for malformed files,
+    including an "a" that is not 2x2, a "t" that is not of length 2 and an
+    entry that is not a JSON number (a string or a boolean); the IFS itself
+    raises ValueError for non-finite entries (which json reads as NaN and
+    Infinity), SingularInput for non-invertible linear parts and
+    NotContractive for maps with alpha1 >= 1.
     """
     path = Path(path)
     try:
@@ -457,13 +436,21 @@ def load_ifs(path: str | Path) -> IFS:
     maps = []
     for k, entry in enumerate(entries):
         try:
-            a = entry["a"]
-            t = entry["t"]
-            lin = Mat2(
-                float(a[0][0]), float(a[0][1]), float(a[1][0]), float(a[1][1])
-            )
-            tr = (float(t[0]), float(t[1]))
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
-            raise ParseError(f"{path}: map {k}: {exc}") from exc
-        maps.append(AffineMap2(lin, tr))
+            lin = Mat2(*_numbers(entry["a"], (2, 2)))
+            tx, ty = _numbers(entry["t"], (2,))
+        except (KeyError, TypeError, ParseError, OverflowError) as exc:
+            raise ParseError(f"{path}: map {k + 1}: {exc}") from exc
+        maps.append(AffineMap2(lin, (tx, ty)))
     return IFS(tuple(maps))
+
+
+def _numbers(value, shape: tuple[int, ...]) -> list[float]:
+    """Entries of a nested JSON array of the given shape, flattened; each
+    must be a number (a bool is not one).  ParseError otherwise."""
+    if not shape:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ParseError(f"{json.dumps(value)} is not a number")
+        return [float(value)]
+    if not isinstance(value, list) or len(value) != shape[0]:
+        raise ParseError(f"{json.dumps(value)} is not an array of length {shape[0]}")
+    return [x for v in value for x in _numbers(v, shape[1:])]

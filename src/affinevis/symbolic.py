@@ -180,20 +180,19 @@ def word_products(ifs: IFS, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mats, dets
 
 
-def _linear_parts(ifs: IFS) -> tuple[np.ndarray, list[int]]:
-    """Distinct linear parts of the maps and the part of each map.
-
-    Returns ``(parts, part_of)``: the (m, 2, 2) distinct matrices in order
-    of first occurrence, and for map i (0-based) the row of ``parts`` equal
-    to its matrix.  Equality is of the entries' bits, so a product built
-    from ``parts`` has the bits of the one built from the maps.
-    """
-    lin = ifs.linear_stack()
-    first: dict[bytes, int] = {}  # entry bytes -> first map with them
-    for i, m in enumerate(lin):
-        first.setdefault(m.tobytes(), i)
-    rows = list(first.values())
-    return lin[rows], [rows.index(first[m.tobytes()]) for m in lin]
+def _distinct_rows(*stacks: np.ndarray) -> tuple[list[int], list[int]]:
+    """``(first, which)``: the first row k of each distinct row (entry k of
+    every stack), in order of first occurrence, and each row's position in
+    ``first``.  Rows are equal when their bits are, so a kernel run on the
+    ``first`` rows gives every row the bits its own call would give."""
+    keys: dict[bytes, int] = {}  # row bytes -> position in first
+    first: list[int] = []
+    which: list[int] = []
+    for k, row in enumerate(zip(*(s.reshape(len(s), -1) for s in stacks))):
+        which.append(keys.setdefault(b"".join(r.tobytes() for r in row), len(keys)))
+        if len(keys) > len(first):
+            first.append(k)
+    return first, which
 
 
 def _child_rows(index: np.ndarray, n_parts: int, part_of: list[int]) -> np.ndarray:
@@ -219,8 +218,8 @@ def antichain(
     Returns ``(products, index, trans)``: cylinder k has linear part
     ``products[index[k]]`` and translation ``trans[k]`` (shape (n, 2)).
     alpha1 depends only on the linear part, so each level refines one
-    product per distinct linear word (see ``_linear_parts``), and
-    ``products`` holds each level's distinct products, in level order.
+    product per distinct linear word, and ``products`` holds each level's
+    distinct products, in level order.
     When no two maps share a linear part, every product is its own
     cylinder's: ``index`` is None and ``products`` has shape (n, 2, 2).
     The budget counts cylinders, not products.
@@ -229,7 +228,10 @@ def antichain(
         raise ValueError(f"delta must be positive and finite, got {delta}")
     limit = budget_limit(budget)
     tr = ifs.translation_stack()
-    parts, part_of = _linear_parts(ifs)
+    # distinct linear parts: their products have the bits of the maps' own
+    lin = ifs.linear_stack()
+    first, part_of = _distinct_rows(lin)
+    parts = lin[first]
     if len(parts) == ifs.kappa:  # every part is its map's: no index
         part_of = None
 

@@ -59,27 +59,32 @@ class OccupancyGrid:
         return np.asarray(self.origin) + (self.cells + 0.5) * self.delta
 
 
-def _occupancy(cells: np.ndarray):
-    """Occupancy bitmap of the packed key ``(i - i_min) * span_j + (j - j_min)``
-    of non-empty (n, 2) int rows, or the key itself when the bitmap would be
-    the larger allocation.
-
-    Returns ``(occ, key, span_j, i_min, j_min)`` with exactly one of ``occ``
-    and ``key`` set; both are None when ``span_i * span_j`` exceeds int64.
-    The key orders rows as (i, j) does.  The sort path holds the int64 key
-    and its int64 argsort order, 16 bytes a row; the bitmap holds one byte
-    per key in the span.  So the bitmap is taken when ``span <= 16 * n``:
-    never more memory than the sort, and O(n + span) time instead of a sort.
-    """
+def _cell_key(cells: np.ndarray):
+    """``(key, span, span_j, i_min, j_min)``: the packed key ``(i - i_min) *
+    span_j + (j - j_min)`` of non-empty (n, 2) int rows, which orders them as
+    (i, j) does, and ``span = span_i * span_j``; no key past int64."""
     i, j = cells[:, 0], cells[:, 1]
     i_min, j_min = int(i.min()), int(j.min())
     span_j = int(j.max()) - j_min + 1
     span = (int(i.max()) - i_min + 1) * span_j
     if span > _INT64_MAX:
-        return None, None, span_j, i_min, j_min
+        return None, span, span_j, i_min, j_min
     key = (i - i_min) * span_j  # no overflow: every key is below the span
     key += j - j_min
-    if span > 2 * key.nbytes:  # 2 * nbytes: the key plus its argsort order
+    return key, span, span_j, i_min, j_min
+
+
+def _occupancy(cells: np.ndarray):
+    """``(occ, key, span_j, i_min, j_min)``: the occupancy bitmap of the
+    packed key (``_cell_key``) of non-empty (n, 2) int rows, or else the key.
+
+    Both are None when the key would overflow int64.  The sort path holds
+    the int64 key and its int64 argsort order, 16 bytes a row, and the bitmap
+    one byte per key of the span; so the bitmap is taken when ``span <= 16 *
+    n``: never more memory than the sort, and O(n + span) time, not a sort.
+    """
+    key, span, span_j, i_min, j_min = _cell_key(cells)
+    if key is None or span > 2 * key.nbytes:  # the key plus its argsort order
         return None, key, span_j, i_min, j_min
     occ = np.zeros(span, dtype=bool)
     occ[key] = True
@@ -180,24 +185,14 @@ def visible_sweep(grid: OccupancyGrid, e: Direction) -> OccupancyGrid:
     Works on cell centers re-rasterized in the rotated frame on the absolute
     delta-grid (absolute indices keep the sweep idempotent); all cells
     mapping into a column's minimal-row rotated cell are retained (ties are
-    unoccluded at resolution delta).  One argsort of the rotated column
-    index, then the minimal row of each column by ``np.minimum.reduceat``.
+    unoccluded at resolution delta).  A column is a sight line of
+    ``_lowest_per_line`` at tolerance 0.
     """
     if len(grid) == 0:
         return grid
     rot = rotation_to_down(e)
-    uv = grid.centers() @ rot.T
-    cols = np.floor(uv[:, 0] / grid.delta).astype(np.int64)
-    rows = np.floor(uv[:, 1] / grid.delta).astype(np.int64)
-    order = np.argsort(cols)
-    cols_s, rows_s = cols[order], rows[order]
-    new_col = np.ones(len(cols_s), dtype=bool)
-    new_col[1:] = cols_s[1:] != cols_s[:-1]
-    starts = np.flatnonzero(new_col)
-    min_row = np.minimum.reduceat(rows_s, starts)
-    keep = np.zeros(len(cols), dtype=bool)
-    # keep is set in input order, so the order of ties within a column is moot
-    keep[order] = rows_s == np.repeat(min_row, np.diff(starts, append=len(rows_s)))
+    # (column, row) of each rotated center, passed as a temporary: not held here
+    keep = _lowest_per_line(np.floor(grid.centers() @ rot.T / grid.delta).astype(np.int64), 0)
     # a subset of sorted distinct rows is sorted and distinct
     return OccupancyGrid._of_distinct(grid.delta, grid.origin, grid.cells[keep])
 
@@ -229,52 +224,63 @@ def visible_bruteforce(cloud: PointCloud, e: Direction, delta: float) -> PointCl
     return PointCloud(pts[~occluded], cloud.resolution)
 
 
-def _split_at_anchors(u_s: np.ndarray, group_start: np.ndarray) -> None:
-    """Start a new sight line, in place, wherever sorted ``u_s`` exceeds the
-    first u of its line by more than ALIGN_TOL.
+def _lowest_per_line(uv: np.ndarray, tol) -> np.ndarray:
+    """Mask of the (n, 2) rows (u, v) at most ``tol`` above the lowest v of
+    their sight line, which starts where sorted u exceeds its first u by more
+    than ``tol`` (``_split_at_anchors``).  A line's points are the same for
+    any order of equal u, a min ignores order, and the mask is set in input
+    order, so the sort's order of ties is moot."""
+    order = np.argsort(uv[:, 0])
+    uv_s = np.take(uv, order, axis=0)  # one row gather, not two column gathers
+    del uv  # the largest array here: freed when the caller holds no reference
+    u_s, v_s = uv_s[:, 0], uv_s[:, 1]
+    gap = np.ones(len(u_s), dtype=bool)
+    gap[1:] = u_s[1:] - u_s[:-1] > tol
+    starts = _split_at_anchors(u_s, np.flatnonzero(gap), tol)
+    bound = np.repeat(np.minimum.reduceat(v_s, starts), np.diff(starts, append=len(v_s)))
+    bound += tol  # in place: no second per-point array
+    keep = np.zeros(len(v_s), dtype=bool)
+    keep[order] = v_s <= bound
+    return keep
 
-    ``group_start`` marks neighbour gaps > ALIGN_TOL on entry.  Only a run
-    of smaller gaps that is wider than ALIGN_TOL holds more than one line,
-    and such chains are rare, so each is split point by point.
+
+def _split_at_anchors(u_s: np.ndarray, starts: np.ndarray, tol) -> np.ndarray:
+    """Sight-line starts of sorted ``u_s``, given the ``starts`` of its runs of
+    neighbour gaps <= tol: a new line starts wherever u exceeds the first u
+    of its line by more than ``tol``.  Only a run wider than tol holds more
+    than one line, and such chains are rare, so each is split point by point.
     """
-    starts = np.flatnonzero(group_start)
     sizes = np.diff(starts, append=len(u_s))
     runs = sizes > 1
-    lo, hi = starts[runs], starts[runs] + sizes[runs]
-    wide = u_s[hi - 1] - u_s[lo] > ALIGN_TOL
+    lo = starts[runs]
+    hi = lo + sizes[runs]
+    wide = np.flatnonzero(u_s[hi - 1] - u_s[lo] > tol)
+    if wide.size == 0:
+        return starts
+    line_start = np.zeros(len(u_s), dtype=bool)
+    line_start[starts] = True
     for a, b in zip(lo[wide].tolist(), hi[wide].tolist()):
         anchor = float(u_s[a])
         for k, u in enumerate(u_s[a + 1 : b].tolist(), a + 1):
-            if u - anchor > ALIGN_TOL:
-                group_start[k] = True
+            if u - anchor > tol:
+                line_start[k] = True
                 anchor = u
+    return np.flatnonzero(line_start)
 
 
 def visible_exact(cloud: PointCloud, e: Direction) -> PointCloud:
     """Visible points under exact ray semantics.
 
     p is occluded only if another point lies on (numerically) the same
-    rotated vertical line strictly below it.  Sets without exact alignments
-    are entirely visible, which is what distinguishes sight lines at an
-    exceptional orientation from the column-quantized sweep.
+    rotated vertical line strictly below it: a sight line of
+    ``_lowest_per_line`` at tolerance ALIGN_TOL.  Sets without exact
+    alignments are entirely visible, which is what distinguishes sight
+    lines at an exceptional orientation from the column-quantized sweep.
     """
     pts = cloud.points
     if pts.shape[0] == 0:
         return cloud
-    rot = rotation_to_down(e)
-    uv = pts @ rot.T
-    order = np.argsort(uv[:, 0])
-    u_s, v_s = uv[order, 0], uv[order, 1]
-    del uv  # the largest array here: not held while the lines are built
-    group_start = np.ones(len(u_s), dtype=bool)
-    group_start[1:] = np.diff(u_s) > ALIGN_TOL
-    _split_at_anchors(u_s, group_start)
-    starts = np.flatnonzero(group_start)
-    # the sorted u sequence, hence each group's point set, is the same for any
-    # order of equal u; a min ignores order and keep is set in input order
-    min_v = np.minimum.reduceat(v_s, starts)
-    keep = np.zeros(len(u_s), dtype=bool)
-    keep[order] = v_s <= np.repeat(min_v, np.diff(starts, append=len(v_s))) + ALIGN_TOL
+    keep = _lowest_per_line(pts @ rotation_to_down(e).T, ALIGN_TOL)
     return PointCloud(pts[keep], cloud.resolution)
 
 

@@ -236,6 +236,31 @@ class TestCLI:
         assert "map 2: entries must be finite numbers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "a2, t2, why",
+        [
+            ("[[0.5, 0.0, 99.0], [0.0, 0.5]]", "[0.0, 0.0]", "not an array of length 2"),
+            ("[[0.5, 0.0], [0.0, 0.5]]", "[0.0, 0.0, 7.0]", "not an array of length 2"),
+            ("[[0.5, 0.0], [0.0, 0.5], [1.0, 1.0]]", "[0.0, 0.0]", "not an array of length 2"),
+            ('[["0.5", 0.0], [0.0, 0.5]]', "[0.0, 0.0]", '"0.5" is not a number'),
+            ("[[0.5, 0.0], [0.0, 0.5]]", "[true, 0.0]", "true is not a number"),
+            ("[[0.5, 0.0], [0.0, 0.5]]", "[1" + "0" * 400 + ", 0]", "too large"),
+        ],
+        ids=["three-columns", "long-translation", "three-rows", "string", "boolean", "huge-int"],
+    )
+    def test_malformed_config_exit_code(self, tmp_path, capsys, a2, t2, why):
+        # extra entries, strings and booleans are not silently read as numbers
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"maps": [{"a": [[0.5, 0], [0, 0.5]], "t": [0, 0]}, '
+            f'{{"a": {a2}, "t": {t2}}}]}}'
+        )
+        out = tmp_path / "x.csv"
+        assert main(["gen", "--ifs", str(bad), "--delta", "0.1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "map 2: " in err and why in err
+        assert not out.exists()
+
     def test_budget_exit_code(self, tmp_path):
         code = main(
             [

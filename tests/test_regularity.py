@@ -18,7 +18,11 @@ from affinevis.linalg2 import (
     proj_distance,
     singular_data,
 )
+from affinevis import regularity
 from affinevis.regularity import (
+    CONTRACTION_DEPTH,
+    DISTORTION_PROBE_DEPTH,
+    DISTORTION_WORDS,
     Cone,
     _theta1_lines,
     cone_image,
@@ -33,9 +37,11 @@ from affinevis.regularity import (
     merge_cones,
     orientation_cover,
     porosity_gap_levels,
+    smallest_contraction_depth,
     strong_cone_separation_check,
 )
 from affinevis.symbolic import IFS, cylinder, word_levels
+from test_symbolic import ALTERNATING, B_A_B
 
 VERTICAL = ProjLine(math.pi / 2)
 QUADRANT_MARGIN = Cone(ProjLine(math.pi / 4), math.pi / 4 - 0.05)
@@ -305,6 +311,22 @@ class TestPorosity:
         with pytest.raises(NoGapError):
             porosity_gap_levels(single_map, Cone(VERTICAL, 0.3), depth=2)
 
+    def test_too_deep_is_a_named_resolution_error(self, positive_pair):
+        # the depth-13 products are numerically singular: a resolution
+        # error naming the depth, not a SingularInputError from inside
+        cone = invariant_cone_search(positive_pair, depth=6)
+        assert porosity_gap_levels(positive_pair, cone, depth=12)[-1] == pytest.approx(
+            0.13527, abs=1e-5
+        )
+        with pytest.raises(BudgetError, match="depth 13 of 13: its products are numerically"):
+            porosity_gap_levels(positive_pair, cone, depth=13)
+
+    def test_width_cap_names_the_depth(self, positive_pair, monkeypatch):
+        monkeypatch.setattr(regularity, "POROSITY_WORDS", 3)
+        cone = invariant_cone_search(positive_pair, depth=6)
+        with pytest.raises(BudgetError, match="depth 2 of 4: 4 products exceed the cap 3"):
+            porosity_gap_levels(positive_pair, cone, depth=4)
+
 
 def five_maps():
     """Five maps: level 8 (390,625 words) is the first past the cone seed's
@@ -320,13 +342,23 @@ def fifteen_maps():
     return IFS(tuple(AffineMap2(lin, (k / 15.0, 0.0)) for k in range(15)))
 
 
+# systems that share linear parts beside the conftest fixtures
+SHARED = {"b_a_b": B_A_B, "alternating": ALTERNATING}
+
+
+def system(request, name):
+    return SHARED[name] if name in SHARED else request.getfixturevalue(name)
+
+
 class TestTheta1Lines:
-    @pytest.mark.parametrize("name, depth", [("carpet", 9), ("positive_pair", 8)])
+    @pytest.mark.parametrize(
+        "name, depth", [("carpet", 9), ("positive_pair", 8), ("b_a_b", 8), ("alternating", 4)]
+    )
     @pytest.mark.parametrize("transpose", [False, True])
     def test_one_line_per_word_as_its_own_call_gives(self, request, name, depth, transpose):
         # one singular_data per distinct product: the carpet's 19,683 words
         # share one, positive-cone's 256 are all distinct
-        ifs = request.getfixturevalue(name)
+        ifs = system(request, name)
         for mats, dets in word_levels(ifs, depth, transpose):
             pass
         want = [singular_data(Mat2.from_array(m), det=d).theta1 for m, d in zip(mats, dets)]
@@ -334,6 +366,67 @@ class TestTheta1Lines:
         assert len(got) == len(want) == len(dets)
         angles = lambda lines: np.array([line.angle for line in lines]).tobytes()
         assert angles(got) == angles(want)
+
+
+def distortion_reference(ifs, x):
+    """delta_sep from one singular_data call per word of every probe level."""
+    d_min = math.inf
+    for mats, dets in word_levels(ifs, DISTORTION_PROBE_DEPTH, cap=DISTORTION_WORDS):
+        for m, d in zip(mats, dets):
+            eta2 = singular_data(Mat2.from_array(m), det=d).eta2
+            d_min = min(d_min, x.line_distance(ProjLine(math.atan2(eta2[1], eta2[0]))))
+    return d_min
+
+
+def contraction_reference(ifs, x, delta_sep):
+    """smallest_contraction_depth from one cone image per word of each level."""
+    for n, (mats, _) in enumerate(word_levels(ifs, CONTRACTION_DEPTH), start=1):
+        if max(cone_image(Mat2.from_array(m), x).diameter for m in mats) <= delta_sep:
+            return n
+    return CONTRACTION_DEPTH
+
+
+# a cone whose eta2 lines stay apart, per system
+CONES = {
+    "carpet": lambda ifs: Cone(VERTICAL, 0.3),
+    "positive_pair": lambda ifs: invariant_cone_search(ifs, 6),
+    "b_a_b": default_cover_cone,
+    "alternating": lambda ifs: invariant_cone_search(ifs, 6),
+}
+
+
+class TestOneCallPerDistinctProduct:
+    @pytest.mark.parametrize("name", list(CONES))
+    def test_distortion_constants_match_the_per_word_loop(self, request, name):
+        ifs = system(request, name)
+        x = CONES[name](ifs)
+        assert distortion_constants(ifs, x).delta_sep == distortion_reference(ifs, x)
+
+    # the factor of delta_sep puts the answer a few levels deep (4, 3, 9, 3)
+    @pytest.mark.parametrize(
+        "name, factor",
+        [("carpet", 0.1), ("positive_pair", 0.001), ("b_a_b", 1.0), ("alternating", 0.1)],
+    )
+    def test_contraction_depth_matches_the_per_word_loop(self, request, name, factor):
+        ifs = system(request, name)
+        x = CONES[name](ifs)
+        delta_sep = factor * distortion_constants(ifs, x).delta_sep
+        depth = smallest_contraction_depth(ifs, x, delta_sep)
+        assert depth == contraction_reference(ifs, x, delta_sep) > 1
+
+    def test_carpet_distortion_constants_call_singular_data_once_a_level(
+        self, carpet, monkeypatch
+    ):
+        # the 3^n words of each level share one product: 5 calls, not 363
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return singular_data(*args, **kwargs)
+
+        monkeypatch.setattr(regularity, "singular_data", counted)
+        distortion_constants(carpet, Cone(VERTICAL, 0.3))
+        assert len(calls) == DISTORTION_PROBE_DEPTH == 5
 
 
 class TestHonestCaps:
