@@ -213,19 +213,20 @@ def projection_condition_check(
         back_angles = np.array(sorted(lines.keys()))
         # project along the pulled-back direction = onto its perpendicular axis
         axes = np.stack([-np.sin(back_angles), np.cos(back_angles)], axis=1)
-        # project and sort PULLBACK_BLOCK lines at a time, each line's values
-        # in one contiguous row sorted in place: no (points x lines) array and
-        # no strided column gathers. Every element equals the full product's
-        # only while each block is a BLAS gemm with points @ axes.T as here:
-        # axes @ points.T, or a one-line block (gemv), rounds some elements
-        # differently. So the last block ends on the last line, overlapping
-        # its predecessor instead of holding a lone line
+        # project and sort PULLBACK_BLOCK lines at a time: BLAS writes each
+        # block C-ordered, one line's values per contiguous row, so it sorts in
+        # place with no (points x lines) array and no transposing copy. A block
+        # of 2+ lines (gemm) equals the same rows of the level's full product
+        # points @ axes.T bit for bit, but a one-line block (gemv) rounds some
+        # elements differently (tests/test_geometry.py checks both). So the
+        # last block ends on the last line, overlapping its predecessor
+        # instead of holding a lone line; a one-line level is its own product
         m = len(axes)
         spans = np.empty(m)
         gaps = np.empty(m)
         for j in range(0, m, PULLBACK_BLOCK):
             rows = slice(max(min(j, m - PULLBACK_BLOCK), 0), j + PULLBACK_BLOCK)
-            blk = (cloud.points @ axes[rows].T).T.copy()
+            blk = axes[rows] @ cloud.points.T
             blk.sort(axis=1)
             spans[rows] = blk[:, -1] - blk[:, 0]
             gaps[rows] = np.diff(blk, axis=1).max(axis=1, initial=0.0)  # sorted: >= 0

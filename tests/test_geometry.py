@@ -4,9 +4,12 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from affinevis.errors import BudgetError, ExceptionalDirectionError
 from affinevis.geometry import (
+    PULLBACK_BLOCK,
     ProjectionVerdict,
     attractor_hull,
     convex_hull,
@@ -95,6 +98,34 @@ def _power_pair():
     """Linear parts A and A^2: level n pulls back to the n + 1 lines A^-k, k = n..2n."""
     a = Mat2(0.5, 0.15, 0.1, 0.4)
     return IFS((AffineMap2(a, (0.0, 0.0)), AffineMap2(a @ a, (0.55, 0.45))))
+
+
+def _moved(ifs: IFS, c) -> IFS:
+    """The IFS conjugated by translation by c: its attractor moves by c."""
+    c = np.asarray(c, dtype=float)
+    return IFS(
+        tuple(
+            AffineMap2(f.linear, tuple(np.asarray(f.translation) + c - f.linear.apply(c)))
+            for f in ifs.maps
+        )
+    )
+
+
+@pytest.fixture(scope="module")
+def clouds_2_8(carpet, positive_pair):
+    """The carpet and positive-cone clouds at delta 2^-8, by scenario name."""
+    return {
+        "carpet": attractor_cloud(carpet, 2.0**-8),
+        "positive-cone": attractor_cloud(positive_pair, 2.0**-8),
+    }
+
+
+@pytest.fixture(scope="module")
+def unmoved_scans(carpet, positive_pair):
+    """Each IFS with its 16-direction scan at depth 4 and delta 2^-7."""
+    return [
+        (ifs, direction_scan(ifs, 16, depth=4, delta=2.0**-7)) for ifs in (carpet, positive_pair)
+    ]
 
 
 def _same_verdict(a: ProjectionVerdict, b: ProjectionVerdict) -> bool:
@@ -209,8 +240,38 @@ class TestProjectionCondition:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # depth 7 pulls back to 128 lines; the blocks never hold them all
-        assert peak < len(cloud) * 128 * 8 / 4, (peak, len(cloud))
+        # depth 7 pulls back to 128 lines, but the peak stays near two
+        # (PULLBACK_BLOCK x points) float64 blocks: a transposing copy of each
+        # block would add a third
+        assert peak < 2.5 * len(cloud) * PULLBACK_BLOCK * 8, (peak, len(cloud))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["carpet", "positive-cone"]),
+        st.lists(
+            st.floats(0.0, math.pi, exclude_max=True),
+            min_size=PULLBACK_BLOCK,
+            max_size=3 * PULLBACK_BLOCK,
+            unique=True,
+        ),
+    )
+    def test_blocks_equal_the_full_product(self, clouds_2_8, name, angles):
+        # level_verdict's premise: a block of lines projected as
+        # axes @ points.T holds the same bits as those rows of the level's
+        # full product points @ axes.T, so blocking moves no verdict
+        points = clouds_2_8[name].points
+        angles = np.array(sorted(angles))
+        axes = np.stack([-np.sin(angles), np.cos(angles)], axis=1)
+        full = (points @ axes.T).T
+        for w in range(2, PULLBACK_BLOCK + 1):
+            assert np.array_equal(axes[:w] @ points.T, full[:w]), w
+            assert np.array_equal(axes[-w:] @ points.T, full[-w:]), w
+        # a one-line block is a matrix-vector product, which may round unlike
+        # the matrix product: the kernel forms one only for a one-line level,
+        # whose full product is that same matrix-vector product
+        for k in (0, len(axes) - 1):
+            line = axes[k : k + 1]
+            assert np.array_equal(line @ points.T, (points @ line.T).T), k
 
     def test_pullback_consistency(self, positive_pair):
         e = Direction(0.3)
@@ -277,3 +338,26 @@ class TestDirectionScan:
     def test_depth_zero_rejected(self, carpet):
         with pytest.raises(ValueError, match="depth must be >= 1"):
             direction_scan(carpet, 8, depth=0, delta=2.0**-7)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)).filter(
+            lambda c: math.hypot(*c) <= 1e3
+        )
+    )
+    @example((3.0, -2.0))
+    @example((1e3, 7.5))  # just past |c| = 1e3
+    @example((-0.3, 0.01))
+    def test_translation_keeps_verdicts(self, unmoved_scans, c):
+        # pull-back lines and the cover depend on the linear parts only, and
+        # every cylinder's projection moves by one constant
+        for ifs, unmoved in unmoved_scans:
+            rows = direction_scan(_moved(ifs, c), 16, depth=4, delta=2.0**-7)
+            for a, b in zip(unmoved, rows, strict=True):
+                assert (b.exceptional, b.passed, b.first_pass_depth) == (
+                    a.exceptional,
+                    a.passed,
+                    a.first_pass_depth,
+                ), a.direction
+                if not a.exceptional:
+                    assert b.worst_gap == pytest.approx(a.worst_gap, rel=1e-9, abs=0.0)
