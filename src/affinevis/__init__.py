@@ -16,10 +16,10 @@ from .errors import (
     NotContractiveError,
     ParseError,
     SingularInputError,
-    StreamExhaustedError,
     TooFewScalesError,
     UnknownScenarioError,
     budget_limit,
+    budget_scope,
 )
 from .linalg2 import (
     AffineMap2,

@@ -21,7 +21,7 @@ import argparse
 import math
 import sys
 
-from .errors import AffineVisError, BudgetError, budget_limit
+from .errors import AffineVisError, BudgetError, budget_limit, budget_scope
 from .geometry import direction_scan, projection_condition_check
 from .linalg2 import Direction
 from .pipeline import ladder_scales, set_dim, vis_dim
@@ -75,7 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", help="output file (atomic write)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=None, help="cell/point cap")
+        # a string: budget_scope parses it as it parses AFFINE_VIS_BUDGET
+        p.add_argument(
+            "--budget", help="cell/point cap of every step (default: AFFINE_VIS_BUDGET, else 5e7)"
+        )
         # ignored (scans run on one thread); kept hidden because check and
         # vis-dim reports echo every parsed argument, so dropping it changes them
         p.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
@@ -174,7 +177,7 @@ def _verdicts(report: RunReport, out: str | None) -> int:
 
 def cmd_gen(args) -> int:
     ifs, src = _resolve_ifs(args)
-    cloud = attractor_cloud(ifs, args.delta, budget=args.budget)
+    cloud = attractor_cloud(ifs, args.delta)
     if args.out:
         write_csv(args.out, ["x", "y"], cloud.points)
     else:
@@ -195,7 +198,7 @@ def cmd_check(args) -> int:
     report = RunReport(command="check", params=_echo(args, {"source": src}))
     with report.stage("seconds"):
         if which["domination"]:
-            dom = domination_report(ifs, max(args.depth, 4), seed=args.seed, budget=args.budget)
+            dom = domination_report(ifs, max(args.depth, 4), seed=args.seed)
             report.results["domination"] = {
                 "verdict": dom.verdict,
                 "tau_estimate": dom.tau_estimate,
@@ -237,7 +240,6 @@ def cmd_check(args) -> int:
                     Direction(args.dir),
                     depth=args.depth,
                     delta=args.delta,
-                    budget=args.budget,
                 )
                 report.results["projection"] = {
                     "passed": v.passed,
@@ -262,7 +264,7 @@ def cmd_check(args) -> int:
 
 def cmd_orient(args) -> int:
     ifs, src = _resolve_ifs(args)
-    cover = orientation_cover(ifs, eps=args.eps, budget=args.budget)
+    cover = orientation_cover(ifs, eps=args.eps)
     rows = [(c.center.angle, c.half_width, c.diameter) for c in cover]
     if args.out:
         write_csv(args.out, ["center", "half_width", "diameter"], rows)
@@ -274,7 +276,7 @@ def cmd_orient(args) -> int:
 
 def cmd_vis(args) -> int:
     ifs, src = _resolve_ifs(args)
-    cloud = attractor_cloud(ifs, args.delta / 2, budget=args.budget)
+    cloud = attractor_cloud(ifs, args.delta / 2)
     grid = rasterize(cloud, args.delta)
     vis = visible_sweep(grid, Direction(args.dir))
     if args.out:
@@ -289,7 +291,7 @@ def cmd_vis_dim(args) -> int:
     ifs, src = _resolve_ifs(args)
     lo, hi = args.ladder
     scales = ladder_scales(lo, hi, base=args.base)
-    cloud = attractor_cloud(ifs, min(scales) / 2, budget=args.budget)
+    cloud = attractor_cloud(ifs, min(scales) / 2)
     est = vis_dim(cloud, Direction(args.dir), scales, exact=args.exact)
     ref = set_dim(cloud, scales)
     report = RunReport(command="vis-dim", params=_echo(args, {"source": src}))
@@ -316,9 +318,7 @@ def cmd_vis_dim(args) -> int:
 
 def cmd_scan(args) -> int:
     ifs, src = _resolve_ifs(args)
-    rows = direction_scan(
-        ifs, args.dirs, depth=args.depth, delta=args.delta, budget=args.budget
-    )
+    rows = direction_scan(ifs, args.dirs, depth=args.depth, delta=args.delta)
     table = [
         (
             r.direction.angle,
@@ -390,9 +390,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "budget"):
-            budget_limit(args.budget)  # a bad budget exits 2 even where no cap is hit
-        return _COMMANDS[args.command](args)
+        # every cap of the command reads --budget, else AFFINE_VIS_BUDGET
+        with budget_scope(getattr(args, "budget", None)):
+            if hasattr(args, "budget"):  # `scenario list` reads no budget
+                # a bad budget exits 2 even where no cap is hit; reports echo
+                # the option as the parsed int
+                limit = budget_limit()
+                if args.budget is not None:
+                    args.budget = limit
+            return _COMMANDS[args.command](args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -67,7 +67,7 @@ def _first_per_cell(keys: np.ndarray) -> np.ndarray:
     return np.sort(first[first < n])
 
 
-def box_count(data, delta_ladder, budget: int | None = None) -> list[int]:
+def box_count(data, delta_ladder) -> list[int]:
     """Occupied-cell counts for each ladder scale, coarsest first.
 
     ``data`` may be a PointCloud or a raw (n, 2) array of points.
@@ -81,7 +81,7 @@ def box_count(data, delta_ladder, budget: int | None = None) -> list[int]:
     if not ladder:
         raise ValueError("empty ladder")
     finest = ladder[-1]
-    limit = budget_limit(budget)
+    limit = budget_limit()
     cells = distinct_cells(_cells_of(data, finest))
     if cells.shape[0] > limit:
         raise BudgetError(f"{cells.shape[0]} occupied cells exceed budget {limit}")

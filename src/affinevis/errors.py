@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 DEFAULT_BUDGET = 50_000_000
 BUDGET_ENV_VAR = "AFFINE_VIS_BUDGET"
@@ -65,10 +68,6 @@ class NoExitError(AffineVisError):
     """Approximating rectangle too short: no short side leaves the unit ball."""
 
 
-class StreamExhaustedError(AffineVisError):
-    """Symbol stream ended before the requested prefix length."""
-
-
 class TooFewScalesError(AffineVisError):
     """Dimension fit needs at least four scales."""
 
@@ -77,21 +76,49 @@ class UnknownScenarioError(AffineVisError):
     """Scenario name not in the built-in registry."""
 
 
-def budget_limit(override: int | None = None) -> int:
-    """Active budget: explicit override, else AFFINE_VIS_BUDGET, else the default.
+# the innermost budget_scope's budget; None outside every scope
+_SCOPED: ContextVar[int | None] = ContextVar("affinevis_budget", default=None)
 
-    A budget that is not a finite number >= 1 raises ValueError naming its source.
-    """
-    if override is not None:
-        raw, source = override, "the budget argument"
-    else:
-        raw, source = os.environ.get(BUDGET_ENV_VAR), BUDGET_ENV_VAR
-        if not raw:
-            return DEFAULT_BUDGET
+
+def _budget_value(raw: int | str, source: str) -> int:
+    """``raw`` as an int budget; not a finite number >= 1 raises ValueError
+    naming ``source``."""
     try:
         value = float(raw)
-    except (ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         value = math.nan
     if not (math.isfinite(value) and value >= 1):
         raise ValueError(f"budget {raw!r} from {source} must be a finite number >= 1")
     return int(value)
+
+
+@contextmanager
+def budget_scope(budget: int | str | None) -> Iterator[None]:
+    """Make ``budget`` the active budget inside the block; None keeps the
+    budget already active.  It takes the spellings AFFINE_VIS_BUDGET takes,
+    and one that is not a finite number >= 1 raises ValueError on entry.
+    The enclosing budget is restored on exit, also on an exception."""
+    if budget is None:
+        yield
+        return
+    token = _SCOPED.set(_budget_value(budget, "the budget argument"))
+    try:
+        yield
+    finally:
+        _SCOPED.reset(token)
+
+
+def budget_limit() -> int:
+    """Active budget: the innermost budget_scope, else AFFINE_VIS_BUDGET, else
+    DEFAULT_BUDGET.  Every cap reads it here.
+
+    An AFFINE_VIS_BUDGET that is not a finite number >= 1 raises ValueError
+    naming the variable.
+    """
+    scoped = _SCOPED.get()
+    if scoped is not None:
+        return scoped
+    raw = os.environ.get(BUDGET_ENV_VAR)
+    if not raw:
+        return DEFAULT_BUDGET
+    return _budget_value(raw, BUDGET_ENV_VAR)

@@ -106,7 +106,7 @@ def hausdorff_polygons(a: ConvexPolygon, b: ConvexPolygon) -> float:
     return max(d_ab, d_ba)
 
 
-def attractor_hull(ifs: IFS, eps: float, budget: int | None = None) -> ConvexPolygon:
+def attractor_hull(ifs: IFS, eps: float) -> ConvexPolygon:
     """Iterate K <- hull(union of map images of K) until the drift is <= eps.
 
     The seed polygon circumscribes a self-mapped ball around map 1's fixed
@@ -115,7 +115,7 @@ def attractor_hull(ifs: IFS, eps: float, budget: int | None = None) -> ConvexPol
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    limit = budget_limit(budget)
+    limit = budget_limit()
     x0 = ifs.anchor_point()
     s = max(singular_data(f.linear).alpha1 for f in ifs.maps)
     d0 = max(float(np.hypot(*(f(x0) - x0))) for f in ifs.maps)
@@ -169,7 +169,6 @@ def projection_condition_check(
     cloud: PointCloud | None = None,
     cover: list[Cone] | None = None,
     delta: float = 2.0**-10,
-    budget: int | None = None,
 ) -> ProjectionVerdict:
     """Decide whether depth-n cylinder projections along ``e`` are intervals.
 
@@ -187,9 +186,9 @@ def projection_condition_check(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    limit = budget_limit(budget)
+    limit = budget_limit()
     if cover is None:
-        cover = orientation_cover(ifs, eps=1e-2, budget=budget)
+        cover = orientation_cover(ifs, eps=1e-2)
     carrier = e.carrier()
     clearance = min(c.line_distance(carrier) for c in cover)
     if clearance < COVER_MARGIN:
@@ -198,7 +197,7 @@ def projection_condition_check(
             f"orientation cover (margin {COVER_MARGIN})"
         )
     if cloud is None:
-        cloud = attractor_cloud(ifs, delta, budget)
+        cloud = attractor_cloud(ifs, delta)
     # breadth-first pullback of the carrier through inverse factor maps;
     # projectively identical pullbacks collapse, so diagonal systems cost
     # one axis per level instead of kappa^depth
@@ -261,7 +260,6 @@ def direction_scan(
     n_dirs: int,
     depth: int = 5,
     delta: float = 2.0**-10,
-    budget: int | None = None,
 ) -> list[ProjectionVerdict]:
     """Projection verdicts on a uniform angular grid over [0, 2*pi).
 
@@ -273,8 +271,8 @@ def direction_scan(
         raise ValueError("n_dirs must be >= 4")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    cover = orientation_cover(ifs, eps=1e-2, budget=budget)
-    cloud = attractor_cloud(ifs, delta, budget)
+    cover = orientation_cover(ifs, eps=1e-2)
+    cloud = attractor_cloud(ifs, delta)
     by_carrier: dict[float, ProjectionVerdict] = {}
 
     def row(d: Direction) -> ProjectionVerdict:
@@ -282,7 +280,7 @@ def direction_scan(
         if key not in by_carrier:
             try:
                 by_carrier[key] = projection_condition_check(
-                    ifs, d, depth, cloud=cloud, cover=cover, budget=budget
+                    ifs, d, depth, cloud=cloud, cover=cover
                 )
             except ExceptionalDirectionError:
                 by_carrier[key] = ProjectionVerdict(d, False, math.nan, math.nan, depth, True)

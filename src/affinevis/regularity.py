@@ -170,12 +170,7 @@ class DominationReport:
     exhaustive_up_to: int
 
 
-def domination_report(
-    ifs: IFS,
-    n_max: int,
-    seed: int = 0,
-    budget: int | None = None,
-) -> DominationReport:
+def domination_report(ifs: IFS, n_max: int, seed: int = 0) -> DominationReport:
     """Minimum singular-value ratio root per word length.
 
     Levels with at most EXHAUSTIVE_WORDS words are enumerated exactly;
@@ -187,7 +182,7 @@ def domination_report(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    cap = min(EXHAUSTIVE_WORDS, budget_limit(budget))
+    cap = min(EXHAUSTIVE_WORDS, budget_limit())
     rng = np.random.default_rng(seed)
     kappa = ifs.kappa
     exact_levels = word_levels(ifs, n_max)
@@ -357,7 +352,7 @@ def default_cover_cone(ifs: IFS) -> Cone:
     return Cone(hull.center, hw)
 
 
-def orientation_cover(ifs: IFS, eps: float, budget: int | None = None) -> list[Cone]:
+def orientation_cover(ifs: IFS, eps: float) -> list[Cone]:
     """Certified interval cover of the limit-orientation set.
 
     Refines the nested image intervals A_w(X) of the seed X =
@@ -369,7 +364,7 @@ def orientation_cover(ifs: IFS, eps: float, budget: int | None = None) -> list[C
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    limit = budget_limit(budget)
+    limit = budget_limit()
     x = default_cover_cone(ifs)
     if not _maps_into((f.linear for f in ifs.maps), x, 0.0):
         raise NoConeError("cone is not forward invariant; cover not certified")

@@ -62,13 +62,13 @@ class ExpectedValue:
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A named configuration: its IFS builder (``None`` for a point set),
-    its assertion battery ``battery(spec, report, seed, budget)`` and its
+    its assertion battery ``battery(spec, report, seed)`` and its
     expected values."""
 
     name: str
     description: str
     expected: tuple[ExpectedValue, ...]
-    battery: Callable[[ScenarioSpec, RunReport, int, int | None], None]
+    battery: Callable[[ScenarioSpec, RunReport, int], None]
     build: Callable[[], IFS] | None = None
 
     def build_ifs(self) -> IFS:
@@ -100,15 +100,13 @@ def positive_cone_ifs() -> IFS:
 # assertion batteries
 
 
-def _run_carpet(
-    spec: ScenarioSpec, report: RunReport, seed: int, budget: int | None
-) -> None:
+def _run_carpet(spec: ScenarioSpec, report: RunReport, seed: int) -> None:
     ifs = spec.build_ifs()
     scales = ladder_scales(6, 12)
 
     # visible-part scaling away from the exceptional orientation
     with report.stage("off_vertical_seconds"):
-        cloud = attractor_cloud(ifs, 2.0**-13, budget=budget)
+        cloud = attractor_cloud(ifs, 2.0**-13)
         grids = ladder_grids(cloud, scales)
         dirs = spread_directions(16, VERTICAL, 0.15)
         slopes = [vis_dim(cloud, d, scales, grids=grids).slope for d in dirs]
@@ -124,7 +122,7 @@ def _run_carpet(
     # sharpness at the exceptional orientation: exact sight lines keep the
     # full structure, so the visible part scales like the set itself
     with report.stage("exceptional_seconds"):
-        fine = attractor_cloud(ifs, 2.0**-14, budget=budget)
+        fine = attractor_cloud(ifs, 2.0**-14)
         est_vis = vis_dim(fine, DOWN, scales, exact=True)
         est_set = set_dim(fine, scales)
         diff = abs(est_vis.slope - est_set.slope)
@@ -195,9 +193,7 @@ def _tangent_assertions(report: RunReport, ifs: IFS, stream, cover: list[Cone]) 
     )
 
 
-def _run_harmonic(
-    spec: ScenarioSpec, report: RunReport, seed: int, budget: int | None
-) -> None:
+def _run_harmonic(spec: ScenarioSpec, report: RunReport, seed: int) -> None:
     # product box counts at the natural gap scales
     with report.stage("count_seconds"):
         ratios = []
@@ -233,9 +229,7 @@ def _run_harmonic(
         )
 
 
-def _run_positive_cone(
-    spec: ScenarioSpec, report: RunReport, seed: int, budget: int | None
-) -> None:
+def _run_positive_cone(spec: ScenarioSpec, report: RunReport, seed: int) -> None:
     ifs = spec.build_ifs()
 
     with report.stage("cone_seconds"):

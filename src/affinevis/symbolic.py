@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -205,9 +205,7 @@ def _child_rows(index: np.ndarray, n_parts: int, part_of: list[int]) -> np.ndarr
     return out.reshape(-1)
 
 
-def antichain(
-    ifs: IFS, delta: float, budget: int | None = None
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+def antichain(ifs: IFS, delta: float) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Cylinders of the minimal antichain at ``alpha1 <= delta``.
 
     The cylinders are the words w with alpha1(w) <= delta < alpha1(parent
@@ -222,11 +220,11 @@ def antichain(
     distinct products, in level order.
     When no two maps share a linear part, every product is its own
     cylinder's: ``index`` is None and ``products`` has shape (n, 2, 2).
-    The budget counts cylinders, not products.
+    The active budget (``budget_limit``) counts cylinders, not products.
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
-    limit = budget_limit(budget)
+    limit = budget_limit()
     tr = ifs.translation_stack()
     # distinct linear parts: their products have the bits of the maps' own
     lin = ifs.linear_stack()
@@ -292,7 +290,7 @@ def antichain(
     )
 
 
-def attractor_cloud(ifs: IFS, delta: float, budget: int | None = None) -> PointCloud:
+def attractor_cloud(ifs: IFS, delta: float) -> PointCloud:
     """One anchor per cylinder of the ``alpha1 <= delta`` antichain, in
     ``antichain``'s order.
 
@@ -300,7 +298,7 @@ def attractor_cloud(ifs: IFS, delta: float, budget: int | None = None) -> PointC
     alpha1 * diam(E) <= delta * diam(E) of some anchor.  The linear image
     of map 1's fixed point is computed once per distinct product.
     """
-    products, index, trans = antichain(ifs, delta, budget)
+    products, index, trans = antichain(ifs, delta)
     # matmul rounds differently from matvec_stack; the cloud's bits keep it
     pts = products @ ifs.anchor_point()
     if index is None:  # one product per cylinder
@@ -314,20 +312,9 @@ def attractor_cloud(ifs: IFS, delta: float, budget: int | None = None) -> PointC
     return PointCloud(pts, float(delta))
 
 
-def cyclic_prefix(stream: Sequence[int] | Iterable[int], n: int) -> Word:
-    """First ``n`` symbols of a stream; finite sequences repeat cyclically."""
-    if isinstance(stream, Sequence):
-        if len(stream) == 0:
-            raise ValueError("empty symbol stream")
-        reps = -(-n // len(stream))
-        return tuple(list(stream) * reps)[:n]
-    out: list[int] = []
-    it = iter(stream)
-    for _ in range(n):
-        try:
-            out.append(int(next(it)))
-        except StopIteration:
-            from .errors import StreamExhaustedError
-
-            raise StreamExhaustedError(f"stream ended before {n} symbols")
-    return tuple(out)
+def cyclic_prefix(stream: Sequence[int], n: int) -> Word:
+    """First ``n`` symbols of a finite stream repeated cyclically."""
+    if len(stream) == 0:
+        raise ValueError("empty symbol stream")
+    reps = -(-n // len(stream))
+    return tuple(list(stream) * reps)[:n]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -104,7 +104,7 @@ def approx_rect(cyl: Cylinder, frame: TangentFrame, cloud: PointCloud) -> Approx
 
 def tangent_sequence(
     ifs: IFS,
-    i_stream: Sequence[int] | Iterable[int],
+    i_stream: Sequence[int],
     n_max: int,
     c: float = 1.0,
 ) -> list[tuple[TangentFrame, ApproxRect]]:

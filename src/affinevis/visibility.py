@@ -161,13 +161,13 @@ def rotation_to_down(e: Direction) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def rasterize(cloud: PointCloud, delta: float, budget: int | None = None) -> OccupancyGrid:
+def rasterize(cloud: PointCloud, delta: float) -> OccupancyGrid:
     """Occupied cells of the delta-grid snapped to delta-multiples."""
     if not cloud.resolution <= delta < math.inf:
         raise ValueError(
             f"grid delta {delta} outside [cloud resolution {cloud.resolution}, inf)"
         )
-    limit = budget_limit(budget)
+    limit = budget_limit()
     pts = cloud.points
     if pts.shape[0] == 0:
         return OccupancyGrid(delta, (0.0, 0.0), np.empty((0, 2), dtype=np.int64))

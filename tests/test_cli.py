@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from affinevis.cli import main
+from affinevis.errors import DEFAULT_BUDGET, budget_limit
 from affinevis.report import RunReport, write_csv, write_json, write_report
 
 
@@ -296,8 +297,11 @@ class TestCLI:
             ("inf", [], "AFFINE_VIS_BUDGET"),
             ("-3", [], "AFFINE_VIS_BUDGET"),
             (None, ["--budget", "-5"], "budget argument"),
+            (None, ["--budget", "abc"], "budget argument"),
+            (None, ["--budget", "inf"], "budget argument"),
+            ("abc", ["--budget", "nan"], "budget argument"),
         ],
-        ids=["env-inf", "env-negative", "option-negative"],
+        ids=["env-inf", "env-negative", "option-negative", "option-word", "option-inf", "both-bad"],
     )
     def test_bad_budget_exit_code(self, monkeypatch, capsys, env, extra, source):
         if env is None:
@@ -308,6 +312,17 @@ class TestCLI:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert source in err and "finite number >= 1" in err
+
+    def test_budget_option_takes_the_environment_spellings(self, monkeypatch, tmp_path):
+        # "1e8" is a budget in AFFINE_VIS_BUDGET, so it is one after --budget;
+        # the report echoes the parsed int, as it echoes --budget 100000000
+        monkeypatch.delenv("AFFINE_VIS_BUDGET", raising=False)
+        for spelling in ("1e8", "100000000"):
+            out = tmp_path / f"{spelling}.json"
+            argv = ["check", "--scenario", "carpet-5.1", "--domination", "--budget", spelling]
+            assert main(argv + ["--out", str(out)]) == 0
+            params = json.loads(out.read_text())["params"]
+            assert params["budget"] == 100_000_000 and type(params["budget"]) is int
 
     @pytest.mark.parametrize("flag", ["--domination", "--cone", "--projection"])
     def test_check_depth_zero_exit_code(self, tmp_path, flag):
@@ -376,3 +391,63 @@ class TestCLI:
         main(["scenario", "run", "positive-cone", "--seed", "1", "--out", str(a)])
         main(["scenario", "run", "positive-cone", "--seed", "1", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+# every command whose caps the budget reaches, with a budget that one of
+# its caps exceeds
+_BUDGETED = [
+    (["gen", "--scenario", "carpet-5.1", "--delta", "0.03125", "--svg", "{tmp}/g.svg"], 100),
+    (["vis", "--scenario", "carpet-5.1", "--dir", "0.3", "--delta", "0.0625"], 100),
+    (["vis-dim", "--scenario", "carpet-5.1", "--dir", "0.3", "--ladder", "2:5"], 100),
+    (["vis-dim", "--scenario", "carpet-5.1", "--dir", "0.3", "--ladder", "2:5", "--exact"], 100),
+    (["scan", "--scenario", "carpet-5.1", "--dirs", "8", "--depth", "2"], 100),
+    (["check", "--scenario", "carpet-5.1", "--projection", "--depth", "2"], 100),
+    (["orient", "--scenario", "positive-cone", "--eps", "1e-3"], 10),
+    (["tangent", "--scenario", "carpet-5.1", "--n-max", "6"], 100),
+    (["scenario", "run", "positive-cone"], 100),
+]
+_BUDGETED_IDS = ["gen-svg", "vis", "vis-dim", "vis-dim-exact", "scan", "check-projection",
+                 "orient", "tangent", "scenario-run"]
+
+
+class TestBudgetChannel:
+    """``--budget`` and AFFINE_VIS_BUDGET reach the same caps, and the
+    option wins over the variable."""
+
+    @staticmethod
+    def _run(monkeypatch, capsys, argv, env=None, option=None):
+        if env is None:
+            monkeypatch.delenv("AFFINE_VIS_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("AFFINE_VIS_BUDGET", str(env))
+        extra = [] if option is None else ["--budget", str(option)]
+        capsys.readouterr()
+        code = main(argv + extra)
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, n", _BUDGETED, ids=_BUDGETED_IDS)
+    def test_option_and_environment_agree(self, monkeypatch, capsys, tmp_path, argv, n):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        by_option = self._run(monkeypatch, capsys, argv, option=n)
+        assert by_option[0] == 3 and f"budget {n}" in by_option[1]
+        assert self._run(monkeypatch, capsys, argv, env=n) == by_option
+
+    @pytest.mark.parametrize("argv, n", _BUDGETED, ids=_BUDGETED_IDS)
+    def test_option_wins_over_environment(self, monkeypatch, capsys, tmp_path, argv, n):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        unbudgeted = self._run(monkeypatch, capsys, argv)
+        assert unbudgeted[0] == 0
+        assert self._run(monkeypatch, capsys, argv, env=n, option=10**9) == unbudgeted
+
+    @pytest.mark.parametrize("env", [None, "5000"])
+    def test_scope_ends_with_the_command(self, monkeypatch, capsys, env):
+        # a budget exceeded in one in-process call does not leak into the next
+        argv = ["tangent", "--scenario", "carpet-5.1", "--n-max", "6"]
+        assert self._run(monkeypatch, capsys, argv, env=env, option=10)[0] == 3
+        assert budget_limit() == (DEFAULT_BUDGET if env is None else int(env))
+        assert self._run(monkeypatch, capsys, argv, env=env)[0] == 0
+
+    def test_scenario_list_reads_no_budget(self, monkeypatch, capsys):
+        monkeypatch.setenv("AFFINE_VIS_BUDGET", "inf")
+        assert main(["scenario", "list"]) == 0
+        assert "carpet-5.1" in capsys.readouterr().out

@@ -9,6 +9,7 @@ from affinevis.errors import (
     ImproperConeError,
     NoConeError,
     NoGapError,
+    budget_scope,
 )
 from affinevis.linalg2 import (
     AffineMap2,
@@ -200,12 +201,12 @@ class TestOrientationCover:
 
     @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan])
     def test_eps_must_be_positive(self, positive_pair, eps):
-        with pytest.raises(ValueError):
-            orientation_cover(positive_pair, eps=eps, budget=1000)
+        with budget_scope(1000), pytest.raises(ValueError):
+            orientation_cover(positive_pair, eps=eps)
 
     def test_budget_enforced(self, positive_pair):
-        with pytest.raises(BudgetError):
-            orientation_cover(positive_pair, eps=1e-7, budget=64)
+        with budget_scope(64), pytest.raises(BudgetError):
+            orientation_cover(positive_pair, eps=1e-7)
 
     def test_cover_nesting_across_eps(self, positive_pair):
         coarse = orientation_cover(positive_pair, eps=5e-2)

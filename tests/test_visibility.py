@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from affinevis.errors import BudgetError, DirectionInConeError
+from affinevis.errors import BudgetError, DirectionInConeError, budget_scope
 from affinevis.linalg2 import Direction
 from affinevis.symbolic import PointCloud
 from affinevis.visibility import (
@@ -65,8 +65,8 @@ class TestRasterize:
 
     def test_nan_delta_rejected(self):
         cloud = PointCloud(np.array([[0.0, 0.0]]), 0.1)
-        with pytest.raises(ValueError):
-            rasterize(cloud, math.nan, budget=1000)
+        with budget_scope(1000), pytest.raises(ValueError):
+            rasterize(cloud, math.nan)
 
     def test_carpet_cell_count_near_cylinder_box_count(self, carpet):
         # independent count: cells touched by the bounding boxes of the
