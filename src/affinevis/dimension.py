@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetError, TooFewScalesError, budget_limit
 from .symbolic import PointCloud
-from .visibility import _cell_key, count_cells, distinct_cells
+from .visibility import _CellColumns
 
 # drop the two coarsest scales and refit when the residual exceeds this
 RESIDUAL_TRIM_THRESHOLD = 0.1
@@ -47,23 +47,21 @@ class DimEstimate:
 _CELL_SNAP = 1e-9
 
 
-def _cells_of(data, finest: float) -> np.ndarray:
-    if isinstance(data, PointCloud):
-        data = data.points
-    pts = np.asarray(data, dtype=float).reshape(-1, 2)
-    return np.floor(pts / finest + _CELL_SNAP).astype(np.int64)
+def _snapped_cells(pts: np.ndarray, finest: float) -> _CellColumns:
+    """The finest-scale cells of (n, 2) points, ``floor(p / finest + _CELL_SNAP)``."""
+    return _CellColumns(pts, lambda v, axis: np.floor(v / finest + _CELL_SNAP))
 
 
-def _first_per_cell(keys: np.ndarray) -> np.ndarray:
-    """Index of the first point in each occupied cell, in point order.
+def _first_per_cell(pts: np.ndarray, delta: float) -> np.ndarray:
+    """Index of the first point in each occupied delta-cell, in point order.
 
     The cells of a coarse grid are few, so the first index of each packed
-    key (``_cell_key``) is a ``minimum.at`` into one slot per key of the span.
+    key is a ``minimum.at`` into one slot per key of the span.
     """
-    key, span = _cell_key(keys)[:2]
-    n = len(keys)
-    first = np.full(span, n)
-    np.minimum.at(first, key, np.arange(n))
+    cells = _CellColumns(pts, lambda v, axis: np.floor(v / delta))
+    n = len(pts)
+    first = np.full(cells.span, n)
+    np.minimum.at(first, cells.key(0, n), np.arange(n))
     return np.sort(first[first < n])
 
 
@@ -73,16 +71,19 @@ def box_count(data, delta_ladder) -> list[int]:
     ``data`` may be a PointCloud or a raw (n, 2) array of points.
     Every ladder scale must be an integer multiple of the finest one so
     that counts come from exact block merges of a single fine grid: the
-    distinct fine cells, floor-divided per level and counted by
-    ``count_cells`` (a bitmap count when the level's key range is dense,
-    a sort otherwise).
+    distinct fine cells, floor-divided per level and counted by the
+    column-wise cell kernel (a bitmap count when the level's key range is
+    dense, a sort otherwise).  A cell index past int64 raises ValueError.
     """
     ladder = sorted((float(d) for d in delta_ladder), reverse=True)
     if not ladder:
         raise ValueError("empty ladder")
     finest = ladder[-1]
     limit = budget_limit()
-    cells = distinct_cells(_cells_of(data, finest))
+    if isinstance(data, PointCloud):
+        data = data.points
+    fine = _snapped_cells(np.asarray(data, dtype=float).reshape(-1, 2), finest)
+    cells = fine.distinct()
     if cells.shape[0] > limit:
         raise BudgetError(f"{cells.shape[0]} occupied cells exceed budget {limit}")
     counts = []
@@ -93,7 +94,8 @@ def box_count(data, delta_ladder) -> list[int]:
             raise ValueError(
                 f"ladder scale {delta} is not an integer multiple of {finest}"
             )
-        counts.append(count_cells(np.floor_divide(cells, r)))
+        # the extreme fine cells floor-divide to the extreme coarse cells
+        counts.append(_CellColumns(cells, lambda v, axis: v // r, fine.bounds).count())
     return counts
 
 
@@ -167,8 +169,7 @@ def assouad_estimate(
 
     if centers is None:
         coarse = extent / 8.0
-        keys = np.floor(pts / coarse).astype(np.int64)
-        centers = pts[_first_per_cell(keys)]
+        centers = pts[_first_per_cell(pts, coarse)]
         if centers.shape[0] > ASSOUAD_BALLS:
             idx = rng.choice(centers.shape[0], size=ASSOUAD_BALLS, replace=False)
             centers = centers[np.sort(idx)]
@@ -185,6 +186,6 @@ def assouad_estimate(
             local = pts[d <= big_r]
             if local.shape[0] == 0:
                 continue
-            n = count_cells(_cells_of(local, small_r))
+            n = _snapped_cells(local, small_r).count()
             best = max(best, math.log(n) / math.log(big_r / small_r))
     return best

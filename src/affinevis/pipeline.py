@@ -11,8 +11,8 @@ from .visibility import rasterize, visible_exact, visible_sweep
 
 
 def ladder_scales(lo_exp: int, hi_exp: int, base: float = 2.0) -> list[float]:
-    if not base > 1:
-        raise ValueError(f"ladder base must be > 1, got {base}")
+    if not 1 < base < math.inf:  # an infinite base makes every scale 0
+        raise ValueError(f"ladder base {base} must be > 1 and finite")
     if hi_exp < lo_exp:
         raise ValueError("ladder hi exponent must be >= lo exponent")
     return [base**-k for k in range(lo_exp, hi_exp + 1)]

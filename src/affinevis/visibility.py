@@ -59,86 +59,136 @@ class OccupancyGrid:
         return np.asarray(self.origin) + (self.cells + 0.5) * self.delta
 
 
-def _cell_key(cells: np.ndarray):
-    """``(key, span, span_j, i_min, j_min)``: the packed key ``(i - i_min) *
-    span_j + (j - j_min)`` of non-empty (n, 2) int rows, which orders them as
-    (i, j) does, and ``span = span_i * span_j``; no key past int64."""
-    i, j = cells[:, 0], cells[:, 1]
-    i_min, j_min = int(i.min()), int(j.min())
-    span_j = int(j.max()) - j_min + 1
-    span = (int(i.max()) - i_min + 1) * span_j
-    if span > _INT64_MAX:
-        return None, span, span_j, i_min, j_min
-    key = (i - i_min) * span_j  # no overflow: every key is below the span
-    key += j - j_min
-    return key, span, span_j, i_min, j_min
+# rows per chunk of the column-wise cell kernel: a chunk's float and int
+# temporaries stay a few hundred kB, whatever the number of rows
+_CHUNK = 1 << 15
 
 
-def _occupancy(cells: np.ndarray):
-    """``(occ, key, span_j, i_min, j_min)``: the occupancy bitmap of the
-    packed key (``_cell_key``) of non-empty (n, 2) int rows, or else the key.
+def _dense(span: int, n: int) -> bool:
+    """The density rule: a table with one slot per key of a span (the
+    occupancy bitmap of ``_CellColumns``, the per-column minimum of
+    ``visible_sweep``) is taken over a sort of n rows when ``span <= 16 *
+    n``.  Either table then takes O(n + span) time, not a sort, and the
+    bitmap, a byte a slot, holds at most 16 bytes a row: an int64 key and
+    its argsort order, or twice the key that the kernel sorts in place."""
+    return span <= 16 * n
 
-    Both are None when the key would overflow int64.  The sort path holds
-    the int64 key and its int64 argsort order, 16 bytes a row, and the bitmap
-    one byte per key of the span; so the bitmap is taken when ``span <= 16 *
-    n``: never more memory than the sort, and O(n + span) time, not a sort.
+
+def _column_ends(data: np.ndarray) -> np.ndarray:
+    """(2, 2) array of the smallest (row 0) and largest (row 1) entry of each
+    column of non-empty (n, 2) data, a column at a time: a min over axis 0
+    of an (n, 2) array is a slow strided reduce."""
+    x, y = data[:, 0], data[:, 1]
+    return np.array([[x.min(), y.min()], [x.max(), y.max()]])
+
+
+class _CellColumns:
+    """The cells of the rows of (n, 2) ``data`` as one int64 index column per
+    axis, made a chunk of rows at a time: no (n, 2) cell array is held.  The
+    one distinct-cell kernel: every cell-set dedup and count runs on it.
+
+    ``index(values, axis)`` maps coordinates along an axis to cell indices
+    (a floor for points, a floor division for coarser cells).  It must be
+    monotone, so the extreme cells ``bounds`` ((2, 2): smallest then largest
+    i and j) are the cells of the extreme coordinates ``ends``
+    (``_column_ends`` when not given); they must lie in int64, or no cell
+    index would.  Cell (i, j) packs into the key ``(i - i_min) * span_j +
+    (j - j_min)``, which orders cells as (i, j) does; ``span`` is the number
+    of keys from the lowest cell to the highest.
     """
-    key, span, span_j, i_min, j_min = _cell_key(cells)
-    if key is None or span > 2 * key.nbytes:  # the key plus its argsort order
-        return None, key, span_j, i_min, j_min
-    occ = np.zeros(span, dtype=bool)
-    occ[key] = True
-    return occ, None, span_j, i_min, j_min
 
+    def __init__(self, data: np.ndarray, index, ends: np.ndarray | None = None) -> None:
+        self.data, self.index, self.n = data, index, len(data)
+        self.bounds = None
+        if self.n == 0:
+            return
+        if ends is None:
+            ends = _column_ends(data)
+        bounds = np.stack([np.asarray(index(ends[:, a], a)) for a in (0, 1)], axis=1)
+        # also false for NaN: a float cell index must floor into int64
+        if bounds.dtype.kind == "f" and not np.all((bounds >= -(2.0**63)) & (bounds < 2.0**63)):
+            raise ValueError(
+                f"cell indices from {bounds[0].tolist()} to {bounds[1].tolist()} "
+                "do not fit int64: the set is too large for the cell size"
+            )
+        self.bounds = bounds.astype(np.int64)
+        (self.i_min, self.j_min), (i_max, j_max) = self.bounds.tolist()
+        self.span_j = j_max - self.j_min + 1
+        self.span = (i_max - self.i_min + 1) * self.span_j
 
-def _sort_distinct(cells: np.ndarray, key: np.ndarray | None):
-    """Stable sort order of the rows and, in that order, the mask of each
-    distinct row's first entry: one argsort of the packed key, or a lexsort
-    of the two columns when there is no key."""
-    if key is not None:
-        order, keys = np.argsort(key, kind="stable"), (key,)
-    else:
-        order, keys = np.lexsort((cells[:, 1], cells[:, 0])), (cells[:, 0], cells[:, 1])
-    first = np.zeros(len(cells), dtype=bool)
-    first[0] = True
-    for col in keys:  # a column at a time: no sorted (n, 2) copy
-        col = col[order]
-        first[1:] |= col[1:] != col[:-1]
-    return order, first
+    def _chunks(self):
+        return ((lo, min(lo + _CHUNK, self.n)) for lo in range(0, self.n, _CHUNK))
+
+    def columns(self, lo: int, hi: int) -> list[np.ndarray]:
+        """The int64 i and j columns of rows lo:hi."""
+        return [
+            np.asarray(self.index(self.data[lo:hi, a], a)).astype(np.int64, copy=False)
+            for a in (0, 1)
+        ]
+
+    def key(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The packed key of rows lo:hi; the caller checks ``span <= _INT64_MAX``."""
+        i, j = self.columns(lo, hi)
+        key = np.subtract(i, self.i_min, out=out)
+        key *= self.span_j  # no overflow: every key is below the span
+        key += j - self.j_min
+        return key
+
+    def occupancy(self):
+        """``(occ, rows)``: the occupancy bitmap of the key when the span is
+        dense (``_dense``: one byte a key, at most 16 a row), each chunk's
+        keys set in it, and rows None; otherwise occ None and the distinct
+        rows, from the int64 key sorted in place (9 bytes a row with the
+        mask of first entries), or from a lexsort of the two columns when a
+        key would overflow int64."""
+        if self.n == 0:
+            return None, np.empty((0, 2), dtype=np.int64)
+        if _dense(self.span, self.n):
+            occ = np.zeros(self.span, dtype=bool)
+            for lo, hi in self._chunks():
+                occ[self.key(lo, hi)] = True
+            return occ, None
+        if self.span <= _INT64_MAX:
+            key = np.empty(self.n, dtype=np.int64)
+            for lo, hi in self._chunks():
+                self.key(lo, hi, out=key[lo:hi])
+            key.sort()
+            first = np.ones(self.n, dtype=bool)
+            first[1:] = key[1:] != key[:-1]
+            return None, self._decode(key[first])
+        i, j = self.columns(0, self.n)
+        order = np.lexsort((j, i))
+        i, j = i[order], j[order]
+        first = np.ones(self.n, dtype=bool)
+        first[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1])
+        return None, np.stack([i[first], j[first]], axis=1)
+
+    def _decode(self, keys: np.ndarray) -> np.ndarray:
+        out = np.empty((len(keys), 2), dtype=np.int64)
+        np.divmod(keys, self.span_j, out=(out[:, 0], out[:, 1]))
+        out[:, 0] += self.i_min
+        out[:, 1] += self.j_min
+        return out
+
+    def distinct(self) -> np.ndarray:
+        """Distinct cells as (m, 2) int64 rows in lexicographic (i, j)
+        order: the set bits of the bitmap read in key order, or the sort."""
+        occ, rows = self.occupancy()
+        return rows if occ is None else self._decode(np.flatnonzero(occ))
+
+    def count(self) -> int:
+        """Number of distinct cells: the set bits of the bitmap when dense,
+        with no row decode."""
+        occ, rows = self.occupancy()
+        return len(rows) if occ is None else int(np.count_nonzero(occ))
 
 
 def distinct_cells(cells: np.ndarray) -> np.ndarray:
     """Distinct rows of an (n, 2) int64 array in lexicographic (i, j)
-    order: numpy's row-wise ``unique``.  Every cell-set dedup runs on it.
-
-    When the packed key range is dense, the rows are the set bits of an
-    occupancy bitmap, read in key order and split by ``divmod``: no sort.
-    Dense means the bitmap, one byte per key of the span, is no larger than
-    the int64 key and argsort order the sort would hold (see
-    ``_occupancy``).  Otherwise one stable argsort of the packed key, or a
-    stable lexsort of the two columns when the key would overflow int64.
-    """
-    if len(cells) == 0:
-        return cells
-    occ, key, span_j, i_min, j_min = _occupancy(cells)
-    if occ is None:
-        order, first = _sort_distinct(cells, key)
-        return cells[order[first]]
-    out = np.empty((int(np.count_nonzero(occ)), 2), dtype=np.int64)
-    np.divmod(np.flatnonzero(occ), span_j, out=(out[:, 0], out[:, 1]))
-    out[:, 0] += i_min
-    out[:, 1] += j_min
-    return out
-
-
-def count_cells(cells: np.ndarray) -> int:
-    """Number of distinct rows of an (n, 2) int64 array: the set bits of
-    the occupancy bitmap when the key range is dense, with no row decode."""
-    if len(cells) == 0:
-        return 0
-    occ, key = _occupancy(cells)[:2]
-    bits = occ if occ is not None else _sort_distinct(cells, key)[1]
-    return int(np.count_nonzero(bits))
+    order: numpy's row-wise ``unique``, on the column-wise kernel
+    (``_CellColumns``).  A dense key span reads the rows off an occupancy
+    bitmap with no sort; a sparse one sorts the int64 key in place."""
+    return _CellColumns(cells, lambda v, axis: v).distinct()
 
 
 def rotation_to_down(e: Direction) -> np.ndarray:
@@ -173,10 +223,12 @@ def rasterize(cloud: PointCloud, delta: float) -> OccupancyGrid:
         return OccupancyGrid(delta, (0.0, 0.0), np.empty((0, 2), dtype=np.int64))
     if pts.shape[0] > limit:
         raise BudgetError(f"cloud size {pts.shape[0]} exceeds budget {limit}")
-    # one column at a time: a min over axis 0 of an (n, 2) array is a slow strided reduce
-    origin = np.floor(np.array([pts[:, 0].min(), pts[:, 1].min()]) / delta) * delta
-    cells = np.floor((pts - origin) / delta).astype(np.int64)
-    return OccupancyGrid(delta, (float(origin[0]), float(origin[1])), cells)
+    ends = _column_ends(pts)
+    origin = np.floor(ends[0] / delta) * delta
+    cells = _CellColumns(pts, lambda v, axis: np.floor((v - origin[axis]) / delta), ends)
+    return OccupancyGrid._of_distinct(
+        delta, (float(origin[0]), float(origin[1])), cells.distinct()
+    )
 
 
 def visible_sweep(grid: OccupancyGrid, e: Direction) -> OccupancyGrid:
@@ -185,16 +237,32 @@ def visible_sweep(grid: OccupancyGrid, e: Direction) -> OccupancyGrid:
     Works on cell centers re-rasterized in the rotated frame on the absolute
     delta-grid (absolute indices keep the sweep idempotent); all cells
     mapping into a column's minimal-row rotated cell are retained (ties are
-    unoccluded at resolution delta).  A column is a sight line of
-    ``_lowest_per_line`` at tolerance 0.
+    unoccluded at resolution delta): ``_lowest_per_column``.
     """
     if len(grid) == 0:
         return grid
     rot = rotation_to_down(e)
-    # (column, row) of each rotated center, passed as a temporary: not held here
-    keep = _lowest_per_line(np.floor(grid.centers() @ rot.T / grid.delta).astype(np.int64), 0)
+    # the rotated cells as two contiguous rows: column, then row
+    keep = _lowest_per_column(np.floor(rot @ grid.centers().T / grid.delta).astype(np.int64))
     # a subset of sorted distinct rows is sorted and distinct
     return OccupancyGrid._of_distinct(grid.delta, grid.origin, grid.cells[keep])
+
+
+def _lowest_per_column(cr: np.ndarray) -> np.ndarray:
+    """Mask of the cells on the lowest row of their column, given the (2, n)
+    int rows (column, row): a ``minimum.at`` scatter into one slot per column
+    of the range when it is dense (``_dense``), else the sort of
+    ``_lowest_per_line`` at tolerance 0, whose sight lines are then the
+    columns."""
+    col, row = cr
+    c_min = int(col.min())
+    span = int(col.max()) - c_min + 1
+    if not _dense(span, len(col)):
+        return _lowest_per_line(cr, 0)
+    col = col - c_min
+    lowest = np.full(span, _INT64_MAX)
+    np.minimum.at(lowest, col, row)
+    return row == lowest[col]
 
 
 def visible_bruteforce(cloud: PointCloud, e: Direction, delta: float) -> PointCloud:
@@ -225,19 +293,28 @@ def visible_bruteforce(cloud: PointCloud, e: Direction, delta: float) -> PointCl
 
 
 def _lowest_per_line(uv: np.ndarray, tol) -> np.ndarray:
-    """Mask of the (n, 2) rows (u, v) at most ``tol`` above the lowest v of
-    their sight line, which starts where sorted u exceeds its first u by more
-    than ``tol`` (``_split_at_anchors``).  A line's points are the same for
-    any order of equal u, a min ignores order, and the mask is set in input
-    order, so the sort's order of ties is moot."""
-    order = np.argsort(uv[:, 0])
-    uv_s = np.take(uv, order, axis=0)  # one row gather, not two column gathers
-    del uv  # the largest array here: freed when the caller holds no reference
-    u_s, v_s = uv_s[:, 0], uv_s[:, 1]
+    """Mask of the points, given as the (2, n) rows u and v, at most ``tol``
+    above the lowest v of their sight line, which starts where sorted u
+    exceeds its first u by more than ``tol`` (``_split_at_anchors``).  A
+    line's points are the same for any order of equal u, a min ignores
+    order, and the mask is set in input order, so the sort's order of ties
+    is moot."""
+    u, v = uv
+    del uv
+    order = np.argsort(u)
+    u_s, v_s = u[order], v[order]
+    # each per-point array is dropped after its last use, so the step's peak
+    # holds as few as it can; the rotated points are freed here when the
+    # caller holds no reference
+    del u, v
     gap = np.ones(len(u_s), dtype=bool)
     gap[1:] = u_s[1:] - u_s[:-1] > tol
     starts = _split_at_anchors(u_s, np.flatnonzero(gap), tol)
-    bound = np.repeat(np.minimum.reduceat(v_s, starts), np.diff(starts, append=len(v_s)))
+    del u_s, gap
+    sizes = np.diff(starts, append=len(v_s))
+    low = np.minimum.reduceat(v_s, starts)
+    del starts
+    bound = np.repeat(low, sizes)
     bound += tol  # in place: no second per-point array
     keep = np.zeros(len(v_s), dtype=bool)
     keep[order] = v_s <= bound
@@ -280,7 +357,8 @@ def visible_exact(cloud: PointCloud, e: Direction) -> PointCloud:
     pts = cloud.points
     if pts.shape[0] == 0:
         return cloud
-    keep = _lowest_per_line(pts @ rotation_to_down(e).T, ALIGN_TOL)
+    # rows u and v: the same bits as pts @ rot.T, but each row contiguous
+    keep = _lowest_per_line(rotation_to_down(e) @ pts.T, ALIGN_TOL)
     return PointCloud(pts[keep], cloud.resolution)
 
 

@@ -348,6 +348,7 @@ class TestCLI:
             ["vis-dim", "--dir", "0.3", "--base", "0.5"],
             ["vis-dim", "--dir", "0.3", "--base", "1"],
             ["vis-dim", "--dir", "0.3", "--base", "nan"],
+            ["vis-dim", "--dir", "0.3", "--base", "inf"],
             ["check", "--projection", "--dir", "nan"],
             ["vis", "--dir", "nan", "--delta", "0.0625"],
             ["vis-dim", "--dir", "inf", "--ladder", "2:5"],
@@ -358,6 +359,28 @@ class TestCLI:
     )
     def test_nan_and_out_of_range_input_exit_code(self, argv):
         assert main(argv + ["--scenario", "carpet-5.1", "--budget", "1000"]) == 2
+
+    def test_infinite_ladder_base_named(self, capsys):
+        argv = ["vis-dim", "--scenario", "carpet-5.1", "--dir", "0.3", "--base", "inf"]
+        assert main(argv) == 2
+        assert "ladder base inf must be > 1 and finite" in capsys.readouterr().err
+
+    def test_cells_past_int64_exit_code(self, tmp_path, capsys):
+        # the carpet scaled by 1e19: its 2^-4 cells lie past int64
+        cfg = {
+            "maps": [
+                {"a": [[1 / 3, 0.0], [0.0, 0.5]], "t": [0.0, 0.0]},
+                {"a": [[1 / 3, 0.0], [0.0, 0.5]], "t": [1e19 / 3, 5e18]},
+                {"a": [[1 / 3, 0.0], [0.0, 0.5]], "t": [2e19 / 3, 0.0]},
+            ]
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "vis.csv"
+        argv = ["vis", "--ifs", str(path), "--dir", "0.3", "--delta", "0.0625", "--out", str(out)]
+        assert main(argv) == 2
+        assert "do not fit int64" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_python_dash_m(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from affinevis.dimension import (
     DimEstimate,
+    _snapped_cells,
     assouad_estimate,
     box_count,
     fit_dimension,
@@ -14,6 +15,7 @@ from affinevis.dimension import (
 from affinevis.errors import TooFewScalesError
 from affinevis.pipeline import ladder_scales
 from affinevis.symbolic import PointCloud, attractor_cloud
+from affinevis.visibility import _dense
 
 LOG32 = math.log(2) / math.log(3)
 
@@ -71,6 +73,39 @@ class TestBoxCount:
         pts = np.array([(x + far, y) for x, y, far in rows])
         assert box_count(pts, ladder) == unique_counts(pts, ladder)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), min_size=1, max_size=60),
+        st.tuples(
+            st.sampled_from([0.0, -3.0, 1e3, -1e6]), st.sampled_from([0.0, 0.5, -1e6, 1e9])
+        ),
+        st.sampled_from([DYADIC, TERNARY]),
+    )
+    def test_translated_counts_match_numpy_unique(self, rows, shift, ladder):
+        # negative and far-translated points: cell indices far from 0
+        pts = np.array(rows) + np.array(shift)
+        assert box_count(pts, ladder) == unique_counts(pts, ladder)
+
+    @pytest.mark.parametrize("n", [2**15 - 1, 2**15, 2**15 + 1])
+    @pytest.mark.parametrize("far", [0.0, 1e6], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("ladder", [DYADIC, TERNARY], ids=["dyadic", "ternary"])
+    def test_counts_at_chunk_edges(self, n, far, ladder):
+        # point counts around the kernel's 2^15-row chunks; every 7th point
+        # moved 1e6 away spreads the fine keys past the bitmap bound
+        pts = np.random.default_rng(n).uniform((-1.0, -0.1), (1.0, 0.1), size=(n, 2))
+        pts[::7, 0] += far
+        assert _dense(_snapped_cells(pts, min(ladder)).span, n) == (far == 0.0)
+        assert box_count(pts, ladder) == unique_counts(pts, ladder)
+
+    def test_single_point(self):
+        assert box_count(np.array([[-0.3, 7.25]]), TERNARY) == [1] * len(TERNARY)
+
+    def test_cells_past_int64_rejected(self, carpet):
+        # the carpet scaled by 1e19: its 2^-4 cells lie past int64
+        pts = attractor_cloud(carpet, 2.0**-5).points * 1e19
+        with pytest.raises(ValueError, match="int64"):
+            box_count(pts, [2.0**-3, 2.0**-4])
+
     def test_unit_segment(self):
         cloud = segment_cloud(4097)
         ladder = ladder_scales(1, 6)
@@ -108,7 +143,7 @@ class TestBoxCount:
         with pytest.raises(ValueError):
             box_count(np.array([[0.0, 0.0]]), [0.5, 0.3])
 
-    @pytest.mark.parametrize("base", [0.5, 1.0, math.nan])
+    @pytest.mark.parametrize("base", [0.5, 1.0, math.nan, math.inf])
     def test_ladder_base_must_exceed_one(self, base):
         with pytest.raises(ValueError):
             ladder_scales(6, 12, base=base)

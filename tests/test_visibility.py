@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -8,13 +9,14 @@ from hypothesis import strategies as st
 
 from affinevis.errors import BudgetError, DirectionInConeError, budget_scope
 from affinevis.linalg2 import Direction
-from affinevis.symbolic import PointCloud
+from affinevis.scenarios import carpet_ifs, positive_cone_ifs
+from affinevis.symbolic import PointCloud, attractor_cloud
 from affinevis.visibility import (
     ALIGN_TOL,
     KakeyaSet,
     OccupancyGrid,
-    _occupancy,
-    count_cells,
+    _CellColumns,
+    _dense,
     distinct_cells,
     rasterize,
     rotation_to_down,
@@ -36,6 +38,12 @@ COORD = st.one_of(
     st.integers(-BIG - 2, -BIG + 2),
     st.integers(-(2**63), 2**63 - 1),
 )
+
+# sight directions: the four cardinal ones (exact rotations) and any other
+SIGHT = st.one_of(
+    st.sampled_from([-math.pi / 2, 0.0, math.pi / 2, math.pi]),
+    st.floats(0.0, 2 * math.pi),
+).map(Direction)
 
 
 def snapped_cloud(rng, n_cells, delta, extent=64):
@@ -68,10 +76,18 @@ class TestRasterize:
         with budget_scope(1000), pytest.raises(ValueError):
             rasterize(cloud, math.nan)
 
+    def test_cells_past_int64_rejected(self, carpet):
+        # the carpet scaled by 1e19: its 2^-4 cells lie past int64, where the
+        # float-to-int cast would wrap them
+        cloud = attractor_cloud(carpet, 2.0**-5)
+        huge = PointCloud(cloud.points * 1e19, cloud.resolution)
+        with pytest.raises(ValueError, match="int64"):
+            rasterize(huge, 2.0**-4)
+
     def test_carpet_cell_count_near_cylinder_box_count(self, carpet):
         # independent count: cells touched by the bounding boxes of the
         # alpha1 <= delta cylinders (each cylinder maps the unit square)
-        from affinevis.symbolic import antichain, attractor_cloud
+        from affinevis.symbolic import antichain
 
         delta = 2.0**-8
         grid = rasterize(attractor_cloud(carpet, delta / 2), delta)
@@ -89,13 +105,18 @@ class TestRasterize:
         assert 0.5 <= ratio <= 2.0
 
 
+def int_cells(cells):
+    """The column kernel on int cells as they are."""
+    return _CellColumns(cells, lambda v, axis: v)
+
+
 def assert_matches_unique(cells):
-    """``distinct_cells`` and ``count_cells`` against numpy's row-wise unique."""
+    """``distinct_cells`` and the kernel's count against numpy's row-wise unique."""
     want = np.unique(cells, axis=0)
     got = distinct_cells(cells)
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
-    assert count_cells(cells) == len(want)
+    assert int_cells(cells).count() == len(want)
 
 
 def sort_dedup(cells):
@@ -151,7 +172,7 @@ class TestDistinctCells:
         offsets = np.array([span - 1, 0] + inner, dtype=np.int64)
         cells = np.tile(np.array(origin, dtype=np.int64), (n, 1))
         cells[:, 0 if along_i else 1] += offsets
-        assert (_occupancy(cells)[0] is not None) == (over <= 0)
+        assert (int_cells(cells).occupancy()[0] is not None) == (over <= 0)
         assert_matches_unique(cells)
 
     def test_sparse_input_allocates_no_more_than_the_sort(self):
@@ -160,7 +181,7 @@ class TestDistinctCells:
         rng = np.random.default_rng(11)
         cells = rng.integers(-32, 32, size=(20_000, 2))
         cells[::2, 0] += 2**40
-        assert _occupancy(cells)[0] is None
+        assert int_cells(cells).occupancy()[0] is None
         assert_matches_unique(cells)
         # the same arrays as the sort alone, up to a few small Python objects
         assert traced_peak(distinct_cells, cells) <= traced_peak(sort_dedup, cells) + 4096
@@ -170,6 +191,150 @@ class TestDistinctCells:
         g = OccupancyGrid(1.0, (0.0, 0.0), cells)
         assert g.cells.dtype == np.int64
         assert g.cells.tolist() == [[-4, 0], [0, -2], [0, 3], [2, -1]]
+
+
+def floor_unique(pts, origin, delta, snap=0.0):
+    """The distinct cells of float points by numpy's row-wise unique: the
+    oracle of the column kernel."""
+    return np.unique(np.floor((pts - origin) / delta + snap).astype(np.int64), axis=0)
+
+
+def point_cells(pts, origin, delta, snap=0.0):
+    """The column kernel on float points, with the oracle's cell map."""
+    return _CellColumns(pts, lambda v, axis: np.floor((v - origin[axis]) / delta + snap))
+
+
+class TestColumnKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=80),
+        st.tuples(st.sampled_from([0.0, -7.5, 1e6]), st.sampled_from([0.0, 0.25, -1e9])),
+        st.lists(st.sampled_from([0.0, 1e5, -1e7]), min_size=1, max_size=80),
+        st.sampled_from([1.0, 0.1, 2.0**-6, 3.0**-5]),
+        st.sampled_from([0.0, 1e-9]),
+        st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+    )
+    @example([(0.3, -0.7)], (0.0, 0.0), [0.0], 0.1, 0.0, (0.0, 0.0))
+    def test_matches_floor_unique(self, rows, shift, far, delta, snap, origin):
+        # negative and far-translated points; some rows moved far along x
+        # spread the key span past the density rule, so both paths run
+        pts = np.array(rows) + np.array(shift)
+        pts[:, 0] += np.resize(np.array(far), len(pts))
+        origin = np.array(origin)
+        want = floor_unique(pts, origin, delta, snap)
+        cells = point_cells(pts, origin, delta, snap)
+        got = cells.distinct()
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert cells.count() == len(want)
+
+    @pytest.mark.parametrize("n", [1, 2**15 - 1, 2**15, 2**15 + 1])
+    @pytest.mark.parametrize("far", [0.0, 1e6], ids=["dense", "sparse"])
+    def test_chunk_edges(self, n, far):
+        # point counts around the 2^15-row chunks, on both sides of the
+        # density rule
+        pts = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 2))
+        pts[1::7, 1] -= far
+        origin, delta = np.array([-1.0, -1.0 - far]), 2.0**-6
+        cells = point_cells(pts, origin, delta)
+        assert _dense(cells.span, n) == (far == 0.0 or n == 1)
+        want = floor_unique(pts, origin, delta)
+        assert np.array_equal(cells.distinct(), want)
+        assert cells.count() == len(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=80),
+        st.tuples(st.sampled_from([0.0, -7.5, 1e6]), st.sampled_from([0.0, -1e9])),
+        st.sampled_from([1.0, 0.1, 2.0**-6]),
+    )
+    def test_rasterize_matches_floor_unique(self, rows, shift, delta):
+        pts = np.array(rows) + np.array(shift)
+        grid = rasterize(PointCloud(pts, delta), delta)
+        origin = np.floor(pts.min(axis=0) / delta) * delta
+        assert grid.origin == tuple(origin.tolist())
+        assert np.array_equal(grid.cells, floor_unique(pts, origin, delta))
+
+
+def sort_sweep(grid, e):
+    """``visible_sweep`` by one argsort of the rotated columns and a
+    ``minimum.reduceat`` over each column's run: the sort the scatter-min
+    replaced, kept as its oracle."""
+    if len(grid) == 0:
+        return grid
+    uv = np.floor(grid.centers() @ rotation_to_down(e).T / grid.delta).astype(np.int64)
+    order = np.argsort(uv[:, 0])
+    u_s, v_s = uv[order, 0], uv[order, 1]
+    starts = np.flatnonzero(np.diff(u_s, prepend=u_s[0] - 1))
+    bound = np.repeat(np.minimum.reduceat(v_s, starts), np.diff(starts, append=len(v_s)))
+    keep = np.zeros(len(v_s), dtype=bool)
+    keep[order] = v_s <= bound
+    return OccupancyGrid(grid.delta, grid.origin, grid.cells[keep])
+
+
+def rotated_column_span(grid, e):
+    cols = np.floor(rotation_to_down(e) @ grid.centers().T / grid.delta)[0]
+    return int(cols.max() - cols.min()) + 1
+
+
+# far-apart cell pairs make the rotated column range sparse, so the sweep
+# falls back to the sort
+CELL = st.one_of(
+    st.tuples(st.integers(-6, 6), st.integers(-20, 20)),
+    st.tuples(st.sampled_from([-(10**6), 10**6]), st.integers(-3, 3)),
+)
+
+
+class TestScatterMinSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(CELL, min_size=1, max_size=120),
+        SIGHT,
+        st.sampled_from([1.0, 0.1, 2.0**-6]),
+        st.sampled_from([(0.0, 0.0), (-0.35, 0.2)]),
+    )
+    def test_matches_the_sort_and_bruteforce(self, rows, e, delta, origin):
+        grid = OccupancyGrid(delta, origin, np.array(rows, dtype=np.int64))
+        got = visible_sweep(grid, e)
+        assert same_rows(got.cells, sort_sweep(grid, e).cells)
+        # the pairwise oracle on the cell centers keeps the same centers
+        brute = visible_bruteforce(PointCloud(grid.centers(), delta), e, delta)
+        assert np.array_equal(got.centers(), brute.points)
+
+    @pytest.mark.parametrize("angle", [-math.pi / 2, -math.pi / 4, 0.3, 2.0])
+    def test_dense_and_sparse_columns(self, angle):
+        e = Direction(angle)
+        rng = np.random.default_rng(17)
+        block = rng.integers(-40, 40, size=(3000, 2))
+        for cells, dense in ((block, True), (np.concatenate([block, block + 10**7]), False)):
+            grid = OccupancyGrid(2.0**-6, (0.0, 0.0), cells)
+            assert _dense(rotated_column_span(grid, e), len(grid)) == dense
+            assert same_rows(visible_sweep(grid, e).cells, sort_sweep(grid, e).cells)
+
+
+@functools.cache
+def rotation_clouds():
+    """Carpet and positive-cone points at 2^-8 and 2^-10, and the centers of
+    their cells."""
+    out = []
+    for ifs in (carpet_ifs(), positive_cone_ifs()):
+        for k in (8, 10):
+            cloud = attractor_cloud(ifs, 2.0**-k)
+            out += [cloud.points, rasterize(cloud, 2.0**-k).centers()]
+    return out
+
+
+class TestRotatedRows:
+    @settings(max_examples=60, deadline=None)
+    @given(SIGHT)
+    def test_rows_equal_the_row_product(self, e):
+        # visible_exact and visible_sweep rotate as rot @ pts.T, for
+        # contiguous u and v rows; the reports were recorded with pts @ rot.T
+        rot = rotation_to_down(e)
+        for pts in rotation_clouds():
+            rows = rot @ pts.T
+            assert rows.flags.c_contiguous
+            assert rows.tobytes() == np.ascontiguousarray((pts @ rot.T).T).tobytes()
 
 
 def lexsort_sweep(grid, e):
@@ -219,13 +384,6 @@ def lexsort_exact(cloud, e):
 
 def same_rows(got, want):
     return np.array_equal(got, want) and got.tobytes() == want.tobytes()
-
-
-# sight directions: the four cardinal ones (exact rotations) and any other
-SIGHT = st.one_of(
-    st.sampled_from([-math.pi / 2, 0.0, math.pi / 2, math.pi]),
-    st.floats(0.0, 2 * math.pi),
-).map(Direction)
 
 
 class TestOneKeySortsMatchLexsort:
@@ -366,8 +524,6 @@ class TestVisibleExact:
         assert visible_exact(far, DOWN).points.tolist() == [[0.0, 1.0], [0.5, 0.0]]
 
     def test_no_alignment_keeps_everything(self, carpet):
-        from affinevis.symbolic import attractor_cloud
-
         cloud = attractor_cloud(carpet, 2.0**-6)
         out = visible_exact(cloud, DOWN)
         assert len(out) == len(cloud)
