@@ -176,14 +176,16 @@ def assouad_estimate(
     else:
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
 
+    pairs = [(big_r, max(small_r, cloud.resolution)) for big_r, small_r in scale_pairs]
+    pairs = [(big_r, small_r) for big_r, small_r in pairs if big_r > small_r]
+    radii = dict.fromkeys(big_r for big_r, _ in pairs)
     best = 0.0
     for center in centers:
         d = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
-        for big_r, small_r in scale_pairs:
-            small_r = max(small_r, cloud.resolution)
-            if big_r <= small_r:
-                continue
-            local = pts[d <= big_r]
+        # the default pairs share one R: each ball is masked once per center
+        balls = {big_r: pts[d <= big_r] for big_r in radii}
+        for big_r, small_r in pairs:
+            local = balls[big_r]
             if local.shape[0] == 0:
                 continue
             n = _snapped_cells(local, small_r).count()

@@ -74,11 +74,25 @@ def _dense(span: int, n: int) -> bool:
     return span <= 16 * n
 
 
+# rows per block of _column_ends: a block is one contiguous row of 1024 entries
+_END_BLOCK = 512
+
+
 def _column_ends(data: np.ndarray) -> np.ndarray:
     """(2, 2) array of the smallest (row 0) and largest (row 1) entry of each
-    column of non-empty (n, 2) data, a column at a time: a min over axis 0
-    of an (n, 2) array is a slow strided reduce."""
-    x, y = data[:, 0], data[:, 1]
+    column of non-empty (n, 2) data.  A min over axis 0 of an (n, 2) array,
+    or of one of its columns, is a slow strided reduce; so the whole blocks
+    of ``_END_BLOCK`` rows reduce as rows of 2 * _END_BLOCK entries along
+    axis 0 (contiguous inner loops), and the column extremes come from those
+    partial extremes and the tail rows.  The extremes are exact; only the
+    sign of a zero extreme may follow the reduction order."""
+    whole = len(data) - len(data) % _END_BLOCK
+    part = data[whole:]
+    if whole:
+        blocks = data[:whole].reshape(-1, 2 * _END_BLOCK)
+        extremes = [blocks.min(axis=0), blocks.max(axis=0)]
+        part = np.concatenate([part, *(e.reshape(-1, 2) for e in extremes)])
+    x, y = part[:, 0], part[:, 1]
     return np.array([[x.min(), y.min()], [x.max(), y.max()]])
 
 
@@ -212,7 +226,8 @@ def rotation_to_down(e: Direction) -> np.ndarray:
 
 
 def rasterize(cloud: PointCloud, delta: float) -> OccupancyGrid:
-    """Occupied cells of the delta-grid snapped to delta-multiples."""
+    """Occupied cells of the delta-grid snapped to delta-multiples.  A
+    non-finite coordinate raises ValueError."""
     if not cloud.resolution <= delta < math.inf:
         raise ValueError(
             f"grid delta {delta} outside [cloud resolution {cloud.resolution}, inf)"
@@ -224,6 +239,7 @@ def rasterize(cloud: PointCloud, delta: float) -> OccupancyGrid:
     if pts.shape[0] > limit:
         raise BudgetError(f"cloud size {pts.shape[0]} exceeds budget {limit}")
     ends = _column_ends(pts)
+    _check_finite(ends)  # the extremes carry any NaN or infinite coordinate
     origin = np.floor(ends[0] / delta) * delta
     cells = _CellColumns(pts, lambda v, axis: np.floor((v - origin[axis]) / delta), ends)
     return OccupancyGrid._of_distinct(
@@ -258,11 +274,20 @@ def _lowest_per_column(cr: np.ndarray) -> np.ndarray:
     c_min = int(col.min())
     span = int(col.max()) - c_min + 1
     if not _dense(span, len(col)):
-        return _lowest_per_line(cr, 0)
+        keep = _lowest_per_line(cr, 0)
+        return np.ones(len(col), dtype=bool) if keep is None else keep
     col = col - c_min
     lowest = np.full(span, _INT64_MAX)
     np.minimum.at(lowest, col, row)
     return row == lowest[col]
+
+
+def _check_finite(pts: np.ndarray) -> None:
+    """ValueError if a coordinate is NaN or infinite: such a point sorts
+    among the others on no sight line, or on a wrong one, and can occlude
+    points that nothing lies below."""
+    if not np.isfinite(pts).all():
+        raise ValueError("point coordinates must be finite")
 
 
 def visible_bruteforce(cloud: PointCloud, e: Direction, delta: float) -> PointCloud:
@@ -271,11 +296,13 @@ def visible_bruteforce(cloud: PointCloud, e: Direction, delta: float) -> PointCl
     q occludes p when both fall in the same rotated delta-column and q sits
     in a strictly lower delta-row.  Quadratic in the number of points, so
     capped; this is the reference implementation the sweep must match.
+    A non-finite coordinate raises ValueError.
     """
     pts = cloud.points
     n = pts.shape[0]
     if n > BRUTE_FORCE_CAP:
         raise BudgetError(f"brute force capped at {BRUTE_FORCE_CAP} points, got {n}")
+    _check_finite(pts)
     if n == 0:
         return cloud
     rot = rotation_to_down(e)
@@ -292,32 +319,46 @@ def visible_bruteforce(cloud: PointCloud, e: Direction, delta: float) -> PointCl
     return PointCloud(pts[~occluded], cloud.resolution)
 
 
-def _lowest_per_line(uv: np.ndarray, tol) -> np.ndarray:
+def _lowest_per_line(uv: np.ndarray, tol) -> np.ndarray | None:
     """Mask of the points, given as the (2, n) rows u and v, at most ``tol``
     above the lowest v of their sight line, which starts where sorted u
-    exceeds its first u by more than ``tol`` (``_split_at_anchors``).  A
-    line's points are the same for any order of equal u, a min ignores
-    order, and the mask is set in input order, so the sort's order of ties
-    is moot."""
+    exceeds its first u by more than ``tol`` (``_split_at_anchors``); None
+    when every point is kept.  A line's points are the same for any order of
+    equal u, a min ignores order, and the mask is set in input order, so the
+    sort's order of ties is moot.
+
+    A point whose sorted neighbours both lie more than ``tol`` away is alone
+    on its line, and a finite v is kept, as v <= fl(v + tol).  So only the
+    run members, the points with a neighbour within ``tol``, are reduced.
+    Whole runs are members, so their lines are the lines of the full sort.
+    """
     u, v = uv
     del uv
     order = np.argsort(u)
-    u_s, v_s = u[order], v[order]
+    u_s = u[order]
     # each per-point array is dropped after its last use, so the step's peak
-    # holds as few as it can; the rotated points are freed here when the
-    # caller holds no reference
-    del u, v
-    gap = np.ones(len(u_s), dtype=bool)
-    gap[1:] = u_s[1:] - u_s[:-1] > tol
-    starts = _split_at_anchors(u_s, np.flatnonzero(gap), tol)
-    del u_s, gap
-    sizes = np.diff(starts, append=len(v_s))
-    low = np.minimum.reduceat(v_s, starts)
-    del starts
-    bound = np.repeat(low, sizes)
-    bound += tol  # in place: no second per-point array
-    keep = np.zeros(len(v_s), dtype=bool)
-    keep[order] = v_s <= bound
+    # holds as few as it can
+    del u
+    # gap[k]: sorted point k starts a run (gap[n] closes the last one)
+    gap = np.ones(len(u_s) + 1, dtype=bool)
+    np.greater(u_s[1:] - u_s[:-1], tol, out=gap[1:-1])
+    member = ~(gap[:-1] & gap[1:])
+    pos = order[member]
+    if pos.size == 0:
+        return None
+    del order
+    n, v_m = len(v), v[pos]
+    # the rotated points are freed here when the caller holds no reference
+    del v
+    u_m = u_s[member]
+    del u_s
+    starts = _split_at_anchors(u_m, np.flatnonzero(gap[:-1][member]), tol)
+    del u_m, gap, member
+    sizes = np.diff(starts, append=len(v_m))
+    bound = np.repeat(np.minimum.reduceat(v_m, starts), sizes)
+    bound += tol  # in place: no second member array
+    keep = np.ones(n, dtype=bool)
+    keep[pos] = v_m <= bound
     return keep
 
 
@@ -353,13 +394,15 @@ def visible_exact(cloud: PointCloud, e: Direction) -> PointCloud:
     ``_lowest_per_line`` at tolerance ALIGN_TOL.  Sets without exact
     alignments are entirely visible, which is what distinguishes sight
     lines at an exceptional orientation from the column-quantized sweep.
+    A non-finite coordinate raises ValueError.
     """
     pts = cloud.points
+    _check_finite(pts)
     if pts.shape[0] == 0:
         return cloud
     # rows u and v: the same bits as pts @ rot.T, but each row contiguous
     keep = _lowest_per_line(rotation_to_down(e) @ pts.T, ALIGN_TOL)
-    return PointCloud(pts[keep], cloud.resolution)
+    return PointCloud(pts.copy() if keep is None else pts[keep], cloud.resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,25 @@ class TestAssouadEstimate:
         est = assouad_estimate(segment_cloud(200_001))
         assert 1.0 - 1e-6 <= est <= 1.0 + 1.0 / 4.0 + 0.02
 
+    def test_shared_radii_match_one_ball_per_pair(self, carpet):
+        # pairs that share R, a pair clipped to the resolution, a skipped
+        # pair and an empty ball: each pair's own mask and count as oracle
+        cloud = attractor_cloud(carpet, 2.0**-8)
+        pts = cloud.points
+        pairs = [(0.25, 0.25 / 16), (0.125, 0.125 / 16), (0.25, 0.25 / 64)]
+        pairs += [(0.25, 1e-9), (1e-4, 1e-3)]
+        centers = np.concatenate([pts[::997], [[5.0, 5.0]]])
+        want = 0.0
+        for center in centers:
+            d = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
+            for big_r, small_r in pairs:
+                small_r = max(small_r, cloud.resolution)
+                local = pts[d <= big_r]
+                if big_r > small_r and len(local):
+                    n = len(np.unique(np.floor(local / small_r + 1e-9), axis=0))
+                    want = max(want, math.log(n) / math.log(big_r / small_r))
+        assert assouad_estimate(cloud, scale_pairs=pairs, centers=centers) == want
+
     def test_harmonic_product_accumulation(self):
         s = np.cumsum(1.0 / np.arange(1, 4000))
         a = np.concatenate([[0.0], 1.0 / s])

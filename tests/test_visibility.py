@@ -16,7 +16,9 @@ from affinevis.visibility import (
     KakeyaSet,
     OccupancyGrid,
     _CellColumns,
+    _column_ends,
     _dense,
+    _lowest_per_line,
     distinct_cells,
     rasterize,
     rotation_to_down,
@@ -75,6 +77,12 @@ class TestRasterize:
         cloud = PointCloud(np.array([[0.0, 0.0]]), 0.1)
         with budget_scope(1000), pytest.raises(ValueError):
             rasterize(cloud, math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, bad):
+        cloud = PointCloud(np.array([[0.0, 0.0], [0.5, 0.3], [bad, 0.2]]), 0.1)
+        with pytest.raises(ValueError):
+            rasterize(cloud, 0.1)
 
     def test_cells_past_int64_rejected(self, carpet):
         # the carpet scaled by 1e19: its 2^-4 cells lie past int64, where the
@@ -256,6 +264,34 @@ class TestColumnKernel:
         assert np.array_equal(grid.cells, floor_unique(pts, origin, delta))
 
 
+def plain_column_ends(data):
+    x, y = data[:, 0], data[:, 1]
+    return np.array([[x.min(), y.min()], [x.max(), y.max()]])
+
+
+class TestColumnEnds:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([1, 511, 512, 513, 1025, 1031]), st.integers(1, 5000)),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1.0, 1e-9, 1e12]),
+        st.tuples(st.sampled_from([0.0, -7.5, 1e9]), st.sampled_from([0.0, -1e15])),
+        st.sampled_from(["float", "int", "strided"]),
+    )
+    def test_matches_plain_column_extremes(self, n, seed, scale, shift, layout):
+        # whole 512-row blocks, a tail, or both; negative and far-translated
+        # values, int cells, and rows that are not contiguous
+        rng = np.random.default_rng(seed)
+        data = rng.uniform(-1.0, 1.0, size=(n, 2)) * scale + np.array(shift)
+        if layout == "int":
+            data = np.floor(data).astype(np.int64)
+        elif layout == "strided":
+            data = np.repeat(data, 2, axis=0)[::2]
+        got, want = _column_ends(data), plain_column_ends(data)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def sort_sweep(grid, e):
     """``visible_sweep`` by one argsort of the rotated columns and a
     ``minimum.reduceat`` over each column's run: the sort the scatter-min
@@ -365,8 +401,13 @@ def lexsort_exact(cloud, e):
     if pts.shape[0] == 0:
         return cloud
     uv = pts @ rotation_to_down(e).T
-    order = np.lexsort((uv[:, 1], uv[:, 0]))
-    u_s, v_s = uv[order, 0], uv[order, 1]
+    return PointCloud(pts[lexsort_lowest(uv[:, 0], uv[:, 1])], cloud.resolution)
+
+
+def lexsort_lowest(u, v):
+    """The sight-line mask of ``lexsort_exact`` for given u and v."""
+    order = np.lexsort((v, u))
+    u_s, v_s = u[order], v[order]
     group_start = np.ones(len(u_s), dtype=bool)
     anchor = u_s[0]
     for k in range(1, len(u_s)):
@@ -379,11 +420,18 @@ def lexsort_exact(cloud, e):
     keep_sorted = v_s <= min_v[group_ids] + ALIGN_TOL
     keep = np.zeros(len(u_s), dtype=bool)
     keep[order] = keep_sorted
-    return PointCloud(pts[keep], cloud.resolution)
+    return keep
 
 
 def same_rows(got, want):
     return np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+# abscissas with repeats, +/-0.0, and neighbour gaps within ALIGN_TOL that
+# chain past it
+EXACT_U = st.sampled_from(
+    [0.0, -0.0, 1e-10, 2.5e-10, 6e-10, 1.2e-9, 1.8e-9, 0.5, 0.5 + 5e-10, -0.25]
+)
 
 
 class TestOneKeySortsMatchLexsort:
@@ -395,6 +443,9 @@ class TestOneKeySortsMatchLexsort:
         st.sampled_from([(0.0, 0.0), (-0.35, 0.2)]),
     )
     @example([(0, j) for j in range(-5, 5)] + [(-1, 3), (-1, -7), (-1, -7)], DOWN, 1.0, (0.0, 0.0))
+    # a column range past the density rule, one cell a column: the sort path
+    # reduces no line and keeps every cell
+    @example([(-(10**6), 0), (3, -2), (0, 5), (10**6, 1)], DOWN, 1.0, (0.0, 0.0))
     def test_sweep(self, rows, e, delta, origin):
         # few columns, many cells in each, negative indices
         grid = OccupancyGrid(delta, origin, np.array(rows, dtype=np.int64))
@@ -403,12 +454,7 @@ class TestOneKeySortsMatchLexsort:
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
-            st.tuples(
-                st.sampled_from(
-                    [0.0, -0.0, 1e-10, 2.5e-10, 6e-10, 1.2e-9, 1.8e-9, 0.5, 0.5 + 5e-10, -0.25]
-                ),
-                st.sampled_from([0.0, -0.0, 1e-10, 0.75, -0.75, 0.5]),
-            ),
+            st.tuples(EXACT_U, st.sampled_from([0.0, -0.0, 1e-10, 0.75, -0.75, 0.5])),
             min_size=1,
             max_size=80,
         ),
@@ -417,11 +463,37 @@ class TestOneKeySortsMatchLexsort:
     @example([(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 1e-10), (0.5, -0.0)], DOWN)
     @example([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (1e-10, 0.5)], Direction(0.0))
     @example([(1.8e-9, 0.5), (0.0, 0.75), (6e-10, 0.0), (1.2e-9, -0.75), (6e-10, 0.5)], DOWN)
+    # every point alone on its line, then all points on one line
+    @example([(0.5, 0.0), (-0.25, 0.75), (0.0, -0.75), (1e-10, 0.5)], Direction(0.3))
+    @example([(0.5, 0.0), (-0.25, 0.75), (0.0, -0.75), (1.2e-9, 0.5)], DOWN)
+    @example([(0.5, 0.75), (0.5, -0.75), (0.5, 0.0), (0.5 + 5e-10, -0.75)], DOWN)
+    # runs at the first and the last sorted position around a singleton
+    @example([(0.5, 0.0), (-0.25, 0.5), (0.0, 0.75), (-0.25, 0.0), (0.5, -0.75)], DOWN)
+    # a chain wider than ALIGN_TOL between singletons
+    @example(
+        [(-0.25, 0.0), (6e-10, 0.0), (0.5, 0.5), (1.2e-9, -0.75), (0.0, 0.75), (1.8e-9, 0.5)], DOWN
+    )
     def test_exact(self, pts, e):
         # repeated u, neighbour gaps within ALIGN_TOL that chain past it, and
         # +/-0.0 in v
         cloud = PointCloud(np.array(pts), 1e-6)
         assert same_rows(visible_exact(cloud, e).points, lexsort_exact(cloud, e).points)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(EXACT_U, st.sampled_from([0.0, -0.0, 0.75, -0.75])), min_size=1, max_size=80
+        )
+    )
+    # runs of +/-0.0 in u: the BLAS product that rotates a cloud gave +0.0
+    # for every signed-zero point tried, so the kernel takes the rows as given
+    @example([(-0.0, 0.5), (0.5, 0.75), (0.0, -0.75), (-0.0, 0.0), (0.0, 0.5)])
+    @example([(-0.0, 0.5), (0.0, -0.75), (0.25, 0.0), (0.5, 0.0), (-0.0, 0.0)])
+    def test_lines_of_given_rows(self, rows):
+        u, v = uv = np.array(rows).T.copy()
+        keep = _lowest_per_line(uv, ALIGN_TOL)
+        want = lexsort_lowest(u, v)
+        assert np.array_equal(np.ones(len(u), dtype=bool) if keep is None else keep, want)
 
 
 class TestVisibleSweep:
@@ -480,6 +552,14 @@ class TestVisibleBruteforce:
         got = sorted(map(tuple, out.points))
         assert got == [(1.0, 0.0), (1.0, 1.0)]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_point_rejected(self, bad, axis):
+        pts = np.array([[0.0, 0.0], [0.5, 0.3], [0.25, 0.2]])
+        pts[2, axis] = bad
+        with pytest.raises(ValueError, match="finite"):
+            visible_bruteforce(PointCloud(pts, 0.01), DOWN, 0.1)
+
     def test_budget_cap(self):
         pts = np.random.default_rng(0).uniform(size=(10_001, 2))
         with pytest.raises(BudgetError):
@@ -526,7 +606,18 @@ class TestVisibleExact:
     def test_no_alignment_keeps_everything(self, carpet):
         cloud = attractor_cloud(carpet, 2.0**-6)
         out = visible_exact(cloud, DOWN)
-        assert len(out) == len(cloud)
+        assert same_rows(out.points, cloud.points)
+        assert out.points is not cloud.points
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_point_rejected(self, bad, axis):
+        # a NaN u sorts last and joined the sight line of (0.5, 0.3), whose
+        # lowest v it then set: the unoccluded point was dropped
+        pts = np.array([[0.0, 0.0], [0.5, 0.3], [0.25, 0.2]])
+        pts[2, axis] = bad
+        with pytest.raises(ValueError, match="finite"):
+            visible_exact(PointCloud(pts, 1e-6), DOWN)
 
     def test_agrees_with_bruteforce_in_the_fine_limit(self):
         rng = np.random.default_rng(5)
