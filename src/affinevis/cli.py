@@ -155,13 +155,12 @@ def _resolve_ifs(args):
     return load_ifs(args.ifs), args.ifs
 
 
-def _echo(args, extra=None) -> dict:
+def _echo(args, extra: dict) -> dict:
     skip = {"command", "scenario_command"}
     params = {
         k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
     }
-    if extra:
-        params.update(extra)
+    params.update(extra)
     return params
 
 

@@ -65,38 +65,41 @@ def _first_per_cell(pts: np.ndarray, delta: float) -> np.ndarray:
     return np.sort(first[first < n])
 
 
-def box_count(data, delta_ladder) -> list[int]:
-    """Occupied-cell counts for each ladder scale, coarsest first.
+def _checked_scales(scales) -> list[float]:
+    """The scales as floats; ValueError names one not positive and finite."""
+    scales = [float(s) for s in scales]
+    for s in scales:
+        if not 0.0 < s < math.inf:
+            raise ValueError(f"scale {s} must be positive and finite")
+    return scales
 
-    ``data`` may be a PointCloud or a raw (n, 2) array of points.
-    Every ladder scale must be an integer multiple of the finest one so
-    that counts come from exact block merges of a single fine grid: the
-    distinct fine cells, floor-divided per level and counted by the
-    column-wise cell kernel (a bitmap count when the level's key range is
-    dense, a sort otherwise).  A cell index past int64 raises ValueError.
+
+def box_count(data: np.ndarray, delta_ladder) -> list[int]:
+    """Occupied-cell counts of (n, 2) points ``data`` per ladder scale,
+    coarsest first.
+
+    Every ladder scale must be positive, finite and an integer multiple of
+    the finest one, so that counts come from exact block merges of a single
+    fine grid: the distinct fine cells, floor-divided per level and counted
+    by the column-wise cell kernel (a bitmap count when the level's key
+    range is dense, a sort otherwise).  A cell index past int64 raises
+    ValueError.
     """
-    ladder = sorted((float(d) for d in delta_ladder), reverse=True)
+    ladder = sorted(_checked_scales(delta_ladder), reverse=True)
     if not ladder:
         raise ValueError("empty ladder")
     finest = ladder[-1]
+    multiples = [round(delta / finest) for delta in ladder]
+    for delta, r in zip(ladder, multiples):
+        if abs(delta / finest - r) > 1e-9 * max(r, 1):
+            raise ValueError(f"ladder scale {delta} is not an integer multiple of {finest}")
     limit = budget_limit()
-    if isinstance(data, PointCloud):
-        data = data.points
-    fine = _snapped_cells(np.asarray(data, dtype=float).reshape(-1, 2), finest)
+    fine = _snapped_cells(np.asarray(data, dtype=float), finest)
     cells = fine.distinct()
     if cells.shape[0] > limit:
         raise BudgetError(f"{cells.shape[0]} occupied cells exceed budget {limit}")
-    counts = []
-    for delta in ladder:
-        ratio = delta / finest
-        r = round(ratio)
-        if abs(ratio - r) > 1e-9 * max(r, 1):
-            raise ValueError(
-                f"ladder scale {delta} is not an integer multiple of {finest}"
-            )
-        # the extreme fine cells floor-divide to the extreme coarse cells
-        counts.append(_CellColumns(cells, lambda v, axis: v // r, fine.bounds).count())
-    return counts
+    # the extreme fine cells floor-divide to the extreme coarse cells
+    return [_CellColumns(cells, lambda v, axis: v // r, fine.bounds).count() for r in multiples]
 
 
 def fit_dimension(counts, scales) -> DimEstimate:
@@ -107,7 +110,7 @@ def fit_dimension(counts, scales) -> DimEstimate:
     dropped and the fit is rerun (slowly converging constructions pollute
     the coarse end first).
     """
-    scales = [float(s) for s in scales]
+    scales = _checked_scales(scales)
     counts = [int(c) for c in counts]
     if len(scales) != len(counts):
         raise ValueError("counts and scales length mismatch")

@@ -36,10 +36,12 @@ def vis_dim(
     Default mode counts the per-scale sweep (column-quantized visibility):
     each scale gets its own rasterization and sweep, since delta-visibility
     is a per-scale object whose occlusion and counting widths move together.
-    ``exact`` mode instead computes the exact-ray visible subset of the
-    cloud once and box-counts it across the ladder; use it at exceptional
-    orientations, where column quantization collapses structure that exact
-    sight lines keep.
+    ``grids``, when given, are the rasterizations of ``ladder_grids`` at
+    these scales, coarsest first; other deltas raise ValueError.  ``exact``
+    mode instead computes the exact-ray visible subset of the cloud once
+    and box-counts it across the ladder; use it at exceptional orientations,
+    where column quantization collapses structure that exact sight lines
+    keep.
     """
     scales = sorted((float(s) for s in scales), reverse=True)
     if exact:
@@ -48,6 +50,8 @@ def vis_dim(
     else:
         if grids is None:
             grids = ladder_grids(cloud, scales)
+        elif [grid.delta for grid in grids] != scales:
+            raise ValueError(f"grid deltas differ from the scales {scales}")
         counts = [len(visible_sweep(grid, e)) for grid in grids]
     return fit_dimension(counts, scales)
 

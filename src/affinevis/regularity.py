@@ -86,7 +86,7 @@ class Cone:
     def contains_line(self, line: ProjLine) -> bool:
         return abs(proj_signed_gap(line, self.center)) <= self.half_width
 
-    def contains_cone(self, other: "Cone", margin: float = 0.0) -> bool:
+    def contains_cone(self, other: "Cone", margin: float) -> bool:
         gap = abs(proj_signed_gap(other.center, self.center))
         return gap + other.half_width <= self.half_width - margin
 

@@ -391,7 +391,7 @@ def harmonic_product_sample() -> PointCloud:
     return PointCloud(pts, 1e-9)
 
 
-def cantor_cross_segment(depth: int = 8) -> PointCloud:
+def cantor_cross_segment(depth: int) -> PointCloud:
     """Net of C x [0, 1] at resolution 3^-depth, C the middle-thirds set."""
     xs = np.array([0.0])
     for _ in range(depth):

@@ -31,26 +31,14 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 @dataclass(frozen=True)
 class OccupancyGrid:
-    """Set of occupied delta-cells, kept distinct in lexicographic (i, j)
-    order; cell (i, j) covers origin + [i*delta, (i+1)*delta) x [j*delta, (j+1)*delta)."""
+    """Set of occupied delta-cells: distinct int64 rows in lexicographic
+    (i, j) order, as ``rasterize`` and ``visible_sweep`` make them and as a
+    grid built by hand must give them; cell (i, j) covers
+    origin + [i*delta, (i+1)*delta) x [j*delta, (j+1)*delta)."""
 
     delta: float
     origin: tuple[float, float]
     cells: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.cells, dtype=np.int64).reshape(-1, 2)
-        object.__setattr__(self, "cells", distinct_cells(c))
-
-    @classmethod
-    def _of_distinct(
-        cls, delta: float, origin: tuple[float, float], cells: np.ndarray
-    ) -> OccupancyGrid:
-        """A grid of rows that are already distinct and sorted: no second dedup."""
-        grid = object.__new__(cls)
-        for name, value in (("delta", delta), ("origin", origin), ("cells", cells)):
-            object.__setattr__(grid, name, value)
-        return grid
 
     def __len__(self) -> int:
         return self.cells.shape[0]
@@ -96,6 +84,23 @@ def _column_ends(data: np.ndarray) -> np.ndarray:
     return np.array([[x.min(), y.min()], [x.max(), y.max()]])
 
 
+def _int64_cells(floored: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Floored cell coordinates as int64: the one cast that makes cells.
+    Float coordinates must lie in int64, or ValueError: the cast would wrap
+    a cell past it, or make one of NaN.  Only the min and max of ``ends``,
+    an array that holds the extremes of ``floored`` (``floored`` itself
+    will do), are compared.  Int ends fit by type and are not compared,
+    since ``2.0**63`` would round int64 values near the top up to it."""
+    if ends.dtype.kind == "f":
+        lo, hi = ends.min(), ends.max()
+        if not (lo >= -(2.0**63) and hi < 2.0**63):  # also false for NaN
+            raise ValueError(
+                f"cell indices from {lo} to {hi} do not fit int64: the set is "
+                "too large for its cell size, or too far from the origin"
+            )
+    return floored.astype(np.int64, copy=False)
+
+
 class _CellColumns:
     """The cells of the rows of (n, 2) ``data`` as one int64 index column per
     axis, made a chunk of rows at a time: no (n, 2) cell array is held.  The
@@ -105,10 +110,11 @@ class _CellColumns:
     (a floor for points, a floor division for coarser cells).  It must be
     monotone, so the extreme cells ``bounds`` ((2, 2): smallest then largest
     i and j) are the cells of the extreme coordinates ``ends``
-    (``_column_ends`` when not given); they must lie in int64, or no cell
-    index would.  Cell (i, j) packs into the key ``(i - i_min) * span_j +
-    (j - j_min)``, which orders cells as (i, j) does; ``span`` is the number
-    of keys from the lowest cell to the highest.
+    (``_column_ends`` when not given); they must lie in int64
+    (``_int64_cells``), or no cell index would.  Cell (i, j) packs into the
+    key ``(i - i_min) * span_j + (j - j_min)``, which orders cells as (i, j)
+    does; ``span`` is the number of keys from the lowest cell to the
+    highest.
     """
 
     def __init__(self, data: np.ndarray, index, ends: np.ndarray | None = None) -> None:
@@ -118,14 +124,8 @@ class _CellColumns:
             return
         if ends is None:
             ends = _column_ends(data)
-        bounds = np.stack([np.asarray(index(ends[:, a], a)) for a in (0, 1)], axis=1)
-        # also false for NaN: a float cell index must floor into int64
-        if bounds.dtype.kind == "f" and not np.all((bounds >= -(2.0**63)) & (bounds < 2.0**63)):
-            raise ValueError(
-                f"cell indices from {bounds[0].tolist()} to {bounds[1].tolist()} "
-                "do not fit int64: the set is too large for the cell size"
-            )
-        self.bounds = bounds.astype(np.int64)
+        bounds = np.stack([index(ends[:, a], a) for a in (0, 1)], axis=1)
+        self.bounds = _int64_cells(bounds, bounds)
         (self.i_min, self.j_min), (i_max, j_max) = self.bounds.tolist()
         self.span_j = j_max - self.j_min + 1
         self.span = (i_max - self.i_min + 1) * self.span_j
@@ -134,11 +134,9 @@ class _CellColumns:
         return ((lo, min(lo + _CHUNK, self.n)) for lo in range(0, self.n, _CHUNK))
 
     def columns(self, lo: int, hi: int) -> list[np.ndarray]:
-        """The int64 i and j columns of rows lo:hi."""
-        return [
-            np.asarray(self.index(self.data[lo:hi, a], a)).astype(np.int64, copy=False)
-            for a in (0, 1)
-        ]
+        """The int64 i and j columns of rows lo:hi, which lie within the
+        checked ``bounds``."""
+        return [_int64_cells(self.index(self.data[lo:hi, a], a), self.bounds) for a in (0, 1)]
 
     def key(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
         """The packed key of rows lo:hi; the caller checks ``span <= _INT64_MAX``."""
@@ -197,14 +195,6 @@ class _CellColumns:
         return len(rows) if occ is None else int(np.count_nonzero(occ))
 
 
-def distinct_cells(cells: np.ndarray) -> np.ndarray:
-    """Distinct rows of an (n, 2) int64 array in lexicographic (i, j)
-    order: numpy's row-wise ``unique``, on the column-wise kernel
-    (``_CellColumns``).  A dense key span reads the rows off an occupancy
-    bitmap with no sort; a sparse one sorts the int64 key in place."""
-    return _CellColumns(cells, lambda v, axis: v).distinct()
-
-
 def rotation_to_down(e: Direction) -> np.ndarray:
     """Rotation matrix sending the direction e to (0, -1).
 
@@ -242,9 +232,7 @@ def rasterize(cloud: PointCloud, delta: float) -> OccupancyGrid:
     _check_finite(ends)  # the extremes carry any NaN or infinite coordinate
     origin = np.floor(ends[0] / delta) * delta
     cells = _CellColumns(pts, lambda v, axis: np.floor((v - origin[axis]) / delta), ends)
-    return OccupancyGrid._of_distinct(
-        delta, (float(origin[0]), float(origin[1])), cells.distinct()
-    )
+    return OccupancyGrid(delta, (float(origin[0]), float(origin[1])), cells.distinct())
 
 
 def visible_sweep(grid: OccupancyGrid, e: Direction) -> OccupancyGrid:
@@ -253,15 +241,18 @@ def visible_sweep(grid: OccupancyGrid, e: Direction) -> OccupancyGrid:
     Works on cell centers re-rasterized in the rotated frame on the absolute
     delta-grid (absolute indices keep the sweep idempotent); all cells
     mapping into a column's minimal-row rotated cell are retained (ties are
-    unoccluded at resolution delta): ``_lowest_per_column``.
+    unoccluded at resolution delta): ``_lowest_per_column``.  A rotated
+    cell index past int64 raises ValueError.
     """
     if len(grid) == 0:
         return grid
     rot = rotation_to_down(e)
     # the rotated cells as two contiguous rows: column, then row
-    keep = _lowest_per_column(np.floor(rot @ grid.centers().T / grid.delta).astype(np.int64))
+    cr = np.floor(rot @ grid.centers().T / grid.delta)
+    cr = _int64_cells(cr, cr)  # the floats are freed before the scatter
+    keep = _lowest_per_column(cr)
     # a subset of sorted distinct rows is sorted and distinct
-    return OccupancyGrid._of_distinct(grid.delta, grid.origin, grid.cells[keep])
+    return OccupancyGrid(grid.delta, grid.origin, grid.cells[keep])
 
 
 def _lowest_per_column(cr: np.ndarray) -> np.ndarray:
@@ -296,7 +287,7 @@ def visible_bruteforce(cloud: PointCloud, e: Direction, delta: float) -> PointCl
     q occludes p when both fall in the same rotated delta-column and q sits
     in a strictly lower delta-row.  Quadratic in the number of points, so
     capped; this is the reference implementation the sweep must match.
-    A non-finite coordinate raises ValueError.
+    A non-finite coordinate, or a cell index past int64, raises ValueError.
     """
     pts = cloud.points
     n = pts.shape[0]
@@ -305,10 +296,9 @@ def visible_bruteforce(cloud: PointCloud, e: Direction, delta: float) -> PointCl
     _check_finite(pts)
     if n == 0:
         return cloud
-    rot = rotation_to_down(e)
-    uv = pts @ rot.T
-    cols = np.floor(uv[:, 0] / delta).astype(np.int64)
-    rows = np.floor(uv[:, 1] / delta).astype(np.int64)
+    uv = np.floor(pts @ rotation_to_down(e).T / delta)
+    # contiguous columns: the pairwise loop reads them n / 512 times
+    cols, rows = _int64_cells(uv, uv).T.copy()
     occluded = np.zeros(n, dtype=bool)
     chunk = 512
     for lo in range(0, n, chunk):

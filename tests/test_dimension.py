@@ -13,7 +13,8 @@ from affinevis.dimension import (
     fit_dimension,
 )
 from affinevis.errors import TooFewScalesError
-from affinevis.pipeline import ladder_scales
+from affinevis.linalg2 import Direction
+from affinevis.pipeline import ladder_grids, ladder_scales, vis_dim
 from affinevis.symbolic import PointCloud, attractor_cloud
 from affinevis.visibility import _dense
 
@@ -109,7 +110,7 @@ class TestBoxCount:
     def test_unit_segment(self):
         cloud = segment_cloud(4097)
         ladder = ladder_scales(1, 6)
-        counts = box_count(cloud, ladder)
+        counts = box_count(cloud.points, ladder)
         for k, n in zip(range(1, 7), counts):
             assert abs(n - 2**k) <= 1
 
@@ -121,7 +122,7 @@ class TestBoxCount:
 
     def test_counts_nondecreasing_and_coarsening_bound(self, carpet):
         cloud = attractor_cloud(carpet, 2.0**-9)
-        counts = box_count(cloud, ladder_scales(3, 9))
+        counts = box_count(cloud.points, ladder_scales(3, 9))
         for a, b in zip(counts, counts[1:]):
             assert a <= b <= 4 * a
 
@@ -133,20 +134,53 @@ class TestBoxCount:
         expected = [
             np.unique(fine // round(s / d), axis=0).shape[0] for s in ladder
         ]
-        assert box_count(PointCloud(pts, d), ladder) == expected
+        assert box_count(pts, ladder) == expected
 
     def test_empty_input_counts_nothing(self):
-        for data in ([], np.empty((0, 2)), PointCloud(np.empty((0, 2)), 0.1)):
+        for data in ([], np.empty((0, 2))):
             assert box_count(data, [0.5, 0.25]) == [0, 0]
 
     def test_non_integer_ladder_rejected(self):
         with pytest.raises(ValueError):
             box_count(np.array([[0.0, 0.0]]), [0.5, 0.3])
 
+    @pytest.mark.parametrize(
+        "ladder",
+        [[-0.25, -0.5], [math.inf, 0.5], [0.5, 0.0], [0.5, math.nan], [-math.inf, 0.25]],
+    )
+    def test_bad_scale_rejected_before_cell_work(self, ladder):
+        # a negative scale raised IndexError, inf OverflowError and 0 a
+        # division by zero; the scales are named before any cell is made
+        with pytest.raises(ValueError, match="positive and finite"):
+            box_count(np.array([[0.0, 0.0], [0.3, 0.7]]), ladder)
+        scales = ladder + [2.0**-4, 2.0**-5]
+        with pytest.raises(ValueError, match="positive and finite"):
+            fit_dimension([1, 2, 4, 8], scales)
+
+    def test_ladder_checked_before_the_fine_dedup(self):
+        # a far point makes the fine cells pass int64; the ladder is wrong too,
+        # and it is reported first
+        pts = np.array([[0.0, 0.0], [1e19, 0.0]])
+        with pytest.raises(ValueError, match="integer multiple"):
+            box_count(pts, [0.5, 0.3])
+
     @pytest.mark.parametrize("base", [0.5, 1.0, math.nan, math.inf])
     def test_ladder_base_must_exceed_one(self, base):
         with pytest.raises(ValueError):
             ladder_scales(6, 12, base=base)
+
+
+class TestVisDimGrids:
+    def test_grids_must_match_the_scales(self, carpet):
+        # grids for 2^-5 .. 2^-9 with scales 2^-4 .. 2^-8 fit the counts
+        # against the wrong scales
+        cloud = attractor_cloud(carpet, 2.0**-9)
+        e = Direction(0.3)
+        grids = ladder_grids(cloud, ladder_scales(5, 9))
+        with pytest.raises(ValueError, match="grid deltas"):
+            vis_dim(cloud, e, ladder_scales(4, 8), grids=grids)
+        scales = ladder_scales(5, 9)
+        assert vis_dim(cloud, e, scales, grids=grids) == vis_dim(cloud, e, scales)
 
 
 class TestFitDimension:
@@ -170,7 +204,7 @@ class TestFitDimension:
     def test_slope_in_planar_range(self, carpet):
         cloud = attractor_cloud(carpet, 2.0**-10)
         ladder = ladder_scales(4, 10)
-        est = fit_dimension(box_count(cloud, ladder), ladder)
+        est = fit_dimension(box_count(cloud.points, ladder), ladder)
         assert 0.0 <= est.slope <= 2.0
 
     def test_carpet_slope_matches_closed_form(self, carpet):
@@ -178,7 +212,7 @@ class TestFitDimension:
         # the closed form 1 + log_3(3/2) for this uniform-fiber carpet
         cloud = attractor_cloud(carpet, 2.0**-13)
         ladder = ladder_scales(6, 12)
-        est = fit_dimension(box_count(cloud, ladder), ladder)
+        est = fit_dimension(box_count(cloud.points, ladder), ladder)
         closed_form = 1.0 + math.log(1.5) / math.log(3.0)
         assert est.slope == pytest.approx(closed_form, abs=0.08)
 
@@ -251,7 +285,7 @@ class TestAssouadEstimate:
     def test_dominates_box_dimension(self, carpet):
         cloud = attractor_cloud(carpet, 2.0**-10)
         ladder = ladder_scales(4, 10)
-        box = fit_dimension(box_count(cloud, ladder), ladder)
+        box = fit_dimension(box_count(cloud.points, ladder), ladder)
         local = assouad_estimate(cloud, seed=3)
         # soft bound: sampling noise allowed up to 0.05
         assert local >= box.slope - 0.05

@@ -147,7 +147,9 @@ DELTAS = st.one_of(
 
 
 def _grid(delta, origin, cells):
-    return OccupancyGrid(delta, origin, np.array(cells, dtype=np.int64).reshape(-1, 2))
+    """A grid of the distinct cells, in the sorted order a grid holds them."""
+    rows = np.unique(np.array(cells, dtype=np.int64).reshape(-1, 2), axis=0)
+    return OccupancyGrid(delta, origin, rows)
 
 
 class TestSvgCells:

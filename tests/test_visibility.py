@@ -19,7 +19,6 @@ from affinevis.visibility import (
     _column_ends,
     _dense,
     _lowest_per_line,
-    distinct_cells,
     rasterize,
     rotation_to_down,
     visible_bruteforce,
@@ -118,6 +117,18 @@ def int_cells(cells):
     return _CellColumns(cells, lambda v, axis: v)
 
 
+def distinct_cells(cells):
+    """Distinct rows of (n, 2) int cells in lexicographic (i, j) order: the
+    column kernel's dedup."""
+    return int_cells(cells).distinct()
+
+
+def grid_of(delta, origin, rows):
+    """A grid of raw int rows, made distinct and sorted as a grid holds them."""
+    cells = distinct_cells(np.array(rows, dtype=np.int64).reshape(-1, 2))
+    return OccupancyGrid(delta, origin, cells)
+
+
 def assert_matches_unique(cells):
     """``distinct_cells`` and the kernel's count against numpy's row-wise unique."""
     want = np.unique(cells, axis=0)
@@ -193,12 +204,6 @@ class TestDistinctCells:
         assert_matches_unique(cells)
         # the same arrays as the sort alone, up to a few small Python objects
         assert traced_peak(distinct_cells, cells) <= traced_peak(sort_dedup, cells) + 4096
-
-    def test_grid_stores_sorted_distinct_cells(self):
-        cells = np.array([[2, -1], [0, 3], [2, -1], [-4, 0], [0, 3], [0, -2]])
-        g = OccupancyGrid(1.0, (0.0, 0.0), cells)
-        assert g.cells.dtype == np.int64
-        assert g.cells.tolist() == [[-4, 0], [0, -2], [0, 3], [2, -1]]
 
 
 def floor_unique(pts, origin, delta, snap=0.0):
@@ -330,7 +335,7 @@ class TestScatterMinSweep:
         st.sampled_from([(0.0, 0.0), (-0.35, 0.2)]),
     )
     def test_matches_the_sort_and_bruteforce(self, rows, e, delta, origin):
-        grid = OccupancyGrid(delta, origin, np.array(rows, dtype=np.int64))
+        grid = grid_of(delta, origin, rows)
         got = visible_sweep(grid, e)
         assert same_rows(got.cells, sort_sweep(grid, e).cells)
         # the pairwise oracle on the cell centers keeps the same centers
@@ -343,7 +348,7 @@ class TestScatterMinSweep:
         rng = np.random.default_rng(17)
         block = rng.integers(-40, 40, size=(3000, 2))
         for cells, dense in ((block, True), (np.concatenate([block, block + 10**7]), False)):
-            grid = OccupancyGrid(2.0**-6, (0.0, 0.0), cells)
+            grid = grid_of(2.0**-6, (0.0, 0.0), cells)
             assert _dense(rotated_column_span(grid, e), len(grid)) == dense
             assert same_rows(visible_sweep(grid, e).cells, sort_sweep(grid, e).cells)
 
@@ -448,7 +453,7 @@ class TestOneKeySortsMatchLexsort:
     @example([(-(10**6), 0), (3, -2), (0, 5), (10**6, 1)], DOWN, 1.0, (0.0, 0.0))
     def test_sweep(self, rows, e, delta, origin):
         # few columns, many cells in each, negative indices
-        grid = OccupancyGrid(delta, origin, np.array(rows, dtype=np.int64))
+        grid = grid_of(delta, origin, rows)
         assert same_rows(visible_sweep(grid, e).cells, lexsort_sweep(grid, e).cells)
 
     @settings(max_examples=200, deadline=None)
@@ -498,13 +503,12 @@ class TestOneKeySortsMatchLexsort:
 
 class TestVisibleSweep:
     def test_two_stacked_cells(self):
-        g = OccupancyGrid(1.0, (0.0, 0.0), np.array([[0, 0], [0, 5]]))
+        g = grid_of(1.0, (0.0, 0.0), [[0, 0], [0, 5]])
         vis = visible_sweep(g, DOWN)
         assert vis.cells.tolist() == [[0, 0]]
 
     def test_full_square_keeps_bottom_row(self):
-        cells = np.array([[i, j] for i in range(8) for j in range(8)])
-        g = OccupancyGrid(1.0, (0.0, 0.0), cells)
+        g = grid_of(1.0, (0.0, 0.0), [[i, j] for i in range(8) for j in range(8)])
         vis = visible_sweep(g, DOWN)
         assert len(vis) == 8
         assert np.all(vis.cells[:, 1] == 0)
@@ -530,6 +534,35 @@ class TestVisibleSweep:
                 np.floor((grid.centers() @ np.array([[math.cos(-math.pi / 2 - angle), -math.sin(-math.pi / 2 - angle)], [math.sin(-math.pi / 2 - angle), math.cos(-math.pi / 2 - angle)]]).T)[:, 0] / grid.delta).astype(int)
             )
             assert np.array_equal(rot_cols(visible_sweep(g, e)), rot_cols(g))
+
+
+# cell i's absolute column, origin / delta + i + 1/2, near +/-2^63: floats
+# there are 2^11 apart, so columns 2^11 cells apart stay apart and the half
+# cell rounds away.  Origin x 2^49 - 1/4 and -2^49 put column 0 at
+# 2^63 - 2^12 and -2^63, inside int64; 2^49, -2^49 - 1/4 and 1e15 put it at
+# 2^63, -2^63 - 2^12 and 1.6e19, past it
+CAST_DELTA = 2.0**-14
+CAST_ROWS = [[0, 0], [0, 5], [2**11, 3], [2**11, 1]]
+
+
+class TestCellCast:
+    @pytest.mark.parametrize("x", [2.0**49 - 0.25, -(2.0**49)])
+    def test_sweep_matches_bruteforce_just_inside_int64(self, x):
+        grid = grid_of(CAST_DELTA, (x, 0.0), CAST_ROWS)
+        got = visible_sweep(grid, DOWN)
+        assert got.cells.tolist() == [[0, 0], [2**11, 1]]
+        brute = visible_bruteforce(PointCloud(grid.centers(), CAST_DELTA), DOWN, CAST_DELTA)
+        assert np.array_equal(got.centers(), brute.points)
+
+    @pytest.mark.parametrize("x", [2.0**49, -(2.0**49) - 0.25, 1e15])
+    def test_cells_just_past_int64_rejected(self, x):
+        # the cast wrapped every column to -2^63, and the sweep and its
+        # oracle kept one of the two visible cells
+        grid = grid_of(CAST_DELTA, (x, 0.0), CAST_ROWS)
+        with pytest.raises(ValueError, match="int64"):
+            visible_sweep(grid, DOWN)
+        with pytest.raises(ValueError, match="int64"):
+            visible_bruteforce(PointCloud(grid.centers(), CAST_DELTA), DOWN, CAST_DELTA)
 
 
 class TestVisibleBruteforce:
