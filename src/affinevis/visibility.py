@@ -32,9 +32,12 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 @dataclass(frozen=True)
 class OccupancyGrid:
     """Set of occupied delta-cells: distinct int64 rows in lexicographic
-    (i, j) order, as ``rasterize`` and ``visible_sweep`` make them and as a
-    grid built by hand must give them; cell (i, j) covers
-    origin + [i*delta, (i+1)*delta) x [j*delta, (j+1)*delta)."""
+    (i, j) order, as ``rasterize`` and ``visible_sweep`` make them; cell
+    (i, j) covers origin + [i*delta, (i+1)*delta) x [j*delta, (j+1)*delta).
+    The rows are stored as given and not checked: repeated or unsorted rows
+    give a wrong ``len``, wrong visible counts and a wrong SVG, so raw rows
+    go through ``rasterize`` (or a dedup such as ``np.unique(rows,
+    axis=0)``) first."""
 
     delta: float
     origin: tuple[float, float]
@@ -84,15 +87,14 @@ def _column_ends(data: np.ndarray) -> np.ndarray:
     return np.array([[x.min(), y.min()], [x.max(), y.max()]])
 
 
-def _int64_cells(floored: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Floored cell coordinates as int64: the one cast that makes cells.
-    Float coordinates must lie in int64, or ValueError: the cast would wrap
-    a cell past it, or make one of NaN.  Only the min and max of ``ends``,
-    an array that holds the extremes of ``floored`` (``floored`` itself
-    will do), are compared.  Int ends fit by type and are not compared,
-    since ``2.0**63`` would round int64 values near the top up to it."""
-    if ends.dtype.kind == "f":
-        lo, hi = ends.min(), ends.max()
+def _int64_cells(floored: np.ndarray) -> np.ndarray:
+    """Floored cell coordinates as int64: the one checked cast that makes
+    cells.  Float coordinates must lie in int64, or ValueError: the cast
+    would wrap a cell past it, or make one of NaN.  Only their min and max
+    are compared.  Int input fits by type and is not compared, since
+    ``2.0**63`` would round int64 values near the top up to it."""
+    if floored.dtype.kind == "f":
+        lo, hi = floored.min(), floored.max()
         if not (lo >= -(2.0**63) and hi < 2.0**63):  # also false for NaN
             raise ValueError(
                 f"cell indices from {lo} to {hi} do not fit int64: the set is "
@@ -125,7 +127,7 @@ class _CellColumns:
         if ends is None:
             ends = _column_ends(data)
         bounds = np.stack([index(ends[:, a], a) for a in (0, 1)], axis=1)
-        self.bounds = _int64_cells(bounds, bounds)
+        self.bounds = _int64_cells(bounds)
         (self.i_min, self.j_min), (i_max, j_max) = self.bounds.tolist()
         self.span_j = j_max - self.j_min + 1
         self.span = (i_max - self.i_min + 1) * self.span_j
@@ -134,9 +136,9 @@ class _CellColumns:
         return ((lo, min(lo + _CHUNK, self.n)) for lo in range(0, self.n, _CHUNK))
 
     def columns(self, lo: int, hi: int) -> list[np.ndarray]:
-        """The int64 i and j columns of rows lo:hi, which lie within the
-        checked ``bounds``."""
-        return [_int64_cells(self.index(self.data[lo:hi, a], a), self.bounds) for a in (0, 1)]
+        """The int64 i and j columns of rows lo:hi: a plain cast, since the
+        cells of a monotone index lie within the checked ``bounds``."""
+        return [self.index(self.data[lo:hi, a], a).astype(np.int64, copy=False) for a in (0, 1)]
 
     def key(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
         """The packed key of rows lo:hi; the caller checks ``span <= _INT64_MAX``."""
@@ -249,7 +251,7 @@ def visible_sweep(grid: OccupancyGrid, e: Direction) -> OccupancyGrid:
     rot = rotation_to_down(e)
     # the rotated cells as two contiguous rows: column, then row
     cr = np.floor(rot @ grid.centers().T / grid.delta)
-    cr = _int64_cells(cr, cr)  # the floats are freed before the scatter
+    cr = _int64_cells(cr)  # the floats are freed before the scatter
     keep = _lowest_per_column(cr)
     # a subset of sorted distinct rows is sorted and distinct
     return OccupancyGrid(grid.delta, grid.origin, grid.cells[keep])
@@ -298,7 +300,7 @@ def visible_bruteforce(cloud: PointCloud, e: Direction, delta: float) -> PointCl
         return cloud
     uv = np.floor(pts @ rotation_to_down(e).T / delta)
     # contiguous columns: the pairwise loop reads them n / 512 times
-    cols, rows = _int64_cells(uv, uv).T.copy()
+    cols, rows = _int64_cells(uv).T.copy()
     occluded = np.zeros(n, dtype=bool)
     chunk = 512
     for lo in range(0, n, chunk):
