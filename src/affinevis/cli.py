@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 
 from .errors import AffineVisError, BudgetError, budget_limit, budget_scope
 from .geometry import direction_scan, projection_condition_check
@@ -137,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--stream", type=_parse_stream, default=(1,), help="e.g. 1,2")
     p.add_argument("--n-max", type=int, default=12)
-    p.add_argument("--c", type=float, default=1.0, help="schedule constant")
 
     p = sub.add_parser("scenario", help="list or run built-in scenarios")
     psub = p.add_subparsers(dest="scenario_command", required=True)
@@ -211,7 +211,7 @@ def cmd_check(args) -> int:
                 f"verified to depth {len(dom.levels)}, tau ~ {dom.tau_estimate:.4f}",
             )
         if which["cone"]:
-            try:
+            with _section(report, "cone", "found", "invariant-cone"):
                 cone = invariant_cone_search(ifs, depth=min(args.depth, 8))
                 sep = strong_cone_separation_check(ifs, cone)
                 report.results["cone"] = {
@@ -229,17 +229,10 @@ def cmd_check(args) -> int:
                     if sep.verdict
                     else f"witness {sep.witness}",
                 )
-            except AffineVisError as exc:
-                report.results["cone"] = {"found": False, "reason": str(exc)}
-                report.add_assertion("invariant-cone", False, str(exc))
         if which["projection"]:
-            try:
-                v = projection_condition_check(
-                    ifs,
-                    Direction(args.dir),
-                    depth=args.depth,
-                    delta=args.delta,
-                )
+            with _section(report, "projection", "passed", "projection-condition"):
+                e = Direction(args.dir)
+                v = projection_condition_check(ifs, e, depth=args.depth, delta=args.delta)
                 report.results["projection"] = {
                     "passed": v.passed,
                     "worst_gap": v.worst_gap,
@@ -253,12 +246,21 @@ def cmd_check(args) -> int:
                     v.passed,
                     f"certified-to-depth {v.depth}, worst relative gap {v.worst_gap:.5f}",
                 )
-            except BudgetError:
-                raise  # a cap, not a verdict: exit 3 like every other command
-            except AffineVisError as exc:
-                report.results["projection"] = {"passed": False, "reason": str(exc)}
-                report.add_assertion("projection-condition", False, str(exc))
     return _verdicts(report, args.out)
+
+
+@contextmanager
+def _section(report: RunReport, key: str, flag: str, assertion: str):
+    """A ``check`` section's failure rule: a library error fails its assertion
+    and sets ``results[key] = {flag: False, "reason": ...}``; a cap is not a
+    verdict, so BudgetError propagates to exit 3."""
+    try:
+        yield
+    except BudgetError:
+        raise
+    except AffineVisError as exc:
+        report.results[key] = {flag: False, "reason": str(exc)}
+        report.add_assertion(assertion, False, str(exc))
 
 
 def cmd_orient(args) -> int:
@@ -342,7 +344,7 @@ def cmd_scan(args) -> int:
 
 def cmd_tangent(args) -> int:
     ifs, src = _resolve_ifs(args)
-    seq = tangent_sequence(ifs, args.stream, args.n_max, c=args.c)
+    seq = tangent_sequence(ifs, args.stream, args.n_max)
     rows = [
         (
             n + 1,

@@ -460,8 +460,6 @@ class DistortionReport:
     k0: int
     samples: int
     violations: int
-    max_upper_excess: float
-    max_lower_excess: float
     min_ratio: float
     max_ratio: float
 
@@ -522,26 +520,29 @@ def distortion_check(ifs: IFS, x: Cone, seed: int = 0) -> DistortionReport:
         k0,
         DISTORTION_SAMPLES,
         violations,
-        float(up_excess.max(initial=0.0)),
-        float(lo_excess.max(initial=0.0)),
         float(ratios.min(initial=math.inf)),
         float(ratios.max(initial=0.0)),
     )
 
 
 def _level1_gaps(ifs: IFS, x: Cone) -> list[Cone]:
-    """Gap intervals between consecutive level-1 image intervals inside X."""
+    """Gap intervals of X that no level-1 image interval covers: from the
+    furthest end so far to the next image's start, the images ordered by
+    their offset from X's low end (so a gap may lie across angle 0)."""
     images = [cone_image(f.linear, x) for f in ifs.maps]
     if len(images) < 2:
         raise NoGapError("a single map produces a single interval")
-    spans = sorted(
-        (img.center.angle - img.half_width, img.center.angle + img.half_width)
-        for img in images
-    )
+    x_lo = x.center.angle - x.half_width
+    crosses = x_lo < 0.0 or x.center.angle + x.half_width >= PI
+    # with X across 0, each centre's angle on X's side of it
+    centres = [x_lo + (i.center.angle - x_lo) % PI if crosses else i.center.angle for i in images]
+    spans = sorted((c - i.half_width, c + i.half_width) for c, i in zip(centres, images))
     gaps: list[Cone] = []
-    for (lo1, hi1), (lo2, hi2) in zip(spans, spans[1:]):
-        if lo2 > hi1 + 1e-12:
-            gaps.append(Cone(ProjLine(0.5 * (hi1 + lo2)), 0.5 * (lo2 - hi1)))
+    end = spans[0][1]
+    for lo, hi in spans[1:]:
+        if lo > end + 1e-12:
+            gaps.append(Cone(ProjLine(0.5 * (end + lo)), 0.5 * (lo - end)))
+        end = max(end, hi)
     if not gaps:
         raise NoGapError("level-1 image intervals touch or overlap")
     return gaps

@@ -255,20 +255,16 @@ def antichain(ifs: IFS, delta: float) -> tuple[np.ndarray, np.ndarray | None, np
             break
         active, active_t = table, trans
         if n_done:
+            # each half keeps the rows it uses: a row's cylinders are all
+            # done or all active (with no index, done is row_done)
+            done_table.append(table[row_done])
             done_trans.append(trans[done])
+            active = table[~row_done]
             active_t = trans[~done]
-            if index is None:
-                done_table.append(table[done])
-                active = table[~done]
-            else:
-                # compact to the rows each half uses: a row's cylinders
-                # are all done or all active
-                done_table.append(table[row_done])
+            if index is not None:
                 done_index.append(np.take(np.cumsum(row_done) - 1 + n_rows, index[done]))
                 n_rows += done_table[-1].shape[0]
-                keep = ~row_done
-                active = table[keep]
-                index = np.take(np.cumsum(keep) - 1, index[~done])
+                index = np.take(np.cumsum(~row_done) - 1, index[~done])
         n_active = active_t.shape[0]
         if total + n_active * ifs.kappa > limit:
             raise BudgetError(

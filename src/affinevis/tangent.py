@@ -106,27 +106,24 @@ def tangent_sequence(
     ifs: IFS,
     i_stream: Sequence[int],
     n_max: int,
-    c: float = 1.0,
 ) -> list[tuple[TangentFrame, ApproxRect]]:
     """Frames and rectangles along growing prefixes of a symbol stream.
 
     The n-th frame centers at the anchor of the length-n prefix and uses
-    scale r_n = n * alpha2(prefix) / c, so alpha2 = c * r_n / n holds by
-    construction.  Under domination h_n = c * (alpha1/alpha2) / n grows
-    geometrically while v_n = c / n decays; both trends are measurable on
+    scale r_n = n * alpha2(prefix), so alpha2 = r_n / n holds by
+    construction.  Under domination h_n = (alpha1/alpha2) / n grows
+    geometrically while v_n = 1 / n decays; both trends are measurable on
     the emitted rectangles, whose base cloud has resolution DEFAULT_RECT_DELTA.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if not 0 < c < math.inf:
-        raise ValueError(f"c must be positive and finite, got {c}")
     symbols = cyclic_prefix(i_stream, n_max)
     cloud = attractor_cloud(ifs, DEFAULT_RECT_DELTA)
     out: list[tuple[TangentFrame, ApproxRect]] = []
     for n in range(1, n_max + 1):
         word = symbols[:n]
         cyl = cylinder(ifs, word)
-        r_n = min(1.0, n * cyl.alpha2 / c)
+        r_n = min(1.0, n * cyl.alpha2)
         anchor = cyl.map(ifs.anchor_point())
         frame = TangentFrame((float(anchor[0]), float(anchor[1])), r_n)
         out.append((frame, approx_rect(cyl, frame, cloud)))

@@ -200,6 +200,8 @@ class _CellColumns:
 def rotation_to_down(e: Direction) -> np.ndarray:
     """Rotation matrix sending the direction e to (0, -1).
 
+    Every visibility mode rotates (n, 2) points X as ``rot @ X.T``: the
+    rotated u and v as two contiguous rows, with the bits of ``X @ rot.T``.
     Entries within 1e-12 of 0 or +/-1 are snapped so cardinal directions
     rotate exactly; otherwise axis-aligned inputs land a hair across cell
     boundaries.
@@ -248,9 +250,8 @@ def visible_sweep(grid: OccupancyGrid, e: Direction) -> OccupancyGrid:
     """
     if len(grid) == 0:
         return grid
-    rot = rotation_to_down(e)
     # the rotated cells as two contiguous rows: column, then row
-    cr = np.floor(rot @ grid.centers().T / grid.delta)
+    cr = np.floor(rotation_to_down(e) @ grid.centers().T / grid.delta)
     cr = _int64_cells(cr)  # the floats are freed before the scatter
     keep = _lowest_per_column(cr)
     # a subset of sorted distinct rows is sorted and distinct
@@ -298,9 +299,9 @@ def visible_bruteforce(cloud: PointCloud, e: Direction, delta: float) -> PointCl
     _check_finite(pts)
     if n == 0:
         return cloud
-    uv = np.floor(pts @ rotation_to_down(e).T / delta)
-    # contiguous columns: the pairwise loop reads them n / 512 times
-    cols, rows = _int64_cells(uv).T.copy()
+    # the rotated cells as two contiguous rows, which the pairwise loop
+    # reads n / 512 times: column, then row
+    cols, rows = _int64_cells(np.floor(rotation_to_down(e) @ pts.T / delta))
     occluded = np.zeros(n, dtype=bool)
     chunk = 512
     for lo in range(0, n, chunk):
@@ -333,7 +334,10 @@ def _lowest_per_line(uv: np.ndarray, tol) -> np.ndarray | None:
     del u
     # gap[k]: sorted point k starts a run (gap[n] closes the last one)
     gap = np.ones(len(u_s) + 1, dtype=bool)
-    np.greater(u_s[1:] - u_s[:-1], tol, out=gap[1:-1])
+    if tol:
+        np.greater(u_s[1:] - u_s[:-1], tol, out=gap[1:-1])
+    else:  # equal u: the int64 gap of columns 2^63 apart would wrap
+        np.not_equal(u_s[1:], u_s[:-1], out=gap[1:-1])
     member = ~(gap[:-1] & gap[1:])
     pos = order[member]
     if pos.size == 0:
@@ -392,7 +396,6 @@ def visible_exact(cloud: PointCloud, e: Direction) -> PointCloud:
     _check_finite(pts)
     if pts.shape[0] == 0:
         return cloud
-    # rows u and v: the same bits as pts @ rot.T, but each row contiguous
     keep = _lowest_per_line(rotation_to_down(e) @ pts.T, ALIGN_TOL)
     return PointCloud(pts.copy() if keep is None else pts[keep], cloud.resolution)
 
@@ -496,14 +499,12 @@ def visible_envelope(
     if not w_lo < w_hi:
         raise ValueError("empty window")
 
-    rot = rotation_to_down(e)
-    bases = k.bases @ rot.T
+    starts, heights = rotation_to_down(e) @ k.bases.T
     psi = -PI / 2 - e.angle
     thetas = (k.thetas + psi) % (2.0 * PI)
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
     slopes = sin_t / cos_t
 
-    starts = bases[:, 0]
     rightward = cos_t > 0
     # u-interval each half line covers inside the window
     lo_cov = np.where(rightward, np.maximum(starts, w_lo), w_lo)
@@ -526,11 +527,11 @@ def visible_envelope(
     for kind, members in fam_members.items():
         if members.size == 0:
             continue
-        b = bases[members]
+        u, v = starts[members], heights[members]
         m = slopes[members]
         lo = lo_cov[members]
         hi = hi_cov[members]
-        ys = b[:, 1][:, None] + m[:, None] * (abscissas[None, :] - b[:, 0][:, None])
+        ys = v[:, None] + m[:, None] * (abscissas[None, :] - u[:, None])
         covered = (abscissas[None, :] >= lo[:, None] - 1e-12) & (
             abscissas[None, :] <= hi[:, None] + 1e-12
         )

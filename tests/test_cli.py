@@ -291,6 +291,19 @@ class TestCLI:
         assert main(argv) == 3
         assert not out.exists()
 
+    def test_cone_cap_exits_3(self, tmp_path, capsys):
+        # six maps: the cone seed's level 7 (6^7 = 279,936 words) passes its
+        # 200k cap before depth 8, a cap and not a failed certificate
+        lin = [[0.3, 0.05], [0.02, 0.1]]
+        cfg = {"maps": [{"a": lin, "t": [0.15 * k, 0.1 * k]} for k in range(6)]}
+        path = tmp_path / "six.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "check.json"
+        argv = ["check", "--ifs", str(path), "--cone", "--depth", "8", "--out", str(out)]
+        assert main(argv) == 3
+        assert "budget exceeded: word levels stop at depth 7 of 8" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "env, extra, source",
         [
@@ -354,7 +367,6 @@ class TestCLI:
             ["vis-dim", "--dir", "inf", "--ladder", "2:5"],
             ["gen", "--delta", "inf"],
             ["scan", "--dirs", "8", "--depth", "2", "--delta", "inf"],
-            ["tangent", "--c", "nan", "--n-max", "6"],
         ],
     )
     def test_nan_and_out_of_range_input_exit_code(self, argv):

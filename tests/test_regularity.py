@@ -17,6 +17,7 @@ from affinevis.linalg2 import (
     ProjLine,
     proj_apply,
     proj_distance,
+    proj_signed_gap,
     singular_data,
 )
 from affinevis import regularity
@@ -312,6 +313,31 @@ class TestPorosity:
         with pytest.raises(NoGapError):
             porosity_gap_levels(single_map, Cone(VERTICAL, 0.3), depth=2)
 
+    def test_nested_images_leave_no_gap(self):
+        # the first image, [0.0847, 1.4713], holds the other two: the space
+        # between the two small ones is covered
+        ifs = linear_ifs(
+            [[0.5, 0.02], [0.02, 0.45]], [[0.4, 0.3], [0.1, 0.1]], [[0.1, 0.1], [0.3, 0.4]]
+        )
+        with pytest.raises(NoGapError):
+            regularity._level1_gaps(ifs, QUADRANT_MARGIN)
+
+    def test_gap_across_angle_zero(self):
+        # X = [-0.28, 0.32] crosses angle 0, and the maps squeeze it toward
+        # -0.15 and 0.2: the one gap holds angle 0, not the rest of P^1
+        def squeeze(t):
+            r = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+            return r @ np.diag([0.5, 0.05]) @ r.T
+
+        x = Cone(ProjLine(0.02), 0.3)
+        ifs = linear_ifs(squeeze(-0.15), squeeze(0.2))
+        (gap,) = regularity._level1_gaps(ifs, x)
+        a, b = (cone_image(f.linear, x) for f in ifs.maps)
+        assert gap.diameter == pytest.approx(
+            proj_signed_gap(b.center, a.center) - a.half_width - b.half_width
+        )
+        assert gap.contains_line(ProjLine(0.0)) and x.contains_cone(gap, 0.0)
+
     def test_too_deep_is_a_named_resolution_error(self, positive_pair):
         # the depth-13 products are numerically singular: a resolution
         # error naming the depth, not a SingularInputError from inside
@@ -327,6 +353,11 @@ class TestPorosity:
         cone = invariant_cone_search(positive_pair, depth=6)
         with pytest.raises(BudgetError, match="depth 2 of 4: 4 products exceed the cap 3"):
             porosity_gap_levels(positive_pair, cone, depth=4)
+
+
+def linear_ifs(*parts):
+    """Maps with the given 2x2 linear parts and no translation."""
+    return IFS(tuple(AffineMap2(Mat2(*np.ravel(a)), (0.0, 0.0)) for a in parts))
 
 
 def five_maps():

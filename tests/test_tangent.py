@@ -95,13 +95,12 @@ class TestTangentSequence:
         assert len(seq) == 1
 
     def test_carpet_trends(self, carpet):
-        c = 1.0
-        seq = tangent_sequence(carpet, (1,), 12, c=c)
+        seq = tangent_sequence(carpet, (1,), 12)
         hs = [rect.h for _, rect in seq]
         vs = [rect.v for _, rect in seq]
         tau = 1.5
         for n in range(1, 13):
-            assert vs[n - 1] <= 3 * c / n
+            assert vs[n - 1] <= 3 / n
         for n in range(4, 13):
             assert hs[n - 1] >= tau**n / (3 * n)
         # monotone tails

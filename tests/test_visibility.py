@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from affinevis.errors import BudgetError, DirectionInConeError, budget_scope
 from affinevis.linalg2 import Direction
-from affinevis.scenarios import carpet_ifs, positive_cone_ifs
+from affinevis.scenarios import carpet_ifs, harmonic_product_sample, positive_cone_ifs
 from affinevis.symbolic import PointCloud, attractor_cloud
 from affinevis.visibility import (
     ALIGN_TOL,
@@ -334,6 +334,8 @@ class TestScatterMinSweep:
         st.sampled_from([1.0, 0.1, 2.0**-6]),
         st.sampled_from([(0.0, 0.0), (-0.35, 0.2)]),
     )
+    # rotated columns 2^63 apart: their int64 gap would wrap and join them
+    @example([(-BIG, 0), (BIG, 1)], DOWN, 1.0, (0.0, 0.0))
     def test_matches_the_sort_and_bruteforce(self, rows, e, delta, origin):
         grid = grid_of(delta, origin, rows)
         got = visible_sweep(grid, e)
@@ -355,9 +357,10 @@ class TestScatterMinSweep:
 
 @functools.cache
 def rotation_clouds():
-    """Carpet and positive-cone points at 2^-8 and 2^-10, and the centers of
-    their cells."""
-    out = []
+    """Carpet and positive-cone points at 2^-8 and 2^-10, the centers of
+    their cells, and the harmonic product sample (``visible_bruteforce``'s
+    production input)."""
+    out = [harmonic_product_sample().points]
     for ifs in (carpet_ifs(), positive_cone_ifs()):
         for k in (8, 10):
             cloud = attractor_cloud(ifs, 2.0**-k)
@@ -369,8 +372,8 @@ class TestRotatedRows:
     @settings(max_examples=60, deadline=None)
     @given(SIGHT)
     def test_rows_equal_the_row_product(self, e):
-        # visible_exact and visible_sweep rotate as rot @ pts.T, for
-        # contiguous u and v rows; the reports were recorded with pts @ rot.T
+        # every visibility mode rotates as rot @ pts.T, for contiguous u and
+        # v rows; the reports were recorded with pts @ rot.T
         rot = rotation_to_down(e)
         for pts in rotation_clouds():
             rows = rot @ pts.T
