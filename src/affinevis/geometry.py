@@ -113,7 +113,7 @@ def attractor_hull(ifs: IFS, eps: float) -> ConvexPolygon:
     point, so every iterate contains the attractor and the iteration is
     monotone decreasing; convergence is geometric at rate max alpha1.
     """
-    if eps <= 0:
+    if not eps > 0:  # also true for NaN
         raise ValueError("eps must be positive")
     limit = budget_limit()
     x0 = ifs.anchor_point()

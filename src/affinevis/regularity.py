@@ -38,6 +38,8 @@ PI = math.pi
 
 # "strictly inside" margin for cone containment certificates
 STRICT_MARGIN = 1e-9
+# angular spans that start at most this far past a run's end join the run
+JOIN_SLACK = 1e-12
 # domination verdict threshold for the per-level ratio root
 TAU_MIN = 1.01
 # exhaustive level enumeration cap (kappa^n words)
@@ -123,32 +125,36 @@ def cones_disjoint(a: Cone, b: Cone) -> bool:
     return gap > a.half_width + b.half_width
 
 
+def _union(spans: Iterable[tuple[float, float]]) -> list[list[float]]:
+    """The runs ``[lo, hi]`` of the union of (lo, hi) spans, in order: each
+    span in sorted order joins the run before it when it starts within
+    JOIN_SLACK of that run's end."""
+    runs: list[list[float]] = []
+    for lo, hi in sorted(spans):
+        if runs and lo <= runs[-1][1] + JOIN_SLACK:
+            runs[-1][1] = max(runs[-1][1], hi)
+        else:
+            runs.append([lo, hi])
+    return runs
+
+
 def merge_cones(cones: list[Cone]) -> list[Cone]:
     """Merge overlapping/touching angular intervals on the circle of length pi."""
     if not cones:
         return []
-    # normalize each interval's left endpoint into [0, pi)
-    raw = []
-    for c in cones:
-        lo = (c.center.angle - c.half_width) % PI
-        raw.append((lo, lo + c.diameter))
-    raw.sort()
-    merged: list[list[float]] = []
-    for lo, hi in raw:
-        if merged and lo <= merged[-1][1] + 1e-12:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
+    # each interval's left endpoint normalized into [0, pi)
+    los = [(c.center.angle - c.half_width) % PI for c in cones]
+    merged = _union((lo, lo + c.diameter) for lo, c in zip(los, cones))
     # the last interval may spill past pi and absorb leading ones
     if len(merged) >= 2 and merged[-1][1] > PI:
         overhang = merged[-1][1] - PI
-        while len(merged) >= 2 and merged[0][0] <= overhang + 1e-12:
+        while len(merged) >= 2 and merged[0][0] <= overhang + JOIN_SLACK:
             overhang = max(overhang, merged[0][1])
             merged[-1][1] = PI + overhang
             merged.pop(0)
     out: list[Cone] = []
     for lo, hi in merged:
-        if hi - lo >= PI - 1e-12:
+        if hi - lo >= PI - JOIN_SLACK:
             raise ImproperConeError("merged intervals cover the projective line")
         out.append(Cone(ProjLine(0.5 * (lo + hi)), max(0.5 * (hi - lo), 1e-15)))
     out.sort(key=lambda c: c.center.angle)
@@ -178,7 +184,8 @@ def domination_report(ifs: IFS, n_max: int, seed: int = 0) -> DominationReport:
     is true when every level's minimum n-th ratio root stays >= TAU_MIN; a pass
     certifies domination only up to ``n_max``.  Determinants are tracked as
     exact factor products so the ratio alpha1/alpha2 = alpha1^2/|det| stays
-    accurate at any depth.
+    accurate while every det^2 is a normal float (|det| above ~1.5e-154); a
+    level past that is too fine a resolution: BudgetError, naming its depth.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -197,6 +204,12 @@ def domination_report(ifs: IFS, n_max: int, seed: int = 0) -> DominationReport:
         else:
             words = rng.integers(0, kappa, size=(DOMINATION_SAMPLES, n))
             mats, dets = word_products(ifs, words)
+        # alpha2^2 = det^2 / alpha1^2 loses its digits once det^2 is not normal
+        if not np.abs(dets).min() ** 2 >= np.finfo(float).tiny:
+            raise BudgetError(
+                f"domination probe stops at depth {n} of {n_max}: "
+                "its products are numerically singular"
+            )
         a1, a2 = alpha_pair_of_stack(mats, dets=dets)
         ratio = a1 / a2
         roots.append(float(np.min(ratio) ** (1.0 / n)))
@@ -526,9 +539,9 @@ def distortion_check(ifs: IFS, x: Cone, seed: int = 0) -> DistortionReport:
 
 
 def _level1_gaps(ifs: IFS, x: Cone) -> list[Cone]:
-    """Gap intervals of X that no level-1 image interval covers: from the
-    furthest end so far to the next image's start, the images ordered by
-    their offset from X's low end (so a gap may lie across angle 0)."""
+    """Gap intervals of X that no level-1 image interval covers: between the
+    runs of the images' ``_union``, each image placed by its offset from X's
+    low end (so a gap may lie across angle 0)."""
     images = [cone_image(f.linear, x) for f in ifs.maps]
     if len(images) < 2:
         raise NoGapError("a single map produces a single interval")
@@ -536,16 +549,11 @@ def _level1_gaps(ifs: IFS, x: Cone) -> list[Cone]:
     crosses = x_lo < 0.0 or x.center.angle + x.half_width >= PI
     # with X across 0, each centre's angle on X's side of it
     centres = [x_lo + (i.center.angle - x_lo) % PI if crosses else i.center.angle for i in images]
-    spans = sorted((c - i.half_width, c + i.half_width) for c, i in zip(centres, images))
-    gaps: list[Cone] = []
-    end = spans[0][1]
-    for lo, hi in spans[1:]:
-        if lo > end + 1e-12:
-            gaps.append(Cone(ProjLine(0.5 * (end + lo)), 0.5 * (lo - end)))
-        end = max(end, hi)
-    if not gaps:
+    runs = _union((c - i.half_width, c + i.half_width) for c, i in zip(centres, images))
+    if len(runs) < 2:
         raise NoGapError("level-1 image intervals touch or overlap")
-    return gaps
+    gaps = zip(runs, runs[1:])
+    return [Cone(ProjLine(0.5 * (end + lo)), 0.5 * (lo - end)) for (_, end), (lo, _) in gaps]
 
 
 def porosity_gap_levels(ifs: IFS, x: Cone, depth: int) -> list[float]:

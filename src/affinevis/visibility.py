@@ -245,35 +245,28 @@ def visible_sweep(grid: OccupancyGrid, e: Direction) -> OccupancyGrid:
     Works on cell centers re-rasterized in the rotated frame on the absolute
     delta-grid (absolute indices keep the sweep idempotent); all cells
     mapping into a column's minimal-row rotated cell are retained (ties are
-    unoccluded at resolution delta): ``_lowest_per_column``.  A rotated
-    cell index past int64 raises ValueError.
+    unoccluded at resolution delta).  Each column's lowest row comes from one
+    ``minimum.at`` scatter into a slot per column: the columns are numbered
+    from the lowest when their range is dense (``_dense``), else by the sort
+    of the distinct columns.  A rotated cell index past int64 raises
+    ValueError.
     """
     if len(grid) == 0:
         return grid
-    # the rotated cells as two contiguous rows: column, then row
-    cr = np.floor(rotation_to_down(e) @ grid.centers().T / grid.delta)
-    cr = _int64_cells(cr)  # the floats are freed before the scatter
-    keep = _lowest_per_column(cr)
-    # a subset of sorted distinct rows is sorted and distinct
-    return OccupancyGrid(grid.delta, grid.origin, grid.cells[keep])
-
-
-def _lowest_per_column(cr: np.ndarray) -> np.ndarray:
-    """Mask of the cells on the lowest row of their column, given the (2, n)
-    int rows (column, row): a ``minimum.at`` scatter into one slot per column
-    of the range when it is dense (``_dense``), else the sort of
-    ``_lowest_per_line`` at tolerance 0, whose sight lines are then the
-    columns."""
-    col, row = cr
+    # the rotated cells as two contiguous rows, column then row; the floats
+    # are freed before the scatter
+    col, row = _int64_cells(np.floor(rotation_to_down(e) @ grid.centers().T / grid.delta))
     c_min = int(col.min())
     span = int(col.max()) - c_min + 1
-    if not _dense(span, len(col)):
-        keep = _lowest_per_line(cr, 0)
-        return np.ones(len(col), dtype=bool) if keep is None else keep
-    col = col - c_min
+    if _dense(span, len(col)):
+        col = col - c_min
+    else:
+        distinct = np.unique(col)
+        col, span = np.searchsorted(distinct, col), len(distinct)
     lowest = np.full(span, _INT64_MAX)
     np.minimum.at(lowest, col, row)
-    return row == lowest[col]
+    # a subset of sorted distinct rows is sorted and distinct
+    return OccupancyGrid(grid.delta, grid.origin, grid.cells[row == lowest[col]])
 
 
 def _check_finite(pts: np.ndarray) -> None:
@@ -312,17 +305,17 @@ def visible_bruteforce(cloud: PointCloud, e: Direction, delta: float) -> PointCl
     return PointCloud(pts[~occluded], cloud.resolution)
 
 
-def _lowest_per_line(uv: np.ndarray, tol) -> np.ndarray | None:
-    """Mask of the points, given as the (2, n) rows u and v, at most ``tol``
-    above the lowest v of their sight line, which starts where sorted u
-    exceeds its first u by more than ``tol`` (``_split_at_anchors``); None
-    when every point is kept.  A line's points are the same for any order of
-    equal u, a min ignores order, and the mask is set in input order, so the
-    sort's order of ties is moot.
+def _lowest_per_line(uv: np.ndarray) -> np.ndarray | None:
+    """``visible_exact``'s mask of the points, given as the (2, n) float rows
+    u and v, at most ALIGN_TOL above the lowest v of their sight line, which
+    starts where sorted u exceeds its first u by more than ALIGN_TOL
+    (``_split_at_anchors``); None when every point is kept.  A line's points
+    are the same for any order of equal u, a min ignores order, and the mask
+    is set in input order, so the sort's order of ties is moot.
 
-    A point whose sorted neighbours both lie more than ``tol`` away is alone
-    on its line, and a finite v is kept, as v <= fl(v + tol).  So only the
-    run members, the points with a neighbour within ``tol``, are reduced.
+    A point whose sorted neighbours both lie more than ALIGN_TOL away is
+    alone on its line, and a finite v is kept, as v <= fl(v + ALIGN_TOL).
+    So only the run members, the points with a close neighbour, are reduced.
     Whole runs are members, so their lines are the lines of the full sort.
     """
     u, v = uv
@@ -334,10 +327,7 @@ def _lowest_per_line(uv: np.ndarray, tol) -> np.ndarray | None:
     del u
     # gap[k]: sorted point k starts a run (gap[n] closes the last one)
     gap = np.ones(len(u_s) + 1, dtype=bool)
-    if tol:
-        np.greater(u_s[1:] - u_s[:-1], tol, out=gap[1:-1])
-    else:  # equal u: the int64 gap of columns 2^63 apart would wrap
-        np.not_equal(u_s[1:], u_s[:-1], out=gap[1:-1])
+    np.greater(u_s[1:] - u_s[:-1], ALIGN_TOL, out=gap[1:-1])
     member = ~(gap[:-1] & gap[1:])
     pos = order[member]
     if pos.size == 0:
@@ -348,27 +338,27 @@ def _lowest_per_line(uv: np.ndarray, tol) -> np.ndarray | None:
     del v
     u_m = u_s[member]
     del u_s
-    starts = _split_at_anchors(u_m, np.flatnonzero(gap[:-1][member]), tol)
+    starts = _split_at_anchors(u_m, np.flatnonzero(gap[:-1][member]))
     del u_m, gap, member
     sizes = np.diff(starts, append=len(v_m))
     bound = np.repeat(np.minimum.reduceat(v_m, starts), sizes)
-    bound += tol  # in place: no second member array
+    bound += ALIGN_TOL  # in place: no second member array
     keep = np.ones(n, dtype=bool)
     keep[pos] = v_m <= bound
     return keep
 
 
-def _split_at_anchors(u_s: np.ndarray, starts: np.ndarray, tol) -> np.ndarray:
+def _split_at_anchors(u_s: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Sight-line starts of sorted ``u_s``, given the ``starts`` of its runs of
-    neighbour gaps <= tol: a new line starts wherever u exceeds the first u
-    of its line by more than ``tol``.  Only a run wider than tol holds more
+    neighbour gaps <= ALIGN_TOL: a new line starts wherever u exceeds the
+    first u of its line by more than ALIGN_TOL.  Only a wider run holds more
     than one line, and such chains are rare, so each is split point by point.
     """
     sizes = np.diff(starts, append=len(u_s))
     runs = sizes > 1
     lo = starts[runs]
     hi = lo + sizes[runs]
-    wide = np.flatnonzero(u_s[hi - 1] - u_s[lo] > tol)
+    wide = np.flatnonzero(u_s[hi - 1] - u_s[lo] > ALIGN_TOL)
     if wide.size == 0:
         return starts
     line_start = np.zeros(len(u_s), dtype=bool)
@@ -376,7 +366,7 @@ def _split_at_anchors(u_s: np.ndarray, starts: np.ndarray, tol) -> np.ndarray:
     for a, b in zip(lo[wide].tolist(), hi[wide].tolist()):
         anchor = float(u_s[a])
         for k, u in enumerate(u_s[a + 1 : b].tolist(), a + 1):
-            if u - anchor > tol:
+            if u - anchor > ALIGN_TOL:
                 line_start[k] = True
                 anchor = u
     return np.flatnonzero(line_start)
@@ -387,7 +377,7 @@ def visible_exact(cloud: PointCloud, e: Direction) -> PointCloud:
 
     p is occluded only if another point lies on (numerically) the same
     rotated vertical line strictly below it: a sight line of
-    ``_lowest_per_line`` at tolerance ALIGN_TOL.  Sets without exact
+    ``_lowest_per_line``, ALIGN_TOL wide.  Sets without exact
     alignments are entirely visible, which is what distinguishes sight
     lines at an exceptional orientation from the column-quantized sweep.
     A non-finite coordinate raises ValueError.
@@ -396,7 +386,7 @@ def visible_exact(cloud: PointCloud, e: Direction) -> PointCloud:
     _check_finite(pts)
     if pts.shape[0] == 0:
         return cloud
-    keep = _lowest_per_line(rotation_to_down(e) @ pts.T, ALIGN_TOL)
+    keep = _lowest_per_line(rotation_to_down(e) @ pts.T)
     return PointCloud(pts.copy() if keep is None else pts[keep], cloud.resolution)
 
 

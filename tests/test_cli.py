@@ -304,6 +304,12 @@ class TestCLI:
         assert "budget exceeded: word levels stop at depth 7 of 8" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_domination_past_det_underflow_exits_3(self, capsys):
+        # det^2 of the positive-cone products underflows from depth 111: a
+        # cap, where the verdict read PASS with tau ~ nan
+        assert main(["check", "--scenario", "positive-cone", "--domination", "--depth", "120"]) == 3
+        assert "depth 111 of 120: its products are numerically singular" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "env, extra, source",
         [

@@ -18,7 +18,7 @@ from affinevis.geometry import (
     projection_condition_check,
 )
 from affinevis.linalg2 import AffineMap2, Direction, Mat2, proj_apply
-from affinevis.regularity import orientation_cover
+from affinevis.regularity import domination_report, orientation_cover
 from affinevis.symbolic import IFS, attractor_cloud, cylinder
 
 
@@ -76,6 +76,12 @@ class TestAttractorHull:
         for p in cloud.points:
             assert hull.contains(p, tol=1e-6)
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-6, math.nan])
+    def test_eps_must_be_positive(self, carpet, eps):
+        # a NaN eps ran the 1,000 hull steps, then raised BudgetError
+        with pytest.raises(ValueError, match="eps must be positive"):
+            attractor_hull(carpet, eps)
+
 
 def _gappy_pair():
     """diag(1/3, 1/2) pair whose y-marginal leaves a gap: some directions fail."""
@@ -106,6 +112,18 @@ def _moved(ifs: IFS, c) -> IFS:
     return IFS(
         tuple(
             AffineMap2(f.linear, tuple(np.asarray(f.translation) + c - f.linear.apply(c)))
+            for f in ifs.maps
+        )
+    )
+
+
+def _turned(ifs: IFS, k: int) -> IFS:
+    """The IFS conjugated by k quarter turns R: A -> R A R^T, t -> R t, with
+    R's integer powers, so every entry moves exactly."""
+    r = np.linalg.matrix_power(np.array([[0.0, -1.0], [1.0, 0.0]]), k)
+    return IFS(
+        tuple(
+            AffineMap2(Mat2(*np.ravel(r @ f.linear.as_array() @ r.T)), tuple(r @ f.translation))
             for f in ifs.maps
         )
     )
@@ -378,3 +396,43 @@ class TestDirectionScan:
                 scan = direction_scan(IFS(tuple(maps)), 8, depth=3, delta=2.0**-7)
                 rows[s] = [(r.exceptional, r.passed, r.first_pass_depth) for r in scan]
             assert rows[2.0**10] == rows[1.0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+class TestQuarterTurn:
+    """A quarter turn of the set turns its orientations and its sight
+    directions with it; verdicts, cone widths and ratios stay."""
+
+    @pytest.fixture(scope="class", params=["carpet", "positive_pair"])
+    def ifs(self, request):
+        return request.getfixturevalue(request.param)
+
+    def test_cover_turns_with_the_set(self, ifs, k):
+        want = sorted(
+            ((c.center.angle + k * math.pi / 2) % math.pi, c.half_width)
+            for c in orientation_cover(ifs, 1e-3)
+        )
+        got = orientation_cover(_turned(ifs, k), 1e-3)
+        assert len(got) == len(want)
+        for c, (centre, half_width) in zip(got, want):
+            offset = abs(c.center.angle - centre)
+            assert min(offset, math.pi - offset) <= 1e-12
+            assert c.half_width == pytest.approx(half_width, rel=0.0, abs=1e-12)
+
+    def test_domination_roots_stay(self, ifs, k):
+        got = domination_report(_turned(ifs, k), 6).min_ratio_roots
+        assert got == pytest.approx(domination_report(ifs, 6).min_ratio_roots, rel=1e-12)
+
+    def test_scan_rows_move_by_two_places_a_turn(self, ifs, k):
+        # the 8-direction grid steps by pi/4: a quarter turn is two rows
+        rows = direction_scan(ifs, 8, depth=3, delta=2.0**-7)
+        turned = direction_scan(_turned(ifs, k), 8, depth=3, delta=2.0**-7)
+        for j, a in enumerate(rows):
+            b = turned[(j + 2 * k) % 8]
+            assert (b.exceptional, b.passed, b.first_pass_depth) == (
+                a.exceptional,
+                a.passed,
+                a.first_pass_depth,
+            ), j
+            if not a.exceptional:
+                assert b.worst_gap == pytest.approx(a.worst_gap, rel=0.0, abs=1e-12)

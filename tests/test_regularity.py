@@ -82,6 +82,19 @@ class TestCone:
         b = Cone(ProjLine(1.2), 0.05)
         assert len(merge_cones([a, b])) == 2
 
+    def test_cover_and_gaps_read_one_join_slack(self, positive_pair, monkeypatch):
+        # a slack wider than the level-1 gap closes it, and merges two cones
+        # that far apart: both unions read the one constant
+        cone = invariant_cone_search(positive_pair, depth=6)
+        (gap,) = regularity._level1_gaps(positive_pair, cone)
+        a = Cone(ProjLine(0.3), 0.05)
+        b = Cone(ProjLine(0.4 + gap.diameter), 0.05)
+        assert len(merge_cones([a, b])) == 2
+        monkeypatch.setattr(regularity, "JOIN_SLACK", 1.5 * gap.diameter)
+        assert len(merge_cones([a, b])) == 1
+        with pytest.raises(NoGapError):
+            regularity._level1_gaps(positive_pair, cone)
+
 
 class TestDomination:
     def test_carpet_exact_tau(self, carpet):
@@ -109,6 +122,13 @@ class TestDomination:
         rep = domination_report(positive_pair, 8)
         assert rep.verdict
         assert rep.tau_estimate > 2.0
+
+    def test_underflowing_determinants_stop_with_the_depth(self, positive_pair):
+        # both maps have det 0.04: from depth 111 every product's det^2 is
+        # below the smallest normal float (0 from depth 116, where
+        # alpha1 / alpha2 divided by zero and the verdict read tau ~ nan)
+        with pytest.raises(BudgetError, match="depth 111 of 120: its products are numerically"):
+            domination_report(positive_pair, 120)
 
     def test_verdict_monotone_in_depth(self, carpet, rotation_pair):
         # a failing verdict never recovers at larger n_max; a passing one

@@ -1,5 +1,7 @@
+import ast
 import functools
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from affinevis.errors import BudgetError, DirectionInConeError, budget_scope
 from affinevis.linalg2 import Direction
 from affinevis.scenarios import carpet_ifs, harmonic_product_sample, positive_cone_ifs
 from affinevis.symbolic import PointCloud, attractor_cloud
+from affinevis import visibility
 from affinevis.visibility import (
     ALIGN_TOL,
     KakeyaSet,
@@ -319,7 +322,7 @@ def rotated_column_span(grid, e):
 
 
 # far-apart cell pairs make the rotated column range sparse, so the sweep
-# falls back to the sort
+# numbers the columns by their sort
 CELL = st.one_of(
     st.tuples(st.integers(-6, 6), st.integers(-20, 20)),
     st.tuples(st.sampled_from([-(10**6), 10**6]), st.integers(-3, 3)),
@@ -366,6 +369,27 @@ def rotation_clouds():
             cloud = attractor_cloud(ifs, 2.0**-k)
             out += [cloud.points, rasterize(cloud, 2.0**-k).centers()]
     return out
+
+
+def callers(name):
+    """Names of the functions of ``affinevis`` whose bodies call ``name``,
+    as a bare name or a module attribute."""
+    found = set()
+    for path in pathlib.Path(visibility.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                calls = (n.func for n in ast.walk(fn) if isinstance(n, ast.Call))
+                if any(name in (getattr(f, "id", None), getattr(f, "attr", None)) for f in calls):
+                    found.add(fn.name)
+    return found
+
+
+class TestExactRaysAreALeaf:
+    def test_sight_line_kernel_serves_only_exact_rays(self):
+        # the sweep numbers its own columns, so deleting visible_exact can
+        # take the float sight-line kernel with it
+        assert callers("_lowest_per_line") == {"visible_exact"}
+        assert callers("_split_at_anchors") == {"_lowest_per_line"}
 
 
 class TestRotatedRows:
@@ -451,8 +475,8 @@ class TestOneKeySortsMatchLexsort:
         st.sampled_from([(0.0, 0.0), (-0.35, 0.2)]),
     )
     @example([(0, j) for j in range(-5, 5)] + [(-1, 3), (-1, -7), (-1, -7)], DOWN, 1.0, (0.0, 0.0))
-    # a column range past the density rule, one cell a column: the sort path
-    # reduces no line and keeps every cell
+    # a column range past the density rule, one cell a column: the columns
+    # are numbered by their sort, and every cell is kept
     @example([(-(10**6), 0), (3, -2), (0, 5), (10**6, 1)], DOWN, 1.0, (0.0, 0.0))
     def test_sweep(self, rows, e, delta, origin):
         # few columns, many cells in each, negative indices
@@ -499,7 +523,7 @@ class TestOneKeySortsMatchLexsort:
     @example([(-0.0, 0.5), (0.0, -0.75), (0.25, 0.0), (0.5, 0.0), (-0.0, 0.0)])
     def test_lines_of_given_rows(self, rows):
         u, v = uv = np.array(rows).T.copy()
-        keep = _lowest_per_line(uv, ALIGN_TOL)
+        keep = _lowest_per_line(uv)
         want = lexsort_lowest(u, v)
         assert np.array_equal(np.ones(len(u), dtype=bool) if keep is None else keep, want)
 
