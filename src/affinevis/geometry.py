@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BudgetError, ExceptionalDirectionError, budget_limit
-from .linalg2 import Direction, ProjLine, proj_apply, singular_data
+from .linalg2 import Direction, ProjLine, proj_apply
 from .regularity import Cone, orientation_cover
 from .symbolic import IFS, PointCloud, attractor_cloud
 
@@ -116,9 +116,7 @@ def attractor_hull(ifs: IFS, eps: float) -> ConvexPolygon:
     if not eps > 0:  # also true for NaN
         raise ValueError("eps must be positive")
     limit = budget_limit()
-    x0 = ifs.anchor_point()
-    s = max(singular_data(f.linear).alpha1 for f in ifs.maps)
-    d0 = max(float(np.hypot(*(f(x0) - x0))) for f in ifs.maps)
+    x0, s, d0 = ifs.invariant_ball()
     if d0 == 0.0:
         return ConvexPolygon(x0[None, :])
     n_gon = 64
@@ -198,6 +196,7 @@ def projection_condition_check(
         )
     if cloud is None:
         cloud = attractor_cloud(ifs, delta)
+    gap_tol = 3.0 * cloud.resolution
     # breadth-first pullback of the carrier through inverse factor maps;
     # projectively identical pullbacks collapse, so diagonal systems cost
     # one axis per level instead of kappa^depth
@@ -233,7 +232,7 @@ def projection_condition_check(
         rel = np.zeros_like(spans)
         rel[ok] = gaps[ok] / spans[ok]
         tols = np.zeros_like(spans)
-        tols[ok] = 3.0 * cloud.resolution / spans[ok]
+        tols[ok] = gap_tol / spans[ok]
         return bool(np.all(rel[ok] <= tols[ok])), float(rel[ok].max(initial=0.0))
 
     level = {round(carrier.angle, 12): carrier}
@@ -251,7 +250,7 @@ def projection_condition_check(
             if passed and first_pass is None:
                 first_pass = n
     return ProjectionVerdict(
-        e, passed, worst, float(3.0 * cloud.resolution), depth, False, first_pass
+        e, passed, worst, float(gap_tol), depth, False, first_pass
     )
 
 

@@ -54,12 +54,8 @@ class Mat2:
     def transpose(self) -> "Mat2":
         return Mat2(self.a11, self.a21, self.a12, self.a22)
 
-    def scale_bound(self) -> float:
-        """Largest absolute entry; used for singularity thresholds."""
-        return max(abs(self.a11), abs(self.a12), abs(self.a21), abs(self.a22))
-
     def is_singular(self) -> bool:
-        s = self.scale_bound()
+        s = max(abs(self.a11), abs(self.a12), abs(self.a21), abs(self.a22))
         return abs(self.det) <= _DET_RTOL * s * s
 
     @property
@@ -83,12 +79,6 @@ class Mat2:
         return pts @ np.array([[self.a11, self.a21], [self.a12, self.a22]])
 
 
-def normalize_angle_projective(angle: float) -> float:
-    """Reduce a line angle into [0, pi) with floored modulo."""
-    a = angle % PI
-    return 0.0 if a >= PI else a
-
-
 @dataclass(frozen=True)
 class ProjLine:
     """A line through the origin, represented by its angle in [0, pi)."""
@@ -96,7 +86,8 @@ class ProjLine:
     angle: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "angle", normalize_angle_projective(float(self.angle)))
+        a = float(self.angle) % PI
+        object.__setattr__(self, "angle", 0.0 if a >= PI else a)
 
     def vector(self) -> np.ndarray:
         return np.array([math.cos(self.angle), math.sin(self.angle)])

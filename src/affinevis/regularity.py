@@ -46,8 +46,8 @@ TAU_MIN = 1.01
 EXHAUSTIVE_WORDS = 1_000_000
 # random words probed per level past the exhaustive cap
 DOMINATION_SAMPLES = 4096
-# deepest-level word caps of the cone seed and the distortion probe, and
-# the cap on the porosity refinement's distinct products per level
+# deepest-level word caps of the cone seed (also the contraction walk's) and
+# the distortion probe; the porosity refinement's cap on distinct products
 THETA1_WORDS = 200_000
 DISTORTION_WORDS = 50_000
 POROSITY_WORDS = 100_000
@@ -58,7 +58,7 @@ DISTORTION_PROBE_DEPTH = 5
 # sampled line pairs and their word length in the distortion sandwich
 DISTORTION_SAMPLES = 10_000
 DISTORTION_WORD_LENGTH = 8
-# deepest level smallest_contraction_depth tries, and its answer past it
+# deepest level smallest_contraction_depth tries
 CONTRACTION_DEPTH = 12
 
 
@@ -79,12 +79,6 @@ class Cone:
     def diameter(self) -> float:
         return 2.0 * self.half_width
 
-    def endpoints(self) -> tuple[ProjLine, ProjLine]:
-        return (
-            ProjLine(self.center.angle - self.half_width),
-            ProjLine(self.center.angle + self.half_width),
-        )
-
     def contains_line(self, line: ProjLine) -> bool:
         return abs(proj_signed_gap(line, self.center)) <= self.half_width
 
@@ -103,9 +97,8 @@ def cone_image(m: Mat2, cone: Cone) -> Cone:
     Projective maps are homeomorphisms of P^1, so the image of an interval
     is the arc between the endpoint images that contains the center image.
     """
-    lo, hi = cone.endpoints()
-    lo_i = proj_apply(m, lo)
-    hi_i = proj_apply(m, hi)
+    lo_i = proj_apply(m, ProjLine(cone.center.angle - cone.half_width))
+    hi_i = proj_apply(m, ProjLine(cone.center.angle + cone.half_width))
     c_i = proj_apply(m, cone.center)
     d_lo = proj_signed_gap(lo_i, c_i)
     d_hi = proj_signed_gap(hi_i, c_i)
@@ -140,8 +133,6 @@ def _union(spans: Iterable[tuple[float, float]]) -> list[list[float]]:
 
 def merge_cones(cones: list[Cone]) -> list[Cone]:
     """Merge overlapping/touching angular intervals on the circle of length pi."""
-    if not cones:
-        return []
     # each interval's left endpoint normalized into [0, pi)
     los = [(c.center.angle - c.half_width) % PI for c in cones]
     merged = _union((lo, lo + c.diameter) for lo, c in zip(los, cones))
@@ -163,6 +154,11 @@ def merge_cones(cones: list[Cone]) -> list[Cone]:
 
 # ---------------------------------------------------------------------------
 # domination
+
+
+def _numerically_singular(dets) -> bool:
+    """Some det^2 is not a normal float, so alpha2^2 = det^2 / alpha1^2 lost its digits."""
+    return not np.min(np.abs(dets)) ** 2 >= np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -204,8 +200,7 @@ def domination_report(ifs: IFS, n_max: int, seed: int = 0) -> DominationReport:
         else:
             words = rng.integers(0, kappa, size=(DOMINATION_SAMPLES, n))
             mats, dets = word_products(ifs, words)
-        # alpha2^2 = det^2 / alpha1^2 loses its digits once det^2 is not normal
-        if not np.abs(dets).min() ** 2 >= np.finfo(float).tiny:
+        if _numerically_singular(dets):
             raise BudgetError(
                 f"domination probe stops at depth {n} of {n_max}: "
                 "its products are numerically singular"
@@ -231,13 +226,13 @@ def domination_report(ifs: IFS, n_max: int, seed: int = 0) -> DominationReport:
 
 
 def _theta1_lines(ifs: IFS, depth: int, transpose: bool = False) -> list[ProjLine]:
+    """theta1 of each distinct product of the words of length ``depth``."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     for mats, dets in word_levels(ifs, depth, transpose, cap=THETA1_WORDS):
         pass  # only the deepest level is used
-    first, which = _distinct_rows(mats, dets)
-    lines = [singular_data(Mat2.from_array(mats[k]), det=dets[k]).theta1 for k in first]
-    return [lines[c] for c in which]
+    first = _distinct_rows(mats, dets)[0]
+    return [singular_data(Mat2.from_array(mats[k]), det=dets[k]).theta1 for k in first]
 
 
 def angular_hull(lines: list[ProjLine]) -> Cone:
@@ -249,8 +244,6 @@ def angular_hull(lines: list[ProjLine]) -> Cone:
     if not lines:
         raise ValueError("empty line set")
     angles = np.sort(np.array([l.angle for l in lines]))
-    if angles.size == 1:
-        return Cone(ProjLine(angles[0]), 1e-12)
     gaps = np.diff(angles)
     wrap = angles[0] + PI - angles[-1]
     k = int(np.argmax(gaps)) if gaps.size and gaps.max() > wrap else -1
@@ -307,7 +300,6 @@ class SeparationReport:
     invariant: bool
     disjoint: bool
     witness: tuple[int, int] | None
-    images: tuple[Cone, ...]
 
 
 def strong_cone_separation_check(ifs: IFS, x: Cone) -> SeparationReport:
@@ -328,7 +320,7 @@ def strong_cone_separation_check(ifs: IFS, x: Cone) -> SeparationReport:
                 break
         if witness:
             break
-    return SeparationReport(invariant and disjoint, invariant, disjoint, witness, images)
+    return SeparationReport(invariant and disjoint, invariant, disjoint, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +408,15 @@ def limit_orientation(
 
     The certified distance to the limit orientation is M * pi * alpha2/alpha1
     of the depth-n cylinder; without a cone certificate the bound degrades
-    to the trivial pi/2.
+    to the trivial pi/2.  A depth whose product's det^2 is not a normal
+    float is past the reachable resolution: BudgetError, naming it.
     """
-    word = cyclic_prefix(prefix if prefix else (1,), n)
-    sd = cylinder(ifs, word).sdata
+    cyl = cylinder(ifs, cyclic_prefix(prefix if prefix else (1,), n))
+    if _numerically_singular(cyl.det):
+        raise BudgetError(
+            f"limit orientation stops at depth {n}: its product is numerically singular"
+        )
+    sd = cyl.sdata
     if cone is None:
         try:
             cone = invariant_cone_search(ifs, depth=min(6, n))
@@ -473,18 +470,21 @@ class DistortionReport:
     k0: int
     samples: int
     violations: int
-    min_ratio: float
-    max_ratio: float
 
 
 def smallest_contraction_depth(ifs: IFS, x: Cone, delta_sep: float) -> int:
-    """First depth at which every image interval has diameter <= delta_sep,
-    or CONTRACTION_DEPTH if none up to it does."""
-    for n, (mats, _) in enumerate(word_levels(ifs, CONTRACTION_DEPTH), start=1):
+    """First depth at which every image interval has diameter <= delta_sep.
+    The levels read the cone seed's word cap; a level past it, or no
+    contraction by CONTRACTION_DEPTH, raises BudgetError naming the depth."""
+    levels = word_levels(ifs, CONTRACTION_DEPTH, cap=THETA1_WORDS)
+    for n, (mats, _) in enumerate(levels, start=1):
         rows = _distinct_rows(mats)[0]
         if max(cone_image(Mat2.from_array(mats[k]), x).diameter for k in rows) <= delta_sep:
             return n
-    return CONTRACTION_DEPTH
+    raise BudgetError(
+        f"contraction walk stops at depth {CONTRACTION_DEPTH}: "
+        f"no level contracts the cone to {delta_sep:.3g}"
+    )
 
 
 def distortion_check(ifs: IFS, x: Cone, seed: int = 0) -> DistortionReport:
@@ -526,16 +526,7 @@ def distortion_check(ifs: IFS, x: Cone, seed: int = 0) -> DistortionReport:
     up_excess = np.maximum(out - upper, 0.0) / np.maximum(upper, 1e-300)
     lo_excess = np.maximum(lower - out, 0.0) / np.maximum(lower, 1e-300)
     violations = int(np.count_nonzero((up_excess > 1e-9) | (lo_excess > 1e-9)))
-    ratios = out / ang_in[nz]
-    return DistortionReport(
-        consts,
-        DISTORTION_WORD_LENGTH,
-        k0,
-        DISTORTION_SAMPLES,
-        violations,
-        float(ratios.min(initial=math.inf)),
-        float(ratios.max(initial=0.0)),
-    )
+    return DistortionReport(consts, DISTORTION_WORD_LENGTH, k0, DISTORTION_SAMPLES, violations)
 
 
 def _level1_gaps(ifs: IFS, x: Cone) -> list[Cone]:

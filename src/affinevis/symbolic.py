@@ -68,16 +68,19 @@ class IFS:
         """Fixed point of map 1; a point of the attractor."""
         return self.maps[0].fixed_point()
 
-    def diameter_bound(self) -> float:
-        """Upper bound for diam(E) via the invariant ball around map 1's fixed point.
-
-        With x0 any point and D0 = max_i |phi_i(x0) - x0|, the ball
-        B(x0, D0 / (1 - s)) maps into itself, so it contains the attractor.
-        """
+    def invariant_ball(self) -> tuple[np.ndarray, float, float]:
+        """``(x0, s, d0)``: map 1's fixed point x0, the largest alpha1 s and
+        d0 = max_i |phi_i(x0) - x0|.  The ball B(x0, d0 / (1 - s)) maps into
+        itself, so it contains the attractor."""
         x0 = self.anchor_point()
         s = max(singular_data(f.linear).alpha1 for f in self.maps)
         d0 = max(float(np.hypot(*(f(x0) - x0))) for f in self.maps)
-        return 2.0 * d0 / (1.0 - s) if d0 > 0 else 0.0
+        return x0, s, d0
+
+    def diameter_bound(self) -> float:
+        """Upper bound for diam(E): the diameter of the invariant ball."""
+        _, s, d0 = self.invariant_ball()
+        return 2.0 * d0 / (1.0 - s)
 
 
 @dataclass(frozen=True)

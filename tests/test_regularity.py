@@ -42,7 +42,7 @@ from affinevis.regularity import (
     smallest_contraction_depth,
     strong_cone_separation_check,
 )
-from affinevis.symbolic import IFS, cylinder, word_levels
+from affinevis.symbolic import IFS, _distinct_rows, cylinder, word_levels
 from test_symbolic import ALTERNATING, B_A_B
 
 VERTICAL = ProjLine(math.pi / 2)
@@ -180,7 +180,8 @@ class TestStrongConeSeparation:
         rep = strong_cone_separation_check(positive_pair, cone)
         assert rep.verdict, rep
         assert rep.witness is None
-        assert cones_disjoint(rep.images[0], rep.images[1])
+        a, b = (cone_image(f.linear, cone) for f in positive_pair.maps)
+        assert cones_disjoint(a, b)
 
     def test_quadrant_cone_images_touch(self, positive_pair):
         # both maps send the vertical boundary line to the same image line,
@@ -304,15 +305,10 @@ class TestDistortion:
         assert rep.k0 >= 1
 
     def test_carpet_sandwich_on_vertical_cone(self, carpet):
-        # separation fails for the carpet, but the two-sided bound is still
-        # measurable on the invariant vertical cone: the tangent contraction
-        # factor is exactly (2/3)^n
-        cone = Cone(VERTICAL, 0.3)
-        rep = distortion_check(carpet, cone, seed=1)
-        consts = rep.constants
-        ratio = (2.0 / 3.0) ** rep.word_length
-        assert rep.min_ratio >= ratio / consts.M - 1e-12
-        assert rep.max_ratio <= ratio * consts.M**2 + 1e-12
+        # separation fails for the carpet, but the two-sided bound still
+        # holds on the invariant vertical cone, each sampled pair against its
+        # own word's ratio (2/3)^n
+        rep = distortion_check(carpet, Cone(VERTICAL, 0.3), seed=1)
         assert rep.violations == 0
 
 
@@ -387,6 +383,19 @@ def five_maps():
     return IFS(tuple(AffineMap2(lin, (0.2 * k, 0.0)) for k in range(5)))
 
 
+def five_dominated():
+    """Five dominated maps whose images of their depth-4 cone contract to
+    delta_sep at no level up to 9; level 8 is past the cone seed's cap."""
+    lin = [
+        (0.335729, 0.047544, 0.016896, 0.273409),
+        (0.308743, 0.018173, 0.031159, 0.28653),
+        (0.262602, 0.062968, 0.011968, 0.240683),
+        (0.381473, 0.026889, 0.007514, 0.290573),
+        (0.317551, 0.018451, 0.002601, 0.288738),
+    ]
+    return IFS(tuple(AffineMap2(Mat2(*a), (0.1 * k, 0.07 * k)) for k, a in enumerate(lin)))
+
+
 def fifteen_maps():
     """Fifteen maps: level 4 (50,625 words) is the first past the distortion
     probe's 50k cap, one short of its depth 5."""
@@ -408,16 +417,18 @@ class TestTheta1Lines:
     )
     @pytest.mark.parametrize("transpose", [False, True])
     def test_one_line_per_word_as_its_own_call_gives(self, request, name, depth, transpose):
-        # one singular_data per distinct product: the carpet's 19,683 words
-        # share one, positive-cone's 256 are all distinct
+        # one line per distinct product: the carpet's 19,683 words share one,
+        # positive-cone's 256 are all distinct; each word's own call gives
+        # one of the lines
         ifs = system(request, name)
         for mats, dets in word_levels(ifs, depth, transpose):
             pass
-        want = [singular_data(Mat2.from_array(m), det=d).theta1 for m, d in zip(mats, dets)]
+        first = _distinct_rows(mats, dets)[0]
+        line = lambda k: singular_data(Mat2.from_array(mats[k]), det=dets[k]).theta1
         got = _theta1_lines(ifs, depth, transpose)
-        assert len(got) == len(want) == len(dets)
-        angles = lambda lines: np.array([line.angle for line in lines]).tobytes()
-        assert angles(got) == angles(want)
+        angles = lambda lines: np.array([l.angle for l in lines]).tobytes()
+        assert angles(got) == angles([line(k) for k in first])
+        assert {l.angle for l in got} == {line(k).angle for k in range(len(dets))}
 
 
 def distortion_reference(ifs, x):
@@ -489,6 +500,31 @@ class TestHonestCaps:
     def test_distortion_constants_raise_short_of_depth(self):
         with pytest.raises(BudgetError, match="depth 4 of 5"):
             distortion_constants(fifteen_maps(), QUADRANT_MARGIN)
+
+    def test_contraction_walk_raises_at_the_cone_seed_cap(self):
+        # the walk stops where the cone seed's cap does, before level 8's
+        # 390,625 words (the next levels hold up to 244M words)
+        ifs = five_dominated()
+        with pytest.raises(BudgetError, match="depth 8 of 12"):
+            distortion_check(ifs, invariant_cone_search(ifs, 4))
+
+    def test_contraction_walk_raises_without_contraction(self, carpet):
+        # level 12 maps the vertical cone to diameter 0.0048 > 0.00127
+        x = Cone(VERTICAL, 0.3)
+        delta_sep = 0.001 * distortion_constants(carpet, x).delta_sep
+        with pytest.raises(BudgetError, match=f"depth {CONTRACTION_DEPTH}: no level contracts"):
+            smallest_contraction_depth(carpet, x, delta_sep)
+
+    @pytest.mark.parametrize("depth", [111, 116, 120])
+    def test_limit_orientation_raises_past_normal_det_squares(self, positive_pair, depth):
+        # both maps have det 0.04: det^2 is subnormal from depth 111, 0 from 116
+        cone = invariant_cone_search(positive_pair, depth=6)
+        with pytest.raises(BudgetError, match=f"depth {depth}: its product is numerically"):
+            limit_orientation(positive_pair, (1, 2), depth, cone=cone)
+
+    def test_limit_orientation_keeps_the_last_normal_depth(self, positive_pair):
+        cone = invariant_cone_search(positive_pair, depth=6)
+        assert limit_orientation(positive_pair, (1, 2), 110, cone=cone)[1] == 2.598659159056056e-109
 
 
 class TestDepthGuards:

@@ -43,6 +43,19 @@ class TestIFSEntries:
             IFS((good, bad))
 
 
+class TestInvariantBall:
+    @pytest.mark.parametrize("name", ["carpet", "positive_pair"])
+    def test_cloud_within_half_the_diameter_bound(self, request, name):
+        # the ball B(x0, d0 / (1 - s)) maps into itself: 1.1145 <= 1.3333
+        # for the carpet, 2.2469 <= 2.4612 for positive-cone
+        ifs = request.getfixturevalue(name)
+        pts = attractor_cloud(ifs, 2.0**-8).points
+        assert np.hypot(*(pts - ifs.anchor_point()).T).max() <= ifs.diameter_bound() / 2
+
+    def test_one_map_attractor_is_its_fixed_point(self, single_map):
+        assert single_map.diameter_bound() == 0.0
+
+
 class TestCylinder:
     def test_empty_word_is_identity(self, carpet):
         c = cylinder(carpet, ())
