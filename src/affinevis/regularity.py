@@ -7,6 +7,7 @@ tested depth, a failing cone search is not a disproof.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -32,7 +33,6 @@ from .linalg2 import (
     singular_data,
 )
 from .symbolic import IFS, Word, cylinder, cyclic_prefix, word_levels, word_products
-from .symbolic import _distinct_rows
 
 PI = math.pi
 
@@ -46,7 +46,7 @@ TAU_MIN = 1.01
 EXHAUSTIVE_WORDS = 1_000_000
 # random words probed per level past the exhaustive cap
 DOMINATION_SAMPLES = 4096
-# deepest-level word caps of the cone seed (also the contraction walk's) and
+# per-level product caps of the cone seed (also the contraction walk's) and
 # the distortion probe; the porosity refinement's cap on distinct products
 THETA1_WORDS = 200_000
 DISTORTION_WORDS = 50_000
@@ -190,10 +190,10 @@ def domination_report(ifs: IFS, n_max: int, seed: int = 0) -> DominationReport:
     kappa = ifs.kappa
     exact_levels = word_levels(ifs, n_max)
 
-    levels: list[int] = []
+    levels = list(range(1, n_max + 1))
     roots: list[float] = []
     exhaustive_up_to = 0
-    for n in range(1, n_max + 1):
+    for n in levels:
         if kappa**n <= cap:
             mats, dets = next(exact_levels)
             exhaustive_up_to = n
@@ -206,16 +206,11 @@ def domination_report(ifs: IFS, n_max: int, seed: int = 0) -> DominationReport:
                 "its products are numerically singular"
             )
         a1, a2 = alpha_pair_of_stack(mats, dets=dets)
-        ratio = a1 / a2
-        roots.append(float(np.min(ratio) ** (1.0 / n)))
-        levels.append(n)
+        roots.append(float(np.min(a1 / a2) ** (1.0 / n)))
 
     # fit log(min ratio at level n) = n log(tau) + const
     log_min = np.array([n * math.log(max(r, 1e-300)) for r, n in zip(roots, levels)])
-    if len(levels) >= 2:
-        slope = np.polyfit(levels, log_min, 1)[0]
-    else:
-        slope = log_min[0]
+    slope = np.polyfit(levels, log_min, 1)[0] if n_max >= 2 else log_min[0]
     tau_est = float(math.exp(slope))
     verdict = all(r >= TAU_MIN for r in roots)
     return DominationReport(tuple(levels), tuple(roots), tau_est, verdict, exhaustive_up_to)
@@ -231,8 +226,7 @@ def _theta1_lines(ifs: IFS, depth: int, transpose: bool = False) -> list[ProjLin
         raise ValueError("depth must be >= 1")
     for mats, dets in word_levels(ifs, depth, transpose, cap=THETA1_WORDS):
         pass  # only the deepest level is used
-    first = _distinct_rows(mats, dets)[0]
-    return [singular_data(Mat2.from_array(mats[k]), det=dets[k]).theta1 for k in first]
+    return [singular_data(Mat2.from_array(m), det=d).theta1 for m, d in zip(mats, dets)]
 
 
 def angular_hull(lines: list[ProjLine]) -> Cone:
@@ -310,16 +304,9 @@ def strong_cone_separation_check(ifs: IFS, x: Cone) -> SeparationReport:
     """
     invariant = cone_is_invariant(ifs, x)
     images = tuple(cone_image(f.linear, x) for f in ifs.maps)
-    witness = None
-    disjoint = True
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            if not cones_disjoint(images[i], images[j]):
-                disjoint = False
-                witness = (i + 1, j + 1)
-                break
-        if witness:
-            break
+    pairs = itertools.combinations(enumerate(images, start=1), 2)
+    witness = next(((i, j) for (i, a), (j, b) in pairs if not cones_disjoint(a, b)), None)
+    disjoint = witness is None
     return SeparationReport(invariant and disjoint, invariant, disjoint, witness)
 
 
@@ -452,8 +439,8 @@ def distortion_constants(ifs: IFS, x: Cone) -> DistortionConstants:
     (pi - d)/d and the tangent derivative bound sec^2(pi/2 - d/2)."""
     d_min = math.inf
     for mats, dets in word_levels(ifs, DISTORTION_PROBE_DEPTH, cap=DISTORTION_WORDS):
-        for k in _distinct_rows(mats, dets)[0]:
-            sd = singular_data(Mat2.from_array(mats[k]), det=dets[k])
+        for m, d in zip(mats, dets):
+            sd = singular_data(Mat2.from_array(m), det=d)
             eta2_line = ProjLine(math.atan2(sd.eta2[1], sd.eta2[0]))
             d_min = min(d_min, x.line_distance(eta2_line))
     if not math.isfinite(d_min) or d_min <= 0:
@@ -474,12 +461,11 @@ class DistortionReport:
 
 def smallest_contraction_depth(ifs: IFS, x: Cone, delta_sep: float) -> int:
     """First depth at which every image interval has diameter <= delta_sep.
-    The levels read the cone seed's word cap; a level past it, or no
+    The levels read the cone seed's product cap; a level past it, or no
     contraction by CONTRACTION_DEPTH, raises BudgetError naming the depth."""
     levels = word_levels(ifs, CONTRACTION_DEPTH, cap=THETA1_WORDS)
     for n, (mats, _) in enumerate(levels, start=1):
-        rows = _distinct_rows(mats)[0]
-        if max(cone_image(Mat2.from_array(mats[k]), x).diameter for k in rows) <= delta_sep:
+        if max(cone_image(Mat2.from_array(m), x).diameter for m in mats) <= delta_sep:
             return n
     raise BudgetError(
         f"contraction walk stops at depth {CONTRACTION_DEPTH}: "

@@ -179,11 +179,11 @@ def _tangent_assertions(report: RunReport, ifs: IFS, stream, cover: list[Cone]) 
         f"for n>=4: {v_mono} (n up to 12, h_12 = {hs[-1]:.3g}, v_12 = {vs[-1]:.3g})",
     )
     rects = [rect for _, rect in seq if rect.h > 2.0]
-    k = kakeya_extract(rects)
+    thetas = kakeya_extract(rects).thetas if rects else ()
     tol = 0.02
     inside = all(
         any(c.line_distance(Direction(t).carrier()) <= tol for c in cover)
-        for t in k.thetas
+        for t in thetas
     )
     report.add_assertion(
         "kakeya-directions-in-cover",

@@ -28,6 +28,7 @@ Word = tuple[int, ...]
 
 # attractor_cloud adds the gathered anchor images this many rows at a time
 _CLOUD_BLOCK = 1 << 16
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # _distinct_rows' hash multiplier: 2^64 / golden ratio
 
 
 @dataclass(frozen=True)
@@ -145,13 +146,14 @@ def _children(mats: np.ndarray, lin: np.ndarray) -> np.ndarray:
 def word_levels(
     ifs: IFS, depth: int, transpose: bool = False, cap: int | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Products A_w and exact factor-determinant products of all words, per level.
+    """Distinct products A_w and exact factor-determinant products, per level.
 
-    Yields ``(mats, dets)`` for lengths 1..depth, words in lexicographic
-    order; ``transpose`` composes the transposed maps.  Levels are built
-    lazily.  A level of more than ``cap`` words must be the last one asked
-    for: a shallower level past the cap raises BudgetError.
-    """
+    Yields ``(mats, dets)`` for lengths 1..depth: each distinct (product,
+    det) by bits, in order of first occurrence over the lexicographic words;
+    ``transpose`` composes the transposed maps.  A level is built lazily as
+    the children of the last one's rows (equal rows have equal children).
+    A level that builds more than ``cap`` products must be the last one
+    asked for: a shallower one raises BudgetError."""
     lin = ifs.linear_stack()
     if transpose:
         lin = np.transpose(lin, (0, 2, 1))
@@ -159,13 +161,17 @@ def word_levels(
     mats = np.eye(2)[None, :, :]
     dets = np.ones(1)
     for n in range(1, depth + 1):
-        mats = _children(mats, lin)
-        dets = np.multiply.outer(dets, map_dets).reshape(-1)
-        if cap is not None and n < depth and mats.shape[0] > cap:
+        built = len(dets) * ifs.kappa
+        if cap is not None and n < depth and built > cap:
             raise BudgetError(
                 f"word levels stop at depth {n} of {depth}: "
-                f"{mats.shape[0]} words exceed the cap {cap}"
+                f"{built} products exceed the cap {cap}"
             )
+        mats = _children(mats, lin)
+        dets = np.multiply.outer(dets, map_dets).reshape(-1)
+        first = _distinct_rows(mats, dets)[0]
+        if len(first) < len(dets):
+            mats, dets = mats[first], dets[first]
         yield mats, dets
 
 
@@ -183,22 +189,29 @@ def word_products(ifs: IFS, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mats, dets
 
 
-def _distinct_rows(*stacks: np.ndarray) -> tuple[list[int], list[int]]:
+def _distinct_rows(*stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(first, which)``: the first row k of each distinct row (entry k of
-    every stack), in order of first occurrence, and each row's position in
-    ``first``.  Rows are equal when their bits are, so a kernel run on the
-    ``first`` rows gives every row the bits its own call would give."""
-    keys: dict[bytes, int] = {}  # row bytes -> position in first
-    first: list[int] = []
-    which: list[int] = []
-    for k, row in enumerate(zip(*(s.reshape(len(s), -1) for s in stacks))):
-        which.append(keys.setdefault(b"".join(r.tobytes() for r in row), len(keys)))
-        if len(keys) > len(first):
-            first.append(k)
-    return first, which
+    every float stack), in order of first occurrence, and each row's
+    position in ``first``.  Rows are equal when their bits are (0.0 and -0.0
+    differ), so a kernel run on the ``first`` rows gives every row the bits
+    its own call would give."""
+    cols = [c.view(np.uint64) for s in stacks for c in s.reshape(len(s), -1).T]
+    h = np.zeros(len(cols[0]), dtype=np.uint64)
+    for c in cols:  # a multiply-xorshift hash of each row's bits
+        h ^= c
+        h *= _MIX
+        h ^= h >> np.uint64(29)
+    # return_index sorts stably: each class's index is its first row
+    _, first, which = np.unique(h, return_index=True, return_inverse=True)
+    if not all(np.array_equal(c, c[first[which]]) for c in cols):
+        # two distinct rows share a hash: classes of the bits themselves
+        keys = np.stack(cols, axis=1).view(np.dtype((np.void, 8 * len(cols))))
+        _, first, which = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[which]
 
 
-def _child_rows(index: np.ndarray, n_parts: int, part_of: list[int]) -> np.ndarray:
+def _child_rows(index: np.ndarray, n_parts: int, part_of: np.ndarray) -> np.ndarray:
     """Table rows of the children of cylinders in table rows ``index``:
     child i of row r is row r * n_parts + part_of[i] of the next table."""
     base = index * n_parts

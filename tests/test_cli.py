@@ -292,10 +292,11 @@ class TestCLI:
         assert not out.exists()
 
     def test_cone_cap_exits_3(self, tmp_path, capsys):
-        # six maps: the cone seed's level 7 (6^7 = 279,936 words) passes its
-        # 200k cap before depth 8, a cap and not a failed certificate
-        lin = [[0.3, 0.05], [0.02, 0.1]]
-        cfg = {"maps": [{"a": lin, "t": [0.15 * k, 0.1 * k]} for k in range(6)]}
+        # six distinct parts: the cone seed's level 7 (6^7 = 279,936
+        # products) passes its 200k cap before depth 8, a cap and not a
+        # failed certificate
+        lin = [[[0.3 + 0.01 * k, 0.05], [0.02, 0.1]] for k in range(6)]
+        cfg = {"maps": [{"a": a, "t": [0.15 * k, 0.1 * k]} for k, a in enumerate(lin)]}
         path = tmp_path / "six.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "check.json"

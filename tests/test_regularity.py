@@ -24,7 +24,6 @@ from affinevis import regularity
 from affinevis.regularity import (
     CONTRACTION_DEPTH,
     DISTORTION_PROBE_DEPTH,
-    DISTORTION_WORDS,
     Cone,
     _theta1_lines,
     cone_image,
@@ -42,8 +41,8 @@ from affinevis.regularity import (
     smallest_contraction_depth,
     strong_cone_separation_check,
 )
-from affinevis.symbolic import IFS, _distinct_rows, cylinder, word_levels
-from test_symbolic import ALTERNATING, B_A_B
+from affinevis.symbolic import IFS, cylinder
+from test_symbolic import ALTERNATING, B_A_B, all_word_levels, distinct_rows_oracle
 
 VERTICAL = ProjLine(math.pi / 2)
 QUADRANT_MARGIN = Cone(ProjLine(math.pi / 4), math.pi / 4 - 0.05)
@@ -174,6 +173,13 @@ class TestStrongConeSeparation:
         assert not rep.disjoint
         assert rep.witness == (1, 2)
         assert not rep.verdict
+
+    def test_witness_is_the_first_overlapping_pair(self):
+        # images near 0.3, 0.9 and 0.31 rad: only the pair (1, 3) overlaps
+        ifs = linear_ifs(squeeze(0.3), squeeze(0.9), squeeze(0.31))
+        rep = strong_cone_separation_check(ifs, Cone(ProjLine(0.6), 0.5))
+        assert rep.invariant and not rep.disjoint
+        assert rep.witness == (1, 3)
 
     def test_positive_pair_passes(self, positive_pair):
         cone = invariant_cone_search(positive_pair, depth=6)
@@ -341,10 +347,6 @@ class TestPorosity:
     def test_gap_across_angle_zero(self):
         # X = [-0.28, 0.32] crosses angle 0, and the maps squeeze it toward
         # -0.15 and 0.2: the one gap holds angle 0, not the rest of P^1
-        def squeeze(t):
-            r = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-            return r @ np.diag([0.5, 0.05]) @ r.T
-
         x = Cone(ProjLine(0.02), 0.3)
         ifs = linear_ifs(squeeze(-0.15), squeeze(0.2))
         (gap,) = regularity._level1_gaps(ifs, x)
@@ -376,16 +378,16 @@ def linear_ifs(*parts):
     return IFS(tuple(AffineMap2(Mat2(*np.ravel(a)), (0.0, 0.0)) for a in parts))
 
 
-def five_maps():
-    """Five maps: level 8 (390,625 words) is the first past the cone seed's
-    200k cap."""
-    lin = Mat2.diag(0.2, 0.1)
-    return IFS(tuple(AffineMap2(lin, (0.2 * k, 0.0)) for k in range(5)))
+def squeeze(t):
+    """diag(0.5, 0.05) turned to angle t: it squeezes cones toward t."""
+    r = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    return r @ np.diag([0.5, 0.05]) @ r.T
 
 
 def five_dominated():
     """Five dominated maps whose images of their depth-4 cone contract to
-    delta_sep at no level up to 9; level 8 is past the cone seed's cap."""
+    delta_sep at no level up to 9; level 8 (390,625 products from 78,125
+    distinct parents) is past the cone seed's cap."""
     lin = [
         (0.335729, 0.047544, 0.016896, 0.273409),
         (0.308743, 0.018173, 0.031159, 0.28653),
@@ -397,10 +399,14 @@ def five_dominated():
 
 
 def fifteen_maps():
-    """Fifteen maps: level 4 (50,625 words) is the first past the distortion
-    probe's 50k cap, one short of its depth 5."""
-    lin = Mat2.diag(1.0 / 15.0, 0.05)
-    return IFS(tuple(AffineMap2(lin, (k / 15.0, 0.0)) for k in range(15)))
+    """Fifteen distinct perturbed parts: level 4 (50,625 products from 3,375
+    distinct parents) is the first past the distortion probe's 50k cap, one
+    short of its depth 5."""
+    lin = [
+        Mat2(1 / 15 + 0.001 * k, 0.002 * math.sin(k), 0.001 * math.cos(k), 0.05)
+        for k in range(15)
+    ]
+    return IFS(tuple(AffineMap2(a, (k / 15.0, 0.0)) for k, a in enumerate(lin)))
 
 
 # systems that share linear parts beside the conftest fixtures
@@ -421,9 +427,9 @@ class TestTheta1Lines:
         # positive-cone's 256 are all distinct; each word's own call gives
         # one of the lines
         ifs = system(request, name)
-        for mats, dets in word_levels(ifs, depth, transpose):
+        for mats, dets in all_word_levels(ifs, depth, transpose):
             pass
-        first = _distinct_rows(mats, dets)[0]
+        first = distinct_rows_oracle(mats, dets)[0]
         line = lambda k: singular_data(Mat2.from_array(mats[k]), det=dets[k]).theta1
         got = _theta1_lines(ifs, depth, transpose)
         angles = lambda lines: np.array([l.angle for l in lines]).tobytes()
@@ -434,7 +440,7 @@ class TestTheta1Lines:
 def distortion_reference(ifs, x):
     """delta_sep from one singular_data call per word of every probe level."""
     d_min = math.inf
-    for mats, dets in word_levels(ifs, DISTORTION_PROBE_DEPTH, cap=DISTORTION_WORDS):
+    for mats, dets in all_word_levels(ifs, DISTORTION_PROBE_DEPTH):
         for m, d in zip(mats, dets):
             eta2 = singular_data(Mat2.from_array(m), det=d).eta2
             d_min = min(d_min, x.line_distance(ProjLine(math.atan2(eta2[1], eta2[0]))))
@@ -443,7 +449,7 @@ def distortion_reference(ifs, x):
 
 def contraction_reference(ifs, x, delta_sep):
     """smallest_contraction_depth from one cone image per word of each level."""
-    for n, (mats, _) in enumerate(word_levels(ifs, CONTRACTION_DEPTH), start=1):
+    for n, (mats, _) in enumerate(all_word_levels(ifs, CONTRACTION_DEPTH), start=1):
         if max(cone_image(Mat2.from_array(m), x).diameter for m in mats) <= delta_sep:
             return n
     return CONTRACTION_DEPTH
@@ -495,7 +501,7 @@ class TestOneCallPerDistinctProduct:
 class TestHonestCaps:
     def test_theta1_lines_raise_short_of_depth(self):
         with pytest.raises(BudgetError, match="depth 8 of 9"):
-            _theta1_lines(five_maps(), 9)
+            _theta1_lines(five_dominated(), 9)
 
     def test_distortion_constants_raise_short_of_depth(self):
         with pytest.raises(BudgetError, match="depth 4 of 5"):
@@ -503,7 +509,7 @@ class TestHonestCaps:
 
     def test_contraction_walk_raises_at_the_cone_seed_cap(self):
         # the walk stops where the cone seed's cap does, before level 8's
-        # 390,625 words (the next levels hold up to 244M words)
+        # 390,625 products (the next levels hold up to 244M words)
         ifs = five_dominated()
         with pytest.raises(BudgetError, match="depth 8 of 12"):
             distortion_check(ifs, invariant_cone_search(ifs, 4))
@@ -514,6 +520,28 @@ class TestHonestCaps:
         delta_sep = 0.001 * distortion_constants(carpet, x).delta_sep
         with pytest.raises(BudgetError, match=f"depth {CONTRACTION_DEPTH}: no level contracts"):
             smallest_contraction_depth(carpet, x, delta_sep)
+
+    def test_carpet_contraction_walk_images_one_product_a_level(self, carpet, monkeypatch):
+        # 3^n words share one product: 12 cone images, not 797,160
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return cone_image(*args)
+
+        x = Cone(VERTICAL, 0.3)
+        delta_sep = 0.001 * distortion_constants(carpet, x).delta_sep
+        monkeypatch.setattr(regularity, "cone_image", counted)
+        with pytest.raises(BudgetError, match="no level contracts"):
+            smallest_contraction_depth(carpet, x, delta_sep)
+        assert len(calls) == CONTRACTION_DEPTH == 12
+
+    def test_two_linear_parts_reach_the_seed_depth(self):
+        # ALTERNATING's eight maps carry two parts: level 8 holds 256
+        # products, where its 8^8 words were past the cap from depth 6
+        cone = invariant_cone_search(ALTERNATING, 8)
+        assert cone_is_invariant(ALTERNATING, cone)
+        assert distortion_check(ALTERNATING, cone).k0 >= 1
 
     @pytest.mark.parametrize("depth", [111, 116, 120])
     def test_limit_orientation_raises_past_normal_det_squares(self, positive_pair, depth):

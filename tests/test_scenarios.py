@@ -11,6 +11,10 @@ from affinevis.errors import (
     SingularInputError,
     UnknownScenarioError,
 )
+from affinevis import scenarios
+from affinevis.linalg2 import AffineMap2, Mat2, ProjLine
+from affinevis.regularity import Cone
+from affinevis.report import RunReport
 from affinevis.scenarios import (
     cantor_cross_segment,
     harmonic_cell_count_1d,
@@ -21,6 +25,7 @@ from affinevis.scenarios import (
     scenario,
     scenario_names,
 )
+from affinevis.symbolic import IFS
 
 LOG32 = math.log(2) / math.log(3)
 
@@ -89,6 +94,20 @@ class TestScenarioRegistry:
         for name in scenario_names():
             for ev in scenario(name).expected:
                 assert ev.source in {"closed-form", "known-value", "measured"}
+
+
+class TestTangentAssertions:
+    def test_empty_family_fails_the_kakeya_assertion(self):
+        # a similarity keeps every rectangle at h = 1 / n: no family with
+        # h > 2 to extract from, a failed assertion and not a ValueError
+        f = lambda t: AffineMap2(Mat2.diag(0.4, 0.4), t)
+        ifs = IFS((f((0.0, 0.0)), f((0.6, 0.0))))
+        report = RunReport("scenario", {})
+        scenarios._tangent_assertions(report, ifs, (1,), [Cone(ProjLine(0.5), 0.1)])
+        kakeya = report.assertions[-1]
+        assert kakeya["name"] == "kakeya-directions-in-cover"
+        assert not kakeya["passed"]
+        assert kakeya["detail"].startswith("0 rectangles with h > 2")
 
 
 class TestHarmonicSet:

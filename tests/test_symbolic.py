@@ -145,6 +145,52 @@ ALTERNATING = shared_ifs(
      (0.45, 0.5), (0.7, 0.55), (0.2, 0.8), (0.55, 0.85)),
 )
 
+# three distinct diagonal parts: they commute, so products of one multiset
+# of symbols agree in value and may differ in their last bits
+DIAGONAL = shared_ifs(
+    (Mat2.diag(1 / 3, 1 / 2), Mat2.diag(0.4, 0.3), Mat2.diag(0.2, 0.25)),
+    ((0.0, 0.0), (0.5, 0.1), (0.3, 0.6)),
+)
+
+# negative entries and signed zeros: level 2 holds rows that differ only in
+# the sign of a zero entry
+SIGNED = shared_ifs(
+    (Mat2(-0.5, -0.0, 0.0, 0.5), Mat2(0.5, 0.0, -0.0, -0.5), Mat2(0.25, 0.0, 0.0, 0.5)),
+    ((0.0, 0.0), (0.5, 0.1), (0.3, 0.6)),
+)
+
+# the word_levels test systems beside the conftest fixtures
+LEVEL_SYSTEMS = {"b_a_b": B_A_B, "alternating": ALTERNATING, "diagonal": DIAGONAL, "signed": SIGNED}
+
+
+def five_maps():
+    """Five maps on one linear part: level 8 (390,625 words) is the first
+    past the cone seed's 200k cap, but every level holds one product."""
+    lin = Mat2.diag(0.2, 0.1)
+    return IFS(tuple(AffineMap2(lin, (0.2 * k, 0.0)) for k in range(5)))
+
+
+def distinct_rows_oracle(*stacks):
+    """``(first, which)`` of ``symbolic._distinct_rows`` from a dict of row
+    bytes, a row at a time."""
+    keys = {}  # row bytes -> position in first
+    first, which = [], []
+    for k, row in enumerate(zip(*(s.reshape(len(s), -1) for s in stacks))):
+        which.append(keys.setdefault(b"".join(r.tobytes() for r in row), len(keys)))
+        if len(keys) > len(first):
+            first.append(k)
+    return first, which
+
+
+def all_word_levels(ifs, depth, transpose=False):
+    """Products and determinants of every word of lengths 1..depth, in
+    lexicographic order, from ``word_products``: each level with its
+    repeats.  ``transpose`` composes the transposed maps."""
+    if transpose:
+        ifs = IFS(tuple(AffineMap2(f.linear.transpose, (0.0, 0.0)) for f in ifs.maps))
+    for n in range(1, depth + 1):
+        yield word_products(ifs, np.array(list(itertools.product(range(ifs.kappa), repeat=n))))
+
 
 def assert_matches_oracle(ifs, delta):
     products, index, trans = antichain(ifs, delta)
@@ -370,13 +416,63 @@ class TestWordLevels:
             assert mt == pytest.approx(np.transpose(m[rev], (0, 2, 1)))
             assert np.all(dt == d)
 
-    def test_cap_allows_only_the_last_level_past_it(self, carpet):
-        # level 3 (27 words) is the first past a cap of 10
-        assert [len(m) for m, _ in word_levels(carpet, 3, cap=10)] == [3, 9, 27]
-        levels = word_levels(carpet, 4, cap=10)
-        assert [len(next(levels)[0]) for _ in range(2)] == [3, 9]
-        with pytest.raises(BudgetError, match="depth 3 of 4"):
+    def test_cap_allows_only_the_last_level_past_it(self, positive_pair):
+        # level 4 (16 products) is the first past a cap of 10
+        assert [len(m) for m, _ in word_levels(positive_pair, 4, cap=10)] == [2, 4, 8, 16]
+        levels = word_levels(positive_pair, 5, cap=10)
+        assert [len(next(levels)[0]) for _ in range(3)] == [2, 4, 8]
+        with pytest.raises(BudgetError, match="depth 4 of 5: 16 products exceed the cap 10"):
             next(levels)
+
+    @pytest.mark.parametrize(
+        "name, depth",
+        [("carpet", 8), ("positive_pair", 10), ("b_a_b", 7), ("alternating", 4),
+         ("diagonal", 7), ("signed", 7)],
+    )
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_distinct_rows_of_every_word(self, request, name, depth, transpose):
+        # each level's distinct (product, det) rows of every word, by bits and
+        # in order of first occurrence
+        ifs = LEVEL_SYSTEMS.get(name) or request.getfixturevalue(name)
+        levels = word_levels(ifs, depth, transpose)
+        every = all_word_levels(ifs, depth, transpose)
+        for (mats, dets), (all_mats, all_dets) in zip(levels, every, strict=True):
+            first = distinct_rows_oracle(all_mats, all_dets)[0]
+            assert mats.tobytes() == all_mats[first].tobytes()
+            assert dets.tobytes() == all_dets[first].tobytes()
+
+    def test_signed_zeros_stay_distinct(self):
+        mats, dets = list(word_levels(SIGNED, 2))[-1]
+        rows = np.concatenate([mats.reshape(-1, 4), dets[:, None]], axis=1)
+        assert len(rows) == 6 > len({tuple(r + 0.0) for r in rows}) == 5
+
+    @pytest.mark.parametrize(
+        "ifs, sizes",
+        [(None, [1] * 12), (five_maps(), [1] * 12), (ALTERNATING, [2**n for n in range(1, 11)])],
+    )
+    def test_shared_parts_keep_one_row_per_product(self, carpet, ifs, sizes):
+        # the carpet's and five_maps' words share one part; ALTERNATING's
+        # eight maps carry two, so its level n holds 2^n products.  A level
+        # builds kappa products a row, far under the cap, not kappa^n
+        levels = word_levels(ifs or carpet, len(sizes), cap=10_000)
+        assert [len(m) for m, _ in levels] == sizes
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("size, values", [(1, 3), (50, 2), (2000, 3)])
+    @pytest.mark.parametrize("mix", [symbolic._MIX, np.uint64(0)])
+    def test_matches_the_dict_oracle(self, monkeypatch, size, values, mix):
+        # few values and signed zeros: many repeats, some equal only in value;
+        # a zero multiplier hashes every row to 0, so the rows' bits are sorted
+        monkeypatch.setattr(symbolic, "_MIX", mix)
+        rng = np.random.default_rng(size)
+        mats = rng.integers(-1, values, (size, 2, 2)) * 0.5
+        mats[rng.random(mats.shape) < 0.3] *= -1.0
+        dets = rng.integers(0, values, size) * 0.25
+        first, which = symbolic._distinct_rows(mats, dets)
+        want_first, want_which = distinct_rows_oracle(mats, dets)
+        assert first.tolist() == want_first and which.tolist() == want_which
+        assert symbolic._distinct_rows(mats)[0].tolist() == distinct_rows_oracle(mats)[0]
 
 
 class TestSymbolicPoint:
