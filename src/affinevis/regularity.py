@@ -32,7 +32,9 @@ from .linalg2 import (
     proj_signed_gap,
     singular_data,
 )
-from .symbolic import IFS, Word, cylinder, cyclic_prefix, word_levels, word_products
+from .symbolic import (
+    IFS, Word, _distinct_rows, cylinder, cyclic_prefix, word_levels, word_products
+)
 
 PI = math.pi
 
@@ -42,7 +44,7 @@ STRICT_MARGIN = 1e-9
 JOIN_SLACK = 1e-12
 # domination verdict threshold for the per-level ratio root
 TAU_MIN = 1.01
-# exhaustive level enumeration cap (kappa^n words)
+# exhaustive level enumeration cap (products a level builds)
 EXHAUSTIVE_WORDS = 1_000_000
 # random words probed per level past the exhaustive cap
 DOMINATION_SAMPLES = 4096
@@ -175,13 +177,15 @@ class DominationReport:
 def domination_report(ifs: IFS, n_max: int, seed: int = 0) -> DominationReport:
     """Minimum singular-value ratio root per word length.
 
-    Levels with at most EXHAUSTIVE_WORDS words are enumerated exactly;
-    deeper levels are probed with DOMINATION_SAMPLES random words.  The verdict
-    is true when every level's minimum n-th ratio root stays >= TAU_MIN; a pass
-    certifies domination only up to ``n_max``.  Determinants are tracked as
-    exact factor products so the ratio alpha1/alpha2 = alpha1^2/|det| stays
-    accurate while every det^2 is a normal float (|det| above ~1.5e-154); a
-    level past that is too fine a resolution: BudgetError, naming its depth.
+    A level that builds at most EXHAUSTIVE_WORDS products (the last exact
+    level's distinct products times kappa, as ``word_levels`` builds them)
+    is enumerated exactly; deeper levels are probed with DOMINATION_SAMPLES
+    random words.  The verdict is true when every level's minimum n-th ratio
+    root stays >= TAU_MIN; a pass certifies domination only up to ``n_max``.
+    Determinants are tracked as exact factor products so the ratio
+    alpha1/alpha2 = alpha1^2/|det| stays accurate while every det^2 is a
+    normal float (|det| above ~1.5e-154); a level past that is too fine a
+    resolution: BudgetError, naming its depth.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -193,10 +197,12 @@ def domination_report(ifs: IFS, n_max: int, seed: int = 0) -> DominationReport:
     levels = list(range(1, n_max + 1))
     roots: list[float] = []
     exhaustive_up_to = 0
+    built = kappa  # products the next exact level builds
     for n in levels:
-        if kappa**n <= cap:
+        if built <= cap:
             mats, dets = next(exact_levels)
             exhaustive_up_to = n
+            built = len(dets) * kappa
         else:
             words = rng.integers(0, kappa, size=(DOMINATION_SAMPLES, n))
             mats, dets = word_products(ifs, words)
@@ -314,26 +320,19 @@ def strong_cone_separation_check(ifs: IFS, x: Cone) -> SeparationReport:
 # orientation cover
 
 
-def _normalize_projective_key(m: np.ndarray) -> bytes:
-    n = m / np.linalg.norm(m)
-    flat = n.ravel()
-    idx = np.argmax(np.abs(flat) > 1e-13)
-    if flat[idx] < 0:
-        n = -n
-    return np.round(n, 13).tobytes()
-
-
-def _projective_children(
-    parents: Iterable[np.ndarray], lin: list[np.ndarray]
-) -> dict[bytes, np.ndarray]:
-    """Products m @ l of each parent with each map, first of each projective class."""
-    children: dict[bytes, np.ndarray] = {}
-    for m in parents:
-        for l in lin:
-            # matmul, not matmul_stack: cover angles depend on its rounding
-            child = m @ l
-            children.setdefault(_normalize_projective_key(child), child)
-    return children
+def _projective_level(parents: np.ndarray, lin: np.ndarray) -> np.ndarray:
+    """Products m @ l of each parent with each map, the first of each
+    projective class: the class is the product scaled to unit norm, signed
+    so that its first entry above 1e-13 in magnitude is positive, and
+    rounded to 13 decimals."""
+    # matmul, not matmul_stack: cover angles depend on its rounding
+    kids = np.matmul(parents[:, None], lin).reshape(-1, 2, 2)
+    flat = kids.reshape(-1, 4)
+    unit = flat / np.sqrt(np.vecdot(flat, flat))[:, None]
+    lead = np.argmax(np.abs(unit) > 1e-13, axis=1)
+    flip = unit[np.arange(len(unit)), lead] < 0
+    unit[flip] = -unit[flip]
+    return kids[_distinct_rows(np.round(unit, 13))[0]]
 
 
 def default_cover_cone(ifs: IFS) -> Cone:
@@ -365,23 +364,18 @@ def orientation_cover(ifs: IFS, eps: float) -> list[Cone]:
     if x.diameter <= eps:
         return [x]
 
-    lin = [f.linear.as_array() for f in ifs.maps]
-    active = _projective_children([np.eye(2)], lin)
+    lin = ifs.linear_stack()
+    active = _projective_level(np.eye(2)[None], lin)
     finished: list[Cone] = []
     total = 0
-    while active:
-        parents = []
-        for m in active.values():
-            img = cone_image(Mat2.from_array(m), x)
-            if img.diameter <= eps:
-                finished.append(img)
-            else:
-                parents.append(m)
-        next_active = _projective_children(parents, lin)
-        total += len(next_active)
+    while len(active):
+        images = [cone_image(Mat2.from_array(m), x) for m in active]
+        narrow = np.array([img.diameter <= eps for img in images], dtype=bool)
+        finished += itertools.compress(images, narrow)
+        active = _projective_level(active[~narrow], lin)
+        total += len(active)
         if total + len(finished) > limit:
             raise BudgetError(f"orientation cover exceeded budget {limit}")
-        active = next_active
     return merge_cones(finished)
 
 
@@ -540,11 +534,11 @@ def porosity_gap_levels(ifs: IFS, x: Cone, depth: int) -> list[float]:
     too fine a resolution: BudgetError, naming its depth."""
     gaps = _level1_gaps(ifs, x)
     widest = max(gaps, key=lambda g: g.half_width)
-    lin = [f.linear.as_array() for f in ifs.maps]
-    active = [np.eye(2)]
+    lin = ifs.linear_stack()
+    active = np.eye(2)[None]
     out: list[float] = []
     for n in range(1, depth + 1):
-        active = list(_projective_children(active, lin).values())
+        active = _projective_level(active, lin)
         if len(active) > POROSITY_WORDS:
             raise BudgetError(
                 f"porosity refinement stops at depth {n} of {depth}: "

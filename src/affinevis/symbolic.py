@@ -195,7 +195,9 @@ def _distinct_rows(*stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     position in ``first``.  Rows are equal when their bits are (0.0 and -0.0
     differ), so a kernel run on the ``first`` rows gives every row the bits
     its own call would give."""
-    cols = [c.view(np.uint64) for s in stacks for c in s.reshape(len(s), -1).T]
+    # math.prod, not -1: reshape cannot infer the row width of an empty stack
+    rows = (s.reshape(len(s), math.prod(s.shape[1:])) for s in stacks)
+    cols = [c.view(np.uint64) for r in rows for c in r.T]
     h = np.zeros(len(cols[0]), dtype=np.uint64)
     for c in cols:  # a multiply-xorshift hash of each row's bits
         h ^= c

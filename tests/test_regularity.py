@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from affinevis.errors import (
     BudgetError,
@@ -129,6 +131,20 @@ class TestDomination:
         with pytest.raises(BudgetError, match="depth 111 of 120: its products are numerically"):
             domination_report(positive_pair, 120)
 
+    def test_exhaustive_levels_count_the_products_they_build(self, carpet):
+        # every carpet level holds one product, so each builds 3: all 14
+        # levels are exact, though 3^13 words are past the 1e6 cap
+        rep = domination_report(carpet, 14)
+        assert rep.exhaustive_up_to == 14
+        assert rep.min_ratio_roots == pytest.approx([1.5] * 14, rel=1e-9)
+
+    def test_distinct_products_keep_the_words_cap(self, positive_pair):
+        # positive-cone's 2^n products are all distinct: level 20 builds
+        # 2^20 > 1e6 products, so levels 20 and 21 are sampled
+        rep = domination_report(positive_pair, 21)
+        assert rep.exhaustive_up_to == 19
+        assert rep.verdict
+
     def test_verdict_monotone_in_depth(self, carpet, rotation_pair):
         # a failing verdict never recovers at larger n_max; a passing one
         # only certifies the levels it saw
@@ -251,6 +267,71 @@ class TestOrientationCover:
         for word in [(1,), (2,), (1, 2), (2, 1), (1, 1, 2, 2), (2, 2, 1, 1)]:
             theta, _ = limit_orientation(positive_pair, word, 14, cone=cone)
             assert any(c.line_distance(theta) <= 1e-6 for c in cover)
+
+
+def projective_children_oracle(parents, lin):
+    """Products m @ l of each parent with each map, the first of each
+    projective class, from a dict keyed by the bytes of each product scaled
+    to unit norm, signed and rounded, a product at a time."""
+    children = {}
+    for m in parents:
+        for l in lin:
+            child = m @ l
+            unit = child / np.linalg.norm(child)
+            flat = unit.ravel()
+            if flat[np.argmax(np.abs(flat) > 1e-13)] < 0:
+                unit = -unit
+            children.setdefault(np.round(unit, 13).tobytes(), child)
+    return np.array(list(children.values())).reshape(-1, 2, 2)
+
+
+def assert_levels_match_oracle(ifs, depth):
+    """Each projective level of ``ifs`` up to ``depth`` holds the oracle's
+    rows, bit for bit and in the same order."""
+    lin = ifs.linear_stack()
+    got = want = np.eye(2)[None]
+    for _ in range(depth):
+        got = regularity._projective_level(got, lin)
+        want = projective_children_oracle(want, [f.linear.as_array() for f in ifs.maps])
+        assert got.tobytes() == want.tobytes()
+
+
+ENTRY = st.floats(0.02, 0.45)
+DOMINATED = st.lists(st.tuples(ENTRY, ENTRY, ENTRY, ENTRY), min_size=2, max_size=3)
+
+
+class TestProjectiveLevel:
+    @settings(max_examples=40, deadline=None)
+    @given(DOMINATED, st.booleans())
+    def test_matches_the_dict_oracle(self, parts, flip):
+        # positive parts (row sums below 1) keep the positive quadrant: a
+        # dominated system; a negated part puts negative leads in the keys
+        parts = [np.reshape(p, (2, 2)) for p in parts]
+        assume(all(abs(np.linalg.det(p)) > 1e-3 for p in parts))
+        if flip:
+            parts[0] = -parts[0]
+        ifs = linear_ifs(*parts)
+        assume(domination_report(ifs, 4).verdict)
+        assert_levels_match_oracle(ifs, 6)
+
+    @pytest.mark.parametrize("name, depth", [("positive_pair", 10), ("alternating", 8)])
+    def test_matches_the_dict_oracle_deep(self, request, name, depth):
+        assert_levels_match_oracle(system(request, name), depth)
+
+    @pytest.mark.parametrize("name", ["positive_pair", "alternating"])
+    def test_cover_matches_the_dict_oracle(self, request, name, monkeypatch):
+        ifs = system(request, name)
+        got = orientation_cover(ifs, 1e-3)
+        monkeypatch.setattr(regularity, "_projective_level", projective_children_oracle)
+        assert got == orientation_cover(ifs, 1e-3)
+        # alternating: the 32 intervals of ROADMAP item 3's candidate
+        assert len(got) == {"positive_pair": 5, "alternating": 32}[name]
+
+    def test_porosity_matches_the_dict_oracle(self, positive_pair, monkeypatch):
+        cone = invariant_cone_search(positive_pair, 6)
+        got = porosity_gap_levels(positive_pair, cone, 10)
+        monkeypatch.setattr(regularity, "_projective_level", projective_children_oracle)
+        assert got == porosity_gap_levels(positive_pair, cone, 10)
 
 
 class TestLimitOrientation:

@@ -474,6 +474,12 @@ class TestDistinctRows:
         assert first.tolist() == want_first and which.tolist() == want_which
         assert symbolic._distinct_rows(mats)[0].tolist() == distinct_rows_oracle(mats)[0]
 
+    def test_empty_stack(self):
+        # a cover level whose images are all narrow leaves no parents
+        first, which = symbolic._distinct_rows(np.empty((0, 2, 2)), np.empty(0))
+        assert first.shape == which.shape == (0,)
+        assert np.empty((0, 2, 2))[first].shape == (0, 2, 2)
+
 
 class TestSymbolicPoint:
     """The anchor of the cylinder of prefix^depth approximates the coding-map
