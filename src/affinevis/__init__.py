@@ -28,7 +28,6 @@ from .linalg2 import (
     ProjLine,
     SingularData,
     compose,
-    proj_apply,
     proj_distance,
     singular_data,
 )

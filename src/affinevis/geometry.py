@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BudgetError, ExceptionalDirectionError, budget_limit
-from .linalg2 import Direction, ProjLine, proj_apply
+from .linalg2 import Direction, image_angles
 from .regularity import Cone, orientation_cover
-from .symbolic import IFS, PointCloud, attractor_cloud
+from .symbolic import IFS, PointCloud, _distinct_rows, attractor_cloud
 
 COLLINEAR_TOL = 1e-12
 # carriers closer than this to the orientation cover are refused: their
@@ -200,15 +200,14 @@ def projection_condition_check(
     # breadth-first pullback of the carrier through inverse factor maps;
     # projectively identical pullbacks collapse, so diagonal systems cost
     # one axis per level instead of kappa^depth
-    inverses = [f.linear.inverse for f in ifs.maps]
+    inverses = np.stack([f.linear.inverse.as_array() for f in ifs.maps])
 
-    def level_verdict(n: int, lines: dict[float, ProjLine]) -> tuple[bool, float]:
-        if len(cloud) * len(lines) > limit:
+    def level_verdict(n: int, back_angles: np.ndarray) -> tuple[bool, float]:
+        if len(cloud) * len(back_angles) > limit:
             raise BudgetError(
                 f"pull-back projection at depth {n} needs {len(cloud)} points x "
-                f"{len(lines)} lines, over budget {limit}"
+                f"{len(back_angles)} lines, over budget {limit}"
             )
-        back_angles = np.array(sorted(lines.keys()))
         # project along the pulled-back direction = onto its perpendicular axis
         axes = np.stack([-np.sin(back_angles), np.cos(back_angles)], axis=1)
         # project and sort PULLBACK_BLOCK lines at a time: BLAS writes each
@@ -235,18 +234,18 @@ def projection_condition_check(
         tols[ok] = gap_tol / spans[ok]
         return bool(np.all(rel[ok] <= tols[ok])), float(rel[ok].max(initial=0.0))
 
-    level = {round(carrier.angle, 12): carrier}
+    # the first line of each key round(angle, 12) stands for a level's others
+    angles = [carrier.angle]
     first_pass: int | None = None
     for n in range(1, depth + 1):
-        nxt: dict[float, ProjLine] = {}
-        for line in level.values():
-            for inv in inverses:
-                img = proj_apply(inv, line)
-                nxt.setdefault(round(img.angle, 12), img)
-        level = nxt
+        vecs = np.array([(math.cos(a), math.sin(a)) for a in angles])
+        back = image_angles(inverses, vecs[:, None]).ravel().tolist()  # line-major
+        keys = np.array([round(a, 12) for a in back])
+        first = _distinct_rows(keys)[0]
+        angles = [back[k] for k in first.tolist()]
         # once a level has passed, only the last level's verdict is read
         if first_pass is None or n == depth:
-            passed, worst = level_verdict(n, level)
+            passed, worst = level_verdict(n, np.sort(keys[first]))
             if passed and first_pass is None:
                 first_pass = n
     return ProjectionVerdict(

@@ -51,17 +51,8 @@ class Mat2:
         return self.a11 * self.a22 - self.a12 * self.a21
 
     @property
-    def transpose(self) -> "Mat2":
-        return Mat2(self.a11, self.a21, self.a12, self.a22)
-
-    def is_singular(self) -> bool:
-        s = max(abs(self.a11), abs(self.a12), abs(self.a21), abs(self.a22))
-        return abs(self.det) <= _DET_RTOL * s * s
-
-    @property
     def inverse(self) -> "Mat2":
-        if self.is_singular():
-            raise SingularInputError(f"matrix {self} is numerically singular")
+        require_regular(self.as_array())
         f = 1.0 / self.det
         return Mat2(self.a22 * f, -self.a12 * f, -self.a21 * f, self.a11 * f)
 
@@ -86,8 +77,7 @@ class ProjLine:
     angle: float
 
     def __post_init__(self) -> None:
-        a = float(self.angle) % PI
-        object.__setattr__(self, "angle", 0.0 if a >= PI else a)
+        object.__setattr__(self, "angle", float(proj_angles(float(self.angle))))
 
     def vector(self) -> np.ndarray:
         return np.array([math.cos(self.angle), math.sin(self.angle)])
@@ -118,7 +108,6 @@ class SingularData:
     alpha2: float
     theta1: ProjLine
     theta2: ProjLine
-    eta1: tuple[float, float]
     eta2: tuple[float, float]
 
 
@@ -156,11 +145,14 @@ def compose(f: AffineMap2, g: AffineMap2) -> AffineMap2:
     return AffineMap2(lin, (float(t[0]), float(t[1])))
 
 
-def _gram_eigenvalues(a11, a12, a21, a22, det):
-    """``(p, q, r, lam1, lam2, spread)``: the Gram matrix [[p, q], [q, r]] of
-    [[a11, a12], [a21, a22]] (floats, or arrays of entries), its eigenvalues
-    and their half gap; see ``singular_data``.  ``det`` None stands for the
-    entries' own determinant, computed last: a stack's process peak is lower."""
+def _gram_eigenvalues(mats, det):
+    """``(p, q, r, lam1, lam2, spread)``: the Gram matrices [[p, q], [q, r]]
+    of an (n, 2, 2) stack, their eigenvalues and their half gaps.  The
+    larger eigenvalue comes from the stable root of the characteristic
+    polynomial, the smaller one from det^2 / lambda1 to avoid cancellation.
+    ``det`` None stands for the entries' own determinant, computed last: a
+    stack's process peak is lower."""
+    a11, a12, a21, a22 = (mats[:, i, j] for i in (0, 1) for j in (0, 1))
     p = a11 * a11 + a21 * a21
     r = a12 * a12 + a22 * a22
     q = a11 * a12 + a21 * a22
@@ -172,61 +164,43 @@ def _gram_eigenvalues(a11, a12, a21, a22, det):
 
 
 def singular_data(m: Mat2, det: float | None = None) -> SingularData:
-    """Exact eigendecomposition of m^T m via the 2x2 quadratic formula.
+    """``singular_stack`` of one matrix; theta2 is exactly perpendicular to
+    theta1 (the image of eta2 would amplify rounding noise)."""
+    dets = None if det is None else np.array([det])
+    (a1,), (a2,), (t1,), (e2,) = singular_stack(m.as_array()[None], dets)
+    theta = (ProjLine(t1), ProjLine(t1 + PI / 2))
+    return SingularData(float(a1), float(a2), *theta, tuple(e2.tolist()))
 
-    The larger eigenvalue comes from the stable root of the characteristic
-    polynomial; the smaller one from det^2 / lambda1 to avoid cancellation.
-    ``det`` may supply an externally-known exact determinant (e.g. a product
-    of factor determinants for composed maps), which sidesteps the
-    subtraction cancellation for strongly anisotropic products.
-    For isotropic input (alpha1 == alpha2 the decomposition is degenerate),
-    the convention is theta1 horizontal, theta2 vertical.
-    """
-    if det is None:
-        if m.is_singular():
-            raise SingularInputError(f"matrix {m} is numerically singular")
-    elif det == 0.0:
+
+def singular_stack(mats: np.ndarray, dets: np.ndarray | None) -> tuple:
+    """``(alpha1, alpha2, theta1, eta2)`` of an (n, 2, 2) stack: singular
+    values, major semiaxis angle, weak singular direction.  ``dets`` may give
+    exact determinants (products of factor determinants) that sidestep their
+    cancellation; a zero one raises SingularInputError, as a numerically
+    singular matrix does without them.  Isotropic rows have theta1 = 0."""
+    if dets is None:
+        require_regular(mats)
+    elif not np.all(dets):
+        m = Mat2.from_array(mats[np.argmin(np.abs(dets))])
         raise SingularInputError(f"matrix {m} has zero determinant")
-    p, q, r, lam1, lam2, spread = _gram_eigenvalues(m.a11, m.a12, m.a21, m.a22, det)
-    alpha1 = math.sqrt(lam1)
-    alpha2 = math.sqrt(lam2)
-
-    if spread <= _ISO_RTOL * (0.5 * (p + r)):
-        # m^-1 (1, 0) is proportional to (a22, -a21); normalizing avoids
-        # dividing by the (possibly tiny) determinant
-        nrm = math.hypot(m.a22, m.a21)
-        e1 = (m.a22 / nrm, -m.a21 / nrm)
-        eta2 = (-e1[1], e1[0])
-        return SingularData(alpha1, alpha2, ProjLine(0.0), ProjLine(PI / 2), e1, eta2)
-
-    # Pick the eigenvector expression with the better-conditioned component.
-    if p >= r:
-        v = np.array([lam1 - r, q])
-    else:
-        v = np.array([q, lam1 - p])
-    # lam1 - r >= (p - r) / 2 + spread > 0 when p >= r, and likewise
-    # lam1 - p > 0 otherwise: off the isotropic case v is never 0
-    e1 = v / np.hypot(v[0], v[1])
-    eta1 = (float(e1[0]), float(e1[1]))
-    eta2 = (-eta1[1], eta1[0])
-    img1 = m.apply(np.array(eta1))
-    theta1 = ProjLine(math.atan2(img1[1], img1[0]))
-    # theta2 is exactly perpendicular; computing it as the image of eta2
-    # would amplify rounding noise by the anisotropy ratio
-    theta2 = ProjLine(theta1.angle + PI / 2)
-    return SingularData(alpha1, alpha2, theta1, theta2, eta1, eta2)
+    p, q, r, lam1, lam2, spread = _gram_eigenvalues(mats, dets)
+    a21, a22 = mats[:, 1, 0], mats[:, 1, 1]
+    iso = spread <= _ISO_RTOL * (0.5 * (p + r))
+    # the better-conditioned eigenvector expression, never 0 off the isotropic
+    # rows; on them m^-1 (1, 0), proportional to (a22, -a21), is normalized
+    # without dividing by the (possibly tiny) determinant
+    v = np.where((p >= r)[:, None], np.stack([lam1 - r, q], 1), np.stack([q, lam1 - p], 1))
+    v[iso] = np.stack([a22, -a21], 1)[iso]
+    nrm = np.hypot(v[:, 0], v[:, 1])
+    nrm[iso] = list(map(math.hypot, a22[iso].tolist(), a21[iso].tolist()))
+    e1 = v / nrm[:, None]
+    theta1 = np.where(iso, 0.0, image_angles(mats, e1))
+    return np.sqrt(lam1), np.sqrt(lam2), theta1, np.stack([-e1[:, 1], e1[:, 0]], 1)
 
 
-def alpha_pair_of_stack(
-    mats: np.ndarray, dets: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (alpha1, alpha2) for an (n, 2, 2) stack.
-
-    ``dets`` may supply exact determinants (products of factor determinants),
-    avoiding cancellation for strongly anisotropic stacks.
-    """
-    entries = (mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
-    lam1, lam2 = _gram_eigenvalues(*entries, dets)[3:5]
+def alpha_pair_of_stack(mats: np.ndarray, dets: np.ndarray | None = None) -> tuple:
+    """``singular_stack``'s (alpha1, alpha2) alone, with no singularity check."""
+    lam1, lam2 = _gram_eigenvalues(mats, dets)[3:5]
     return np.sqrt(lam1), np.sqrt(lam2)
 
 
@@ -251,12 +225,39 @@ def matvec_stack(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def proj_apply(m: Mat2, line: ProjLine) -> ProjLine:
-    """Image of a projective line under an invertible linear map."""
-    if m.is_singular():
+def singular_rows(mats: np.ndarray) -> np.ndarray:
+    """Each matrix of a (..., 2, 2) stack is numerically singular: |det| at
+    most _DET_RTOL times its squared largest entry."""
+    det = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
+    s = np.abs(mats).max(axis=(-2, -1))
+    return np.abs(det) <= _DET_RTOL * s * s
+
+
+def require_regular(mats: np.ndarray) -> None:
+    """SingularInputError naming the first numerically singular matrix."""
+    bad = singular_rows(mats).ravel()
+    if bad.any():
+        m = Mat2.from_array(mats.reshape(-1, 2, 2)[np.argmax(bad)])
         raise SingularInputError(f"matrix {m} is numerically singular")
-    w = m.apply(line.vector())
-    return ProjLine(math.atan2(w[1], w[0]))
+
+
+def proj_angles(a):
+    """``ProjLine(a).angle`` of a float or of each array entry."""
+    a = a % PI
+    return np.where(a >= PI, 0.0, a)
+
+
+def vector_angles(vecs: np.ndarray) -> np.ndarray:
+    """Angles in [0, pi) of the rows (x, y) of an (n, ..., 2) stack, each a
+    ``math.atan2``: ``np.arctan2`` may differ from it in the last bit."""
+    return proj_angles(np.frompyfunc(math.atan2, 2, 1)(vecs[..., 1], vecs[..., 0]).astype(float))
+
+
+def image_angles(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``vector_angles`` of mats @ vecs, broadcast over an (n, ..., 2, 2) and
+    an (n, ..., 2) stack; ``np.vecdot`` of each matrix row rounds like
+    ``Mat2.apply`` (the closed form of ``matvec_stack`` does not)."""
+    return vector_angles(np.vecdot(mats, vecs[..., None, :]))
 
 
 def proj_distance(a: ProjLine, b: ProjLine) -> float:
@@ -265,7 +266,8 @@ def proj_distance(a: ProjLine, b: ProjLine) -> float:
     return min(d, PI - d)
 
 
-def proj_signed_gap(a: ProjLine, b: ProjLine) -> float:
-    """Signed representative of a - b in (-pi/2, pi/2]."""
-    d = (a.angle - b.angle + PI / 2) % PI - PI / 2
-    return PI / 2 if d == -PI / 2 else d
+def signed_gaps(a, b):
+    """Signed representatives in (-pi/2, pi/2] of the line angles a - b, of
+    floats or of each pair of array entries."""
+    d = (a - b + PI / 2) % PI - PI / 2
+    return np.where(d == -PI / 2, PI / 2, d)

@@ -23,14 +23,17 @@ from .errors import (
     budget_limit,
 )
 from .linalg2 import (
-    Mat2,
     ProjLine,
     alpha_pair_of_stack,
+    image_angles,
     matvec_stack,
-    proj_apply,
+    proj_angles,
     proj_distance,
-    proj_signed_gap,
-    singular_data,
+    require_regular,
+    signed_gaps,
+    singular_rows,
+    singular_stack,
+    vector_angles,
 )
 from .symbolic import (
     IFS, Word, _distinct_rows, cylinder, cyclic_prefix, word_levels, word_products
@@ -82,37 +85,29 @@ class Cone:
         return 2.0 * self.half_width
 
     def contains_line(self, line: ProjLine) -> bool:
-        return abs(proj_signed_gap(line, self.center)) <= self.half_width
-
-    def contains_cone(self, other: "Cone", margin: float) -> bool:
-        gap = abs(proj_signed_gap(other.center, self.center))
-        return gap + other.half_width <= self.half_width - margin
+        return bool(abs(signed_gaps(line.angle, self.center.angle)) <= self.half_width)
 
     def line_distance(self, line: ProjLine) -> float:
         """Angular distance from a line to this interval (0 if inside)."""
-        return max(0.0, abs(proj_signed_gap(line, self.center)) - self.half_width)
+        return max(0.0, float(abs(signed_gaps(line.angle, self.center.angle))) - self.half_width)
 
 
-def cone_image(m: Mat2, cone: Cone) -> Cone:
-    """Image interval of a cone under an invertible linear map.
-
-    Projective maps are homeomorphisms of P^1, so the image of an interval
-    is the arc between the endpoint images that contains the center image.
-    """
-    lo_i = proj_apply(m, ProjLine(cone.center.angle - cone.half_width))
-    hi_i = proj_apply(m, ProjLine(cone.center.angle + cone.half_width))
-    c_i = proj_apply(m, cone.center)
-    d_lo = proj_signed_gap(lo_i, c_i)
-    d_hi = proj_signed_gap(hi_i, c_i)
-    if d_lo > d_hi:
-        d_lo, d_hi = d_hi, d_lo
-    center = ProjLine(c_i.angle + 0.5 * (d_lo + d_hi))
+def cone_images(mats: np.ndarray, cone: Cone) -> tuple[np.ndarray, np.ndarray]:
+    """``(centers, half_widths)`` of the images of a cone under an (n, 2, 2)
+    stack of invertible maps: projective maps are homeomorphisms of P^1, so
+    an image is the arc between the endpoint images that holds the center
+    image.  A numerically singular map raises SingularInputError; an image
+    spanning a half turn, ImproperConeError."""
+    require_regular(mats)
+    c, hw = cone.center.angle, cone.half_width
+    vecs = np.array([ProjLine(a).vector() for a in (c - hw, c + hw, c)])
+    images = image_angles(mats[:, None], vecs)  # (n, 3): low end, high end, center
+    d_lo, d_hi = np.sort(signed_gaps(images[:, :2], images[:, 2:]), axis=1).T
     half_width = 0.5 * (d_hi - d_lo)
-    if half_width >= PI / 2:
+    if np.any(half_width >= PI / 2):
         raise ImproperConeError("image interval spans at least a half turn")
-    if half_width <= 0.0:
-        half_width = 1e-15
-    return Cone(center, half_width)
+    centers = proj_angles(images[:, 2] + 0.5 * (d_lo + d_hi))
+    return centers, np.where(half_width <= 0.0, 1e-15, half_width)
 
 
 def cones_disjoint(a: Cone, b: Cone) -> bool:
@@ -232,7 +227,7 @@ def _theta1_lines(ifs: IFS, depth: int, transpose: bool = False) -> list[ProjLin
         raise ValueError("depth must be >= 1")
     for mats, dets in word_levels(ifs, depth, transpose, cap=THETA1_WORDS):
         pass  # only the deepest level is used
-    return [singular_data(Mat2.from_array(m), det=d).theta1 for m, d in zip(mats, dets)]
+    return [ProjLine(a) for a in singular_stack(mats, dets)[2].tolist()]
 
 
 def angular_hull(lines: list[ProjLine]) -> Cone:
@@ -257,18 +252,20 @@ def angular_hull(lines: list[ProjLine]) -> Cone:
     return Cone(ProjLine(0.5 * (lo + hi)), max(hw, 1e-12))
 
 
-def _maps_into(mats: Iterable[Mat2], x: Cone, margin: float) -> bool:
+def _maps_into(mats: np.ndarray, x: Cone, margin: float) -> bool:
     """Every image m(X) inside X with room ``margin``; an improper image fails."""
     try:
-        return all(x.contains_cone(cone_image(m, x), margin) for m in mats)
+        centers, half_widths = cone_images(mats, x)
     except ImproperConeError:
         return False
+    gaps = np.abs(signed_gaps(centers, x.center.angle))
+    return bool(np.all(gaps + half_widths <= x.half_width - margin))
 
 
 def cone_is_invariant(ifs: IFS, x: Cone) -> bool:
     """A_i(X) and A_i^T(X) strictly inside X for every map."""
-    mats = (m for f in ifs.maps for m in (f.linear, f.linear.transpose))
-    return _maps_into(mats, x, STRICT_MARGIN)
+    lin = ifs.linear_stack()
+    return _maps_into(np.concatenate([lin, np.transpose(lin, (0, 2, 1))]), x, STRICT_MARGIN)
 
 
 def invariant_cone_search(ifs: IFS, depth: int) -> Cone:
@@ -309,7 +306,7 @@ def strong_cone_separation_check(ifs: IFS, x: Cone) -> SeparationReport:
     failure, 1-based.
     """
     invariant = cone_is_invariant(ifs, x)
-    images = tuple(cone_image(f.linear, x) for f in ifs.maps)
+    images = [Cone(ProjLine(c), h) for c, h in zip(*cone_images(ifs.linear_stack(), x))]
     pairs = itertools.combinations(enumerate(images, start=1), 2)
     witness = next(((i, j) for (i, a), (j, b) in pairs if not cones_disjoint(a, b)), None)
     disjoint = witness is None
@@ -351,27 +348,35 @@ def orientation_cover(ifs: IFS, eps: float) -> list[Cone]:
     <= eps, then merges overlaps.  Projectively identical products are
     deduplicated, so self-similar direction dynamics (e.g. diagonal
     systems) refine in linear time.  The seed must be forward invariant;
-    otherwise NoConeError.
+    otherwise NoConeError.  A level with numerically singular products is
+    past the reachable resolution: BudgetError, naming its depth.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     limit = budget_limit()
     x = default_cover_cone(ifs)
-    if not _maps_into((f.linear for f in ifs.maps), x, 0.0):
+    lin = ifs.linear_stack()
+    if not _maps_into(lin, x, 0.0):
         raise NoConeError("cone is not forward invariant; cover not certified")
     if not domination_report(ifs, 4).verdict:
         raise NoConeError("domination not verified at probe depth; cover not certified")
     if x.diameter <= eps:
         return [x]
 
-    lin = ifs.linear_stack()
     active = _projective_level(np.eye(2)[None], lin)
     finished: list[Cone] = []
     total = 0
+    n = 0
     while len(active):
-        images = [cone_image(Mat2.from_array(m), x) for m in active]
-        narrow = np.array([img.diameter <= eps for img in images], dtype=bool)
-        finished += itertools.compress(images, narrow)
+        n += 1
+        if singular_rows(active).any():
+            raise BudgetError(
+                f"orientation cover stops at depth {n}: its products are numerically singular"
+            )
+        centers, half_widths = cone_images(active, x)
+        narrow = 2.0 * half_widths <= eps
+        pairs = zip(centers[narrow].tolist(), half_widths[narrow].tolist())  # Python floats
+        finished += [Cone(ProjLine(c), h) for c, h in pairs]
         active = _projective_level(active[~narrow], lin)
         total += len(active)
         if total + len(finished) > limit:
@@ -392,6 +397,8 @@ def limit_orientation(
     to the trivial pi/2.  A depth whose product's det^2 is not a normal
     float is past the reachable resolution: BudgetError, naming it.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     cyl = cylinder(ifs, cyclic_prefix(prefix if prefix else (1,), n))
     if _numerically_singular(cyl.det):
         raise BudgetError(
@@ -433,10 +440,9 @@ def distortion_constants(ifs: IFS, x: Cone) -> DistortionConstants:
     (pi - d)/d and the tangent derivative bound sec^2(pi/2 - d/2)."""
     d_min = math.inf
     for mats, dets in word_levels(ifs, DISTORTION_PROBE_DEPTH, cap=DISTORTION_WORDS):
-        for m, d in zip(mats, dets):
-            sd = singular_data(Mat2.from_array(m), det=d)
-            eta2_line = ProjLine(math.atan2(sd.eta2[1], sd.eta2[0]))
-            d_min = min(d_min, x.line_distance(eta2_line))
+        eta2 = singular_stack(mats, dets)[3]
+        gaps = np.abs(signed_gaps(vector_angles(eta2), x.center.angle))
+        d_min = min(d_min, max(0.0, float(np.min(gaps)) - x.half_width))
     if not math.isfinite(d_min) or d_min <= 0:
         raise NoConeError("eta2 directions touch the cone; constants undefined")
     m_interval = (PI - d_min) / d_min
@@ -459,7 +465,7 @@ def smallest_contraction_depth(ifs: IFS, x: Cone, delta_sep: float) -> int:
     contraction by CONTRACTION_DEPTH, raises BudgetError naming the depth."""
     levels = word_levels(ifs, CONTRACTION_DEPTH, cap=THETA1_WORDS)
     for n, (mats, _) in enumerate(levels, start=1):
-        if max(cone_image(Mat2.from_array(m), x).diameter for m in mats) <= delta_sep:
+        if 2.0 * cone_images(mats, x)[1].max() <= delta_sep:
             return n
     raise BudgetError(
         f"contraction walk stops at depth {CONTRACTION_DEPTH}: "
@@ -513,14 +519,14 @@ def _level1_gaps(ifs: IFS, x: Cone) -> list[Cone]:
     """Gap intervals of X that no level-1 image interval covers: between the
     runs of the images' ``_union``, each image placed by its offset from X's
     low end (so a gap may lie across angle 0)."""
-    images = [cone_image(f.linear, x) for f in ifs.maps]
-    if len(images) < 2:
+    centres, half_widths = cone_images(ifs.linear_stack(), x)
+    if len(centres) < 2:
         raise NoGapError("a single map produces a single interval")
     x_lo = x.center.angle - x.half_width
-    crosses = x_lo < 0.0 or x.center.angle + x.half_width >= PI
-    # with X across 0, each centre's angle on X's side of it
-    centres = [x_lo + (i.center.angle - x_lo) % PI if crosses else i.center.angle for i in images]
-    runs = _union((c - i.half_width, c + i.half_width) for c, i in zip(centres, images))
+    if x_lo < 0.0 or x.center.angle + x.half_width >= PI:
+        # with X across 0, each centre's angle on X's side of it
+        centres = x_lo + (centres - x_lo) % PI
+    runs = _union(zip((centres - half_widths).tolist(), (centres + half_widths).tolist()))
     if len(runs) < 2:
         raise NoGapError("level-1 image intervals touch or overlap")
     gaps = zip(runs, runs[1:])
@@ -532,6 +538,8 @@ def porosity_gap_levels(ifs: IFS, x: Cone, depth: int) -> list[float]:
     level-1 gap I, over deduplicated words w of each length 1..depth.  A
     level past POROSITY_WORDS products or with numerically singular ones is
     too fine a resolution: BudgetError, naming its depth."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     gaps = _level1_gaps(ifs, x)
     widest = max(gaps, key=lambda g: g.half_width)
     lin = ifs.linear_stack()
@@ -544,11 +552,11 @@ def porosity_gap_levels(ifs: IFS, x: Cone, depth: int) -> list[float]:
                 f"porosity refinement stops at depth {n} of {depth}: "
                 f"{len(active)} products exceed the cap {POROSITY_WORDS}"
             )
-        mats = [Mat2.from_array(m) for m in active]
-        if any(m.is_singular() for m in mats):
+        if singular_rows(active).any():
             raise BudgetError(
                 f"porosity refinement stops at depth {n} of {depth}: "
                 "its products are numerically singular"
             )
-        out.append(min(cone_image(m, widest).diameter / cone_image(m, x).diameter for m in mats))
+        # the ratio of half-widths is the ratio of diameters, bit for bit
+        out.append(float(np.min(cone_images(active, widest)[1] / cone_images(active, x)[1])))
     return out

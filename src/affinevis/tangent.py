@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyCylinderViewError, NoExitError
+from .errors import BudgetError, EmptyCylinderViewError, NoExitError
 from .linalg2 import PI, ProjLine
 from .symbolic import (
     IFS,
@@ -85,9 +85,22 @@ def approx_rect(cyl: Cylinder, frame: TangentFrame, cloud: PointCloud) -> Approx
     +/- 2 delta relative error for a cloud of resolution delta
     (``tangent_sequence`` uses DEFAULT_RECT_DELTA).  Raises
     EmptyCylinderView when the magnified cylinder misses the unit ball
-    entirely.
+    entirely, and BudgetError, naming the word length n, when the short
+    side at its true size is positive but below 2^-48 of the largest
+    |coordinate| of the cylinder's points: it then spans at most 16 ulps of
+    those coordinates, and its rounding error is past about 1%.  The true
+    size, alpha2 times the extent of ``cloud`` along eta2, carries no
+    translation; it is 0 only for a set flat along eta2, whose v is 0 up to
+    rounding.
     """
-    pts = frame(cyl.map(cloud.points))
+    points = cyl.map(cloud.points)
+    side = cyl.alpha2 * np.ptp(cloud.points @ np.array(cyl.sdata.eta2))
+    if 0.0 < side < 2.0**-48 * np.abs(points).max():
+        raise BudgetError(
+            f"tangent sequence stops at n = {len(cyl.word)}: the rectangle's short "
+            "side is below the float resolution of the cylinder's points"
+        )
+    pts = frame(points)
     if np.min(np.hypot(pts[:, 0], pts[:, 1])) > 1.0:
         raise EmptyCylinderViewError(
             f"cylinder {cyl.word} does not meet the unit ball in this frame"
@@ -114,6 +127,7 @@ def tangent_sequence(
     construction.  Under domination h_n = (alpha1/alpha2) / n grows
     geometrically while v_n = 1 / n decays; both trends are measurable on
     the emitted rectangles, whose base cloud has resolution DEFAULT_RECT_DELTA.
+    A prefix past the float resolution raises BudgetError (see ``approx_rect``).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")

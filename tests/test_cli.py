@@ -351,6 +351,17 @@ class TestCLI:
         assert main(argv + ["--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["orient", "--eps", "1e-15"], "orientation cover stops at depth 13"),
+            (["tangent", "--stream", "1", "--n-max", "16"], "tangent sequence stops at n = 16"),
+        ],
+    )
+    def test_past_float_resolution_exit_code(self, capsys, argv, message):
+        assert main(argv + ["--scenario", "positive-cone"]) == 3
+        assert message in capsys.readouterr().err
+
     def test_unknown_scenario_exit_code(self):
         assert main(["orient", "--scenario", "missing", "--eps", "0.1"]) == 2
 

@@ -17,9 +17,10 @@ from affinevis.geometry import (
     hausdorff_polygons,
     projection_condition_check,
 )
-from affinevis.linalg2 import AffineMap2, Direction, Mat2, proj_apply
+from affinevis.linalg2 import AffineMap2, Direction, Mat2, ProjLine, proj_distance
 from affinevis.regularity import domination_report, orientation_cover
 from affinevis.symbolic import IFS, attractor_cloud, cylinder
+from test_linalg2 import image_angle, proj_apply_oracle
 
 
 class TestConvexHull:
@@ -158,7 +159,8 @@ def _same_verdict(a: ProjectionVerdict, b: ProjectionVerdict) -> bool:
 def _reference_verdict(ifs, e, depth, cloud):
     """(passed, worst_gap, gap_tol, first_pass_depth) with every level checked.
 
-    The straightforward form of the check: each level sorts the
+    The straightforward form of the check: each level keeps the first
+    pulled-back line of each key round(angle, 12) in a dict, sorts the
     (points x axes) projection array along axis 0 and is judged, whether or
     not an earlier level already passed.
     """
@@ -169,7 +171,7 @@ def _reference_verdict(ifs, e, depth, cloud):
         nxt = {}
         for line in level.values():
             for inv in inverses:
-                img = proj_apply(inv, line)
+                img = proj_apply_oracle(inv, line)
                 nxt.setdefault(round(img.angle, 12), img)
         level = nxt
         angles = np.array(sorted(level.keys()))
@@ -299,11 +301,10 @@ class TestProjectionCondition:
         a_w = cylinder(positive_pair, w).map.linear
         a_wj = cylinder(positive_pair, w + j).map.linear
         a_j = cylinder(positive_pair, j).map.linear
-        back_w = proj_apply(a_w.inverse, e.carrier())
-        back_wj = proj_apply(a_wj.inverse, e.carrier())
-        stepped = proj_apply(a_j.inverse, back_w)
-        from affinevis.linalg2 import proj_distance
-
+        pull = lambda m, line: ProjLine(image_angle(m.inverse, line))
+        back_w = pull(a_w, e.carrier())
+        back_wj = pull(a_wj, e.carrier())
+        stepped = pull(a_j, back_w)
         assert proj_distance(back_wj, stepped) < 1e-10
 
 

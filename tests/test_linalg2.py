@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affinevis.errors import SingularInputError
@@ -11,13 +11,18 @@ from affinevis.linalg2 import (
     Direction,
     Mat2,
     ProjLine,
+    PI,
+    SingularData,
     alpha_pair_of_stack,
     compose,
+    image_angles,
     matmul_stack,
     matvec_stack,
-    proj_apply,
     proj_distance,
+    signed_gaps,
     singular_data,
+    singular_rows,
+    singular_stack,
 )
 
 # Golden ratio: alpha1 of the unit shear, from the characteristic polynomial
@@ -30,6 +35,67 @@ def random_invertible(rng, scale=2.0):
         m = Mat2(*(rng.uniform(-scale, scale, size=4)))
         if abs(m.det) > 1e-3:
             return m
+
+
+def eta1_of(sd: SingularData) -> tuple[float, float]:
+    """The strong singular direction, a quarter turn back from eta2."""
+    return (sd.eta2[1], -sd.eta2[0])
+
+
+# The scalar kernels the stacked ones replaced, kept as oracles: the stacked
+# kernels must give their bits.
+
+
+def is_singular(m: Mat2) -> bool:
+    """|det| at most 1e-14 times the squared largest entry."""
+    s = max(abs(m.a11), abs(m.a12), abs(m.a21), abs(m.a22))
+    return abs(m.det) <= 1e-14 * s * s
+
+
+def proj_apply_oracle(m: Mat2, line: ProjLine) -> ProjLine:
+    """Image of a projective line under an invertible linear map."""
+    if is_singular(m):
+        raise SingularInputError(f"matrix {m} is numerically singular")
+    w = m.apply(line.vector())
+    return ProjLine(math.atan2(w[1], w[0]))
+
+
+def proj_signed_gap_oracle(a: ProjLine, b: ProjLine) -> float:
+    """Signed representative of a - b in (-pi/2, pi/2]."""
+    d = (a.angle - b.angle + PI / 2) % PI - PI / 2
+    return PI / 2 if d == -PI / 2 else d
+
+
+def singular_data_oracle(m: Mat2, det: float | None = None) -> SingularData:
+    """The scalar singular data: eigendecomposition of m^T m, eta1 dropped."""
+    if det is None:
+        if is_singular(m):
+            raise SingularInputError(f"matrix {m} is numerically singular")
+        det = m.det
+    elif det == 0.0:
+        raise SingularInputError(f"matrix {m} has zero determinant")
+    p = m.a11 * m.a11 + m.a21 * m.a21
+    r = m.a12 * m.a12 + m.a22 * m.a22
+    q = m.a11 * m.a12 + m.a21 * m.a22
+    spread = np.hypot(0.5 * (p - r), q)
+    lam1 = 0.5 * (p + r) + spread
+    alpha1 = math.sqrt(lam1)
+    alpha2 = math.sqrt((det * det) / lam1)
+    if spread <= 1e-12 * (0.5 * (p + r)):
+        nrm = math.hypot(m.a22, m.a21)
+        e1 = (m.a22 / nrm, -m.a21 / nrm)
+        eta2 = (-e1[1], e1[0])
+        return SingularData(alpha1, alpha2, ProjLine(0.0), ProjLine(PI / 2), eta2)
+    if p >= r:
+        v = np.array([lam1 - r, q])
+    else:
+        v = np.array([q, lam1 - p])
+    e1 = v / np.hypot(v[0], v[1])
+    eta1 = (float(e1[0]), float(e1[1]))
+    img1 = m.apply(np.array(eta1))
+    theta1 = ProjLine(math.atan2(img1[1], img1[0]))
+    theta2 = ProjLine(theta1.angle + PI / 2)
+    return SingularData(alpha1, alpha2, theta1, theta2, (-eta1[1], eta1[0]))
 
 
 class TestSingularData:
@@ -50,7 +116,7 @@ class TestSingularData:
         c, s = math.cos(0.7), math.sin(0.7)
         m = Mat2(c, -s, s, c) @ Mat2.diag(0.5, 0.5)
         sd = singular_data(m)
-        img = m.apply(np.array(sd.eta1))
+        img = m.apply(np.array(eta1_of(sd)))
         assert np.hypot(*img) == pytest.approx(sd.alpha1)
         assert sd.theta1.angle == pytest.approx(0.0)
 
@@ -84,7 +150,7 @@ class TestSingularData:
         assert norms.max() <= sd.alpha1 + eps
         assert norms.min() >= sd.alpha2 - eps
         # extremes attained at eta1 / eta2
-        n1 = np.hypot(*m.apply(np.array(sd.eta1)))
+        n1 = np.hypot(*m.apply(np.array(eta1_of(sd))))
         n2 = np.hypot(*m.apply(np.array(sd.eta2)))
         assert n1 == pytest.approx(sd.alpha1, rel=1e-9)
         assert n2 == pytest.approx(sd.alpha2, rel=1e-9)
@@ -98,7 +164,7 @@ class TestSingularData:
         assert proj_distance(sd.theta1, sd.theta2) == pytest.approx(
             math.pi / 2, abs=1e-9
         )
-        assert abs(np.dot(sd.eta1, sd.eta2)) < 1e-12
+        assert abs(np.dot(eta1_of(sd), sd.eta2)) < 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -144,6 +210,99 @@ class TestStackProducts:
                 assert out[i, j].tolist() == [a11 * x + a12 * y, a21 * x + a22 * y]
 
 
+# entries of either sign over 36 binary orders of magnitude
+SCALED = st.builds(lambda e, k: e * 2.0**k, st.floats(-1, 1), st.integers(-30, 5))
+GENERAL = st.tuples(SCALED, SCALED, SCALED, SCALED)
+# rotations and reflections times a scale: isotropic, so theta1 is horizontal
+SIMILARITY = st.builds(
+    lambda r, t, f: (r * math.cos(t), -f * r * math.sin(t), r * math.sin(t), f * r * math.cos(t)),
+    st.floats(1e-6, 2.0),
+    st.floats(-4.0, 4.0),
+    st.sampled_from([1.0, -1.0]),
+)
+SHEAR = st.builds(
+    lambda a, k, t: (a, 0.0, a * k, a) if t else (a, a * k, 0.0, a),
+    st.floats(1e-6, 2.0),
+    st.floats(-50.0, 50.0),
+    st.booleans(),
+)
+# the rank-one products u v^T, which is_singular flags
+RANK_ONE = st.builds(
+    lambda u, v: (u[0] * v[0], u[0] * v[1], u[1] * v[0], u[1] * v[1]),
+    st.tuples(SCALED, SCALED),
+    st.tuples(SCALED, SCALED),
+)
+REGULAR = st.one_of(GENERAL, SIMILARITY, SHEAR).filter(lambda m: not is_singular(Mat2(*m)))
+LINES = st.lists(st.floats(-10, 10).map(ProjLine), min_size=1, max_size=4)
+
+
+class TestStackedKernelsMatchScalar:
+    """The stacked kernels against the scalar oracles, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(GENERAL, SIMILARITY, SHEAR), min_size=1, max_size=6), LINES)
+    def test_image_angles_match_proj_apply(self, mats, lines):
+        stack = np.array(mats).reshape(-1, 2, 2)
+        vecs = np.array([l.vector() for l in lines])
+        got = image_angles(stack[:, None], vecs)
+        assert got.shape == (len(mats), len(lines))
+        for i, m in enumerate(map(Mat2.from_array, stack)):
+            if is_singular(m):  # the oracle refuses it
+                continue
+            for j, l in enumerate(lines):
+                assert got[i, j].hex() == proj_apply_oracle(m, l).angle.hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(REGULAR, min_size=1, max_size=6), st.booleans())
+    def test_singular_stack_matches_singular_data(self, mats, given_dets):
+        ms = [Mat2(*m) for m in mats]
+        # supplied determinants need not be the computed ones; they must be used
+        dets = np.array([1.5 * m.det for m in ms]) if given_dets else None
+        a1, a2, t1, e2 = singular_stack(np.array(mats).reshape(-1, 2, 2), dets)
+        for k, m in enumerate(ms):
+            det = None if dets is None else float(dets[k])
+            want = singular_data_oracle(m, det)
+            row = (a1[k], a2[k], t1[k], *e2[k])
+            assert [x.hex() for x in row] == [
+                x.hex() for x in (want.alpha1, want.alpha2, want.theta1.angle, *want.eta2)
+            ]
+            assert repr(singular_data(m, det)) == repr(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(GENERAL, SIMILARITY, SHEAR, RANK_ONE), min_size=1, max_size=6))
+    def test_singular_rows_match_is_singular(self, mats):
+        got = singular_rows(np.array(mats).reshape(-1, 2, 2))
+        assert got.tolist() == [is_singular(Mat2(*m)) for m in mats]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(REGULAR, max_size=3), RANK_ONE, st.lists(REGULAR, max_size=3))
+    def test_singular_rows_raise(self, before, flat, after):
+        assume(is_singular(Mat2(*flat)))
+        stack = np.array(before + [flat] + after).reshape(-1, 2, 2)
+        with pytest.raises(SingularInputError, match="numerically singular"):
+            singular_stack(stack, None)
+        with pytest.raises(SingularInputError, match="numerically singular"):
+            singular_data_oracle(Mat2(*flat))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-10, 10), min_size=1, max_size=8), st.floats(-10, 10))
+    def test_angle_arithmetic_matches_scalar(self, angles, other):
+        # ProjLine's normalization and the signed gap, on floats and arrays
+        lines = [ProjLine(a) for a in angles]
+        for a, l in zip(angles, lines):
+            assert l.angle.hex() == (0.0 if a % PI >= PI else a % PI).hex()
+        b = ProjLine(other)
+        got = signed_gaps(np.array([l.angle for l in lines]), b.angle)
+        want = [proj_signed_gap_oracle(l, b) for l in lines]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert [float(signed_gaps(l.angle, b.angle)).hex() for l in lines] == [x.hex() for x in want]
+
+    def test_zero_determinant_rejected(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, 2.0])])
+        with pytest.raises(SingularInputError, match="has zero determinant"):
+            singular_stack(stack, np.array([1.0, 0.0]))
+
+
 class TestProjLine:
     def test_normalization(self):
         assert ProjLine(math.pi).angle == 0.0
@@ -173,18 +332,23 @@ class TestProjLine:
         assert dab <= proj_distance(la, lc) + proj_distance(lc, lb) + 1e-12
 
 
+def image_angle(m: Mat2, line: ProjLine) -> float:
+    """image_angles of one matrix and one line."""
+    return float(image_angles(m.as_array()[None], line.vector()[None])[0])
+
+
 class TestProjApply:
     def test_identity(self):
         l = ProjLine(1.1)
-        assert proj_apply(Mat2.identity(), l).angle == pytest.approx(1.1)
+        assert image_angle(Mat2.identity(), l) == pytest.approx(1.1)
 
     def test_axis_eigenline(self):
-        out = proj_apply(Mat2.diag(1.0 / 3.0, 0.5), ProjLine(0.0))
-        assert out.angle == pytest.approx(0.0)
+        out = image_angle(Mat2.diag(1.0 / 3.0, 0.5), ProjLine(0.0))
+        assert out == pytest.approx(0.0)
 
     def test_diagonal_on_diagonal_line(self):
-        out = proj_apply(Mat2.diag(1.0 / 3.0, 0.5), ProjLine(math.pi / 4))
-        assert out.angle == pytest.approx(math.atan2(0.5, 1.0 / 3.0))
+        out = image_angle(Mat2.diag(1.0 / 3.0, 0.5), ProjLine(math.pi / 4))
+        assert out == pytest.approx(math.atan2(0.5, 1.0 / 3.0))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -195,8 +359,8 @@ class TestProjApply:
         rng = np.random.default_rng(seed)
         m1, m2 = random_invertible(rng), random_invertible(rng)
         l = ProjLine(angle)
-        lhs = proj_apply(m1 @ m2, l)
-        rhs = proj_apply(m1, proj_apply(m2, l))
+        lhs = ProjLine(image_angle(m1 @ m2, l))
+        rhs = ProjLine(image_angle(m1, ProjLine(image_angle(m2, l))))
         assert proj_distance(lhs, rhs) < 1e-12
 
 

@@ -11,16 +11,16 @@ from affinevis.errors import (
     ImproperConeError,
     NoConeError,
     NoGapError,
+    SingularInputError,
     budget_scope,
 )
 from affinevis.linalg2 import (
     AffineMap2,
     Mat2,
     ProjLine,
-    proj_apply,
     proj_distance,
-    proj_signed_gap,
-    singular_data,
+    signed_gaps,
+    singular_stack,
 )
 from affinevis import regularity
 from affinevis.regularity import (
@@ -28,7 +28,7 @@ from affinevis.regularity import (
     DISTORTION_PROBE_DEPTH,
     Cone,
     _theta1_lines,
-    cone_image,
+    cone_images,
     cone_is_invariant,
     cones_disjoint,
     default_cover_cone,
@@ -44,10 +44,61 @@ from affinevis.regularity import (
     strong_cone_separation_check,
 )
 from affinevis.symbolic import IFS, cylinder
+from test_linalg2 import (
+    GENERAL,
+    RANK_ONE,
+    REGULAR,
+    SHEAR,
+    SIMILARITY,
+    image_angle,
+    is_singular,
+    proj_apply_oracle,
+    proj_signed_gap_oracle,
+    singular_data_oracle,
+)
 from test_symbolic import ALTERNATING, B_A_B, all_word_levels, distinct_rows_oracle
 
 VERTICAL = ProjLine(math.pi / 2)
 QUADRANT_MARGIN = Cone(ProjLine(math.pi / 4), math.pi / 4 - 0.05)
+
+
+def cone_image_oracle(m: Mat2, cone: Cone) -> Cone:
+    """The scalar image interval of a cone under an invertible linear map."""
+    lo_i = proj_apply_oracle(m, ProjLine(cone.center.angle - cone.half_width))
+    hi_i = proj_apply_oracle(m, ProjLine(cone.center.angle + cone.half_width))
+    c_i = proj_apply_oracle(m, cone.center)
+    d_lo = proj_signed_gap_oracle(lo_i, c_i)
+    d_hi = proj_signed_gap_oracle(hi_i, c_i)
+    if d_lo > d_hi:
+        d_lo, d_hi = d_hi, d_lo
+    center = ProjLine(c_i.angle + 0.5 * (d_lo + d_hi))
+    half_width = 0.5 * (d_hi - d_lo)
+    if half_width >= math.pi / 2:
+        raise ImproperConeError("image interval spans at least a half turn")
+    if half_width <= 0.0:
+        half_width = 1e-15
+    return Cone(center, half_width)
+
+
+def cone_image(m: Mat2, cone: Cone) -> Cone:
+    """cone_images of one matrix."""
+    return cones_of(*cone_images(m.as_array()[None], cone))[0]
+
+
+def cones_of(centers: np.ndarray, half_widths: np.ndarray) -> list[Cone]:
+    """Cones of arrays of centers and half-widths, with Python float fields."""
+    return [Cone(ProjLine(c), h) for c, h in zip(centers.tolist(), half_widths.tolist())]
+
+
+def contains_cone(big: Cone, small: Cone, margin: float) -> bool:
+    """``small`` inside ``big`` with room ``margin``."""
+    gap = abs(signed_gaps(small.center.angle, big.center.angle))
+    return gap + small.half_width <= big.half_width - margin
+
+
+def image_line(m: Mat2, line: ProjLine) -> ProjLine:
+    """The image of one line under one matrix, by image_angles."""
+    return ProjLine(image_angle(m, line))
 
 
 class TestCone:
@@ -95,6 +146,69 @@ class TestCone:
         assert len(merge_cones([a, b])) == 1
         with pytest.raises(NoGapError):
             regularity._level1_gaps(positive_pair, cone)
+
+
+# cones anywhere on P^1, many of them across angle 0, some a few ulps short
+# of a half turn, whose images can round to an improper one
+ANY_CONE = st.builds(
+    Cone,
+    st.floats(0.0, 3.14).map(ProjLine),
+    st.one_of(st.floats(1e-6, 1.5), st.integers(1, 40).map(lambda k: math.pi / 2 - k * 2.0**-52)),
+)
+
+
+def _oracle_or_error(m: Mat2, cone: Cone):
+    """The oracle's image, or the class of the error it raises."""
+    try:
+        return cone_image_oracle(m, cone)
+    except (ImproperConeError, SingularInputError) as exc:
+        return type(exc)
+
+
+class TestConeImagesMatchScalar:
+    """cone_images against the scalar cone image, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(GENERAL, SIMILARITY, SHEAR), min_size=1, max_size=6), ANY_CONE)
+    def test_each_row_matches_the_oracle(self, mats, cone):
+        stack = np.array(mats).reshape(-1, 2, 2)
+        for k, m in enumerate(map(Mat2.from_array, stack)):
+            want = _oracle_or_error(m, cone)
+            if isinstance(want, type):
+                with pytest.raises(want):
+                    cone_images(stack[k : k + 1], cone)
+            else:
+                assert repr(cone_image(m, cone)) == repr(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(REGULAR, min_size=1, max_size=6), ANY_CONE)
+    def test_a_stack_matches_its_rows(self, mats, cone):
+        # one improper image makes the whole stack improper
+        ms = [Mat2(*m) for m in mats]
+        want = [_oracle_or_error(m, cone) for m in ms]
+        stack = np.array(mats).reshape(-1, 2, 2)
+        if ImproperConeError in want:
+            with pytest.raises(ImproperConeError):
+                cone_images(stack, cone)
+        else:
+            assert repr(cones_of(*cone_images(stack, cone))) == repr(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(REGULAR, max_size=3), RANK_ONE, ANY_CONE)
+    def test_singular_products_raise(self, before, flat, cone):
+        assume(is_singular(Mat2(*flat)))
+        stack = np.array(before + [flat]).reshape(-1, 2, 2)
+        with pytest.raises(SingularInputError, match="numerically singular"):
+            cone_images(stack, cone)
+        assert _oracle_or_error(Mat2(*flat), cone) is SingularInputError
+
+    def test_improper_image_raises(self):
+        # a cone one ulp short of a half turn: the identity's image rounds to
+        # a half turn in both kernels
+        x = Cone(ProjLine(1.5816326530612244), math.nextafter(math.pi / 2, 0.0))
+        assert _oracle_or_error(Mat2.identity(), x) is ImproperConeError
+        with pytest.raises(ImproperConeError):
+            cone_images(np.eye(2)[None], x)
 
 
 class TestDomination:
@@ -162,7 +276,7 @@ class TestInvariantCone:
         # the classical wide cone verifies as well
         wide = Cone(VERTICAL, math.pi / 4)
         for f in carpet.maps:
-            assert wide.contains_cone(cone_image(f.linear, wide), 1e-9)
+            assert contains_cone(wide, cone_image(f.linear, wide), 1e-9)
 
     def test_positive_pair_found(self, positive_pair):
         cone = invariant_cone_search(positive_pair, depth=6)
@@ -252,12 +366,18 @@ class TestOrientationCover:
         with budget_scope(64), pytest.raises(BudgetError):
             orientation_cover(positive_pair, eps=1e-7)
 
+    def test_singular_level_is_a_named_resolution_error(self, positive_pair):
+        # the depth-13 products are numerically singular: a resolution error
+        # naming the depth, not a SingularInputError from inside
+        with pytest.raises(BudgetError, match="stops at depth 13: its products are numerically"):
+            orientation_cover(positive_pair, eps=1e-15)
+
     def test_cover_nesting_across_eps(self, positive_pair):
         coarse = orientation_cover(positive_pair, eps=5e-2)
         fine = orientation_cover(positive_pair, eps=5e-3)
         for c in fine:
             assert any(
-                big.contains_cone(c, -1e-9) or big.contains_line(c.center)
+                contains_cone(big, c, -1e-9) or big.contains_line(c.center)
                 for big in coarse
             )
 
@@ -356,7 +476,7 @@ class TestLimitOrientation:
         theta_wj = cyl_wj.sdata.theta1
         bound_wj = 0.0  # direct cylinder orientation, no extra truncation
         cyl_w = cylinder(positive_pair, w)
-        pushed = proj_apply(cyl_w.map.linear, theta_j)
+        pushed = image_line(cyl_w.map.linear, theta_j)
         # the projective action of A_w stretches angles by at most its
         # singular ratio, so the finite-depth discrepancy is controlled
         lipschitz_w = cyl_w.sdata.alpha1 / cyl_w.sdata.alpha2
@@ -383,7 +503,7 @@ class TestDistortion:
         cone = invariant_cone_search(positive_pair, depth=6)
         m = cylinder(positive_pair, (1, 2, 1)).map.linear
         l = ProjLine(cone.center.angle + 0.01)
-        assert proj_distance(proj_apply(m, l), proj_apply(m, l)) == 0.0
+        assert proj_distance(image_line(m, l), image_line(m, l)) == 0.0
 
     def test_positive_pair_no_violations(self, positive_pair):
         cone = invariant_cone_search(positive_pair, depth=6)
@@ -433,9 +553,9 @@ class TestPorosity:
         (gap,) = regularity._level1_gaps(ifs, x)
         a, b = (cone_image(f.linear, x) for f in ifs.maps)
         assert gap.diameter == pytest.approx(
-            proj_signed_gap(b.center, a.center) - a.half_width - b.half_width
+            signed_gaps(b.center.angle, a.center.angle) - a.half_width - b.half_width
         )
-        assert gap.contains_line(ProjLine(0.0)) and x.contains_cone(gap, 0.0)
+        assert gap.contains_line(ProjLine(0.0)) and contains_cone(x, gap, 0.0)
 
     def test_too_deep_is_a_named_resolution_error(self, positive_pair):
         # the depth-13 products are numerically singular: a resolution
@@ -511,7 +631,7 @@ class TestTheta1Lines:
         for mats, dets in all_word_levels(ifs, depth, transpose):
             pass
         first = distinct_rows_oracle(mats, dets)[0]
-        line = lambda k: singular_data(Mat2.from_array(mats[k]), det=dets[k]).theta1
+        line = lambda k: singular_data_oracle(Mat2.from_array(mats[k]), det=dets[k]).theta1
         got = _theta1_lines(ifs, depth, transpose)
         angles = lambda lines: np.array([l.angle for l in lines]).tobytes()
         assert angles(got) == angles([line(k) for k in first])
@@ -523,7 +643,7 @@ def distortion_reference(ifs, x):
     d_min = math.inf
     for mats, dets in all_word_levels(ifs, DISTORTION_PROBE_DEPTH):
         for m, d in zip(mats, dets):
-            eta2 = singular_data(Mat2.from_array(m), det=d).eta2
+            eta2 = singular_data_oracle(Mat2.from_array(m), det=d).eta2
             d_min = min(d_min, x.line_distance(ProjLine(math.atan2(eta2[1], eta2[0]))))
     return d_min
 
@@ -531,7 +651,7 @@ def distortion_reference(ifs, x):
 def contraction_reference(ifs, x, delta_sep):
     """smallest_contraction_depth from one cone image per word of each level."""
     for n, (mats, _) in enumerate(all_word_levels(ifs, CONTRACTION_DEPTH), start=1):
-        if max(cone_image(Mat2.from_array(m), x).diameter for m in mats) <= delta_sep:
+        if max(cone_image_oracle(Mat2.from_array(m), x).diameter for m in mats) <= delta_sep:
             return n
     return CONTRACTION_DEPTH
 
@@ -567,16 +687,17 @@ class TestOneCallPerDistinctProduct:
     def test_carpet_distortion_constants_call_singular_data_once_a_level(
         self, carpet, monkeypatch
     ):
-        # the 3^n words of each level share one product: 5 calls, not 363
-        calls = []
+        # the 3^n words of each level share one product: 5 one-row stacks,
+        # not 363 rows
+        rows = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return singular_data(*args, **kwargs)
+        def counted(mats, dets):
+            rows.append(len(mats))
+            return singular_stack(mats, dets)
 
-        monkeypatch.setattr(regularity, "singular_data", counted)
+        monkeypatch.setattr(regularity, "singular_stack", counted)
         distortion_constants(carpet, Cone(VERTICAL, 0.3))
-        assert len(calls) == DISTORTION_PROBE_DEPTH == 5
+        assert rows == [1] * DISTORTION_PROBE_DEPTH and DISTORTION_PROBE_DEPTH == 5
 
 
 class TestHonestCaps:
@@ -604,18 +725,18 @@ class TestHonestCaps:
 
     def test_carpet_contraction_walk_images_one_product_a_level(self, carpet, monkeypatch):
         # 3^n words share one product: 12 cone images, not 797,160
-        calls = []
+        rows = []
 
-        def counted(*args):
-            calls.append(args)
-            return cone_image(*args)
+        def counted(mats, x):
+            rows.append(len(mats))
+            return cone_images(mats, x)
 
         x = Cone(VERTICAL, 0.3)
         delta_sep = 0.001 * distortion_constants(carpet, x).delta_sep
-        monkeypatch.setattr(regularity, "cone_image", counted)
+        monkeypatch.setattr(regularity, "cone_images", counted)
         with pytest.raises(BudgetError, match="no level contracts"):
             smallest_contraction_depth(carpet, x, delta_sep)
-        assert len(calls) == CONTRACTION_DEPTH == 12
+        assert rows == [1] * CONTRACTION_DEPTH and CONTRACTION_DEPTH == 12
 
     def test_two_linear_parts_reach_the_seed_depth(self):
         # ALTERNATING's eight maps carry two parts: level 8 holds 256
@@ -640,3 +761,18 @@ class TestDepthGuards:
     def test_cover_cone_depth_zero_rejected(self, carpet):
         with pytest.raises(ValueError, match="depth must be >= 1"):
             invariant_cone_search(carpet, 0)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_limit_orientation_depth_zero_rejected(self, positive_pair, n):
+        # with a cone, depth 0 would be the identity's line; without one, the
+        # cone search's own depth check
+        cone = invariant_cone_search(positive_pair, depth=6)
+        for c in (cone, None):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                limit_orientation(positive_pair, (1, 2), n, cone=c)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_porosity_depth_zero_rejected(self, positive_pair, depth):
+        cone = invariant_cone_search(positive_pair, depth=6)
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            porosity_gap_levels(positive_pair, cone, depth)

@@ -187,7 +187,8 @@ def all_word_levels(ifs, depth, transpose=False):
     lexicographic order, from ``word_products``: each level with its
     repeats.  ``transpose`` composes the transposed maps."""
     if transpose:
-        ifs = IFS(tuple(AffineMap2(f.linear.transpose, (0.0, 0.0)) for f in ifs.maps))
+        parts = (f.linear for f in ifs.maps)
+        ifs = IFS(tuple(AffineMap2(Mat2(m.a11, m.a21, m.a12, m.a22), (0.0, 0.0)) for m in parts))
     for n in range(1, depth + 1):
         yield word_products(ifs, np.array(list(itertools.product(range(ifs.kappa), repeat=n))))
 

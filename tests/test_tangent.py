@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from affinevis.errors import EmptyCylinderViewError, NoExitError
+from affinevis.errors import BudgetError, EmptyCylinderViewError, NoExitError
 from affinevis.linalg2 import ProjLine, proj_distance
 from affinevis.regularity import orientation_cover
 from affinevis.symbolic import attractor_cloud, cylinder
@@ -130,6 +130,21 @@ class TestTangentSequence:
         seq = tangent_sequence(carpet, (2,), 10)
         scales = [f.scale for f, _ in seq]
         assert scales[-1] < scales[3] < 1.0 + 1e-12
+
+    @pytest.mark.parametrize(
+        "name, stream, last",
+        [("positive_pair", (1,), 15), ("positive_pair", (1, 2), 12), ("carpet", (2,), 30)],
+    )
+    def test_stops_past_float_resolution(self, request, name, stream, last):
+        # the short side v * r_n falls below 2^-48 of the cylinder's largest
+        # |coordinate| one step past ``last``; there n * v has drifted by
+        # more than 1% (positive-cone, stream 1: 0.1261 up to n = 13, 0.1166
+        # at 16, 32.6 at 20), and deeper the frames degenerate
+        ifs = request.getfixturevalue(name)
+        seq = tangent_sequence(ifs, stream, last)
+        assert len(seq) == last
+        with pytest.raises(BudgetError, match=f"stops at n = {last + 1}:"):
+            tangent_sequence(ifs, stream, last + 1)
 
 
 class TestKakeyaExtract:
