@@ -48,14 +48,10 @@ from .regularity import (
     distortion_constants,
     domination_report,
     invariant_cone_search,
-    limit_orientation,
     orientation_cover,
     strong_cone_separation_check,
 )
 from .geometry import (
-    ConvexPolygon,
-    attractor_hull,
-    convex_hull,
     direction_scan,
     projection_condition_check,
 )

@@ -1,4 +1,4 @@
-"""Convex hull of the attractor and the projection-condition decision.
+"""The projection-condition decision and the direction scan.
 
 The projection condition asks whether deep cylinders project onto
 non-trivial intervals along a direction; by invariance this reduces to
@@ -17,129 +17,11 @@ from .linalg2 import Direction, image_angles
 from .regularity import Cone, orientation_cover
 from .symbolic import IFS, PointCloud, _distinct_rows, attractor_cloud
 
-COLLINEAR_TOL = 1e-12
 # carriers closer than this to the orientation cover are refused: their
 # pullbacks would need more refinement depth than the default checks run
 COVER_MARGIN = 0.2
-# hull iterations before attractor_hull gives up
-HULL_STEPS = 1_000
 # pulled-back lines projected and sorted together in level_verdict
 PULLBACK_BLOCK = 8
-
-
-@dataclass(frozen=True)
-class ConvexPolygon:
-    """Counterclockwise vertex list, collinear vertices pruned."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "vertices", np.atleast_2d(np.asarray(self.vertices, dtype=float))
-        )
-
-    def __len__(self) -> int:
-        return self.vertices.shape[0]
-
-    def contains(self, point, tol: float = 1e-9) -> bool:
-        v = self.vertices
-        n = len(self)
-        if n == 1:
-            return bool(np.hypot(*(point - v[0])) <= tol)
-        if n == 2:
-            return self.distance(point) <= tol
-        p = np.asarray(point, dtype=float)
-        nxt = np.roll(v, -1, axis=0)
-        cross = (nxt[:, 0] - v[:, 0]) * (p[1] - v[:, 1]) - (nxt[:, 1] - v[:, 1]) * (
-            p[0] - v[:, 0]
-        )
-        return bool(np.all(cross >= -tol * (1 + np.abs(cross).max())))
-
-    def distance(self, point) -> float:
-        """Euclidean distance from a point to the polygon (0 inside)."""
-        p = np.asarray(point, dtype=float)
-        v = self.vertices
-        if len(self) == 1:
-            return float(np.hypot(*(p - v[0])))
-        if len(self) > 2 and self.contains(p, tol=0.0):
-            return 0.0
-        nxt = np.roll(v, -1, axis=0)
-        d = nxt - v
-        lens2 = np.maximum((d**2).sum(axis=1), 1e-300)
-        t = np.clip(((p - v) * d).sum(axis=1) / lens2, 0.0, 1.0)
-        proj = v + t[:, None] * d
-        return float(np.hypot(proj[:, 0] - p[0], proj[:, 1] - p[1]).min())
-
-
-def convex_hull(points: np.ndarray) -> ConvexPolygon:
-    """Monotone-chain hull with collinear pruning; ccw vertex order."""
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
-    if pts.shape[0] <= 2:
-        return ConvexPolygon(pts)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    scale = max(np.abs(pts).max(), 1.0)
-    tol = COLLINEAR_TOL * scale * scale
-
-    def build(seq):
-        chain: list[np.ndarray] = []
-        for p in seq:
-            while len(chain) >= 2:
-                o, a = chain[-2], chain[-1]
-                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= tol:
-                    chain.pop()
-                else:
-                    break
-            chain.append(p)
-        return chain
-
-    lower = build(pts)
-    upper = build(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1])
-    return ConvexPolygon(hull)
-
-
-def hausdorff_polygons(a: ConvexPolygon, b: ConvexPolygon) -> float:
-    """Hausdorff distance between convex polygons (attained at vertices)."""
-    d_ab = max(b.distance(v) for v in a.vertices)
-    d_ba = max(a.distance(v) for v in b.vertices)
-    return max(d_ab, d_ba)
-
-
-def attractor_hull(ifs: IFS, eps: float) -> ConvexPolygon:
-    """Iterate K <- hull(union of map images of K) until the drift is <= eps.
-
-    The seed polygon circumscribes a self-mapped ball around map 1's fixed
-    point, so every iterate contains the attractor and the iteration is
-    monotone decreasing; convergence is geometric at rate max alpha1.
-    """
-    if not eps > 0:  # also true for NaN
-        raise ValueError("eps must be positive")
-    limit = budget_limit()
-    x0, s, d0 = ifs.invariant_ball()
-    if d0 == 0.0:
-        return ConvexPolygon(x0[None, :])
-    n_gon = 64
-    while math.cos(math.pi / n_gon) <= s:
-        n_gon *= 2
-        if n_gon > 1_000_000:
-            raise BudgetError("contraction ratio too close to 1 for hull seeding")
-    radius = d0 / (1.0 - s / math.cos(math.pi / n_gon))
-    ang = 2.0 * math.pi * np.arange(n_gon) / n_gon
-    seed = x0 + radius / math.cos(math.pi / n_gon) * np.stack(
-        [np.cos(ang), np.sin(ang)], axis=1
-    )
-    poly = convex_hull(seed)
-    for _ in range(HULL_STEPS):
-        images = np.concatenate([f(poly.vertices) for f in ifs.maps])
-        if images.shape[0] > limit:
-            raise BudgetError(f"hull iteration exceeded budget {limit}")
-        new_poly = convex_hull(images)
-        drift = hausdorff_polygons(poly, new_poly)
-        poly = new_poly
-        if drift <= eps:
-            return poly
-    raise BudgetError(f"hull iteration failed to reach eps={eps} in {HULL_STEPS} steps")
 
 
 @dataclass(frozen=True)

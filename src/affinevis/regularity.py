@@ -35,9 +35,7 @@ from .linalg2 import (
     singular_stack,
     vector_angles,
 )
-from .symbolic import (
-    IFS, Word, _distinct_rows, cylinder, cyclic_prefix, word_levels, word_products
-)
+from .symbolic import IFS, _distinct_rows, word_levels, word_products
 
 PI = math.pi
 
@@ -153,11 +151,6 @@ def merge_cones(cones: list[Cone]) -> list[Cone]:
 # domination
 
 
-def _numerically_singular(dets) -> bool:
-    """Some det^2 is not a normal float, so alpha2^2 = det^2 / alpha1^2 lost its digits."""
-    return not np.min(np.abs(dets)) ** 2 >= np.finfo(float).tiny
-
-
 @dataclass(frozen=True)
 class DominationReport:
     """Per-level minima of (alpha1/alpha2)^(1/n), a fitted growth rate, verdict."""
@@ -201,7 +194,8 @@ def domination_report(ifs: IFS, n_max: int, seed: int = 0) -> DominationReport:
         else:
             words = rng.integers(0, kappa, size=(DOMINATION_SAMPLES, n))
             mats, dets = word_products(ifs, words)
-        if _numerically_singular(dets):
+        # some det^2 is not a normal float: alpha2^2 = det^2 / alpha1^2 lost its digits
+        if not np.min(np.abs(dets)) ** 2 >= np.finfo(float).tiny:
             raise BudgetError(
                 f"domination probe stops at depth {n} of {n_max}: "
                 "its products are numerically singular"
@@ -382,37 +376,6 @@ def orientation_cover(ifs: IFS, eps: float) -> list[Cone]:
         if total + len(finished) > limit:
             raise BudgetError(f"orientation cover exceeded budget {limit}")
     return merge_cones(finished)
-
-
-def limit_orientation(
-    ifs: IFS,
-    prefix: Word,
-    n: int,
-    cone: Cone | None = None,
-) -> tuple[ProjLine, float]:
-    """Orientation of the depth-n cylinder along prefix^infinity, with bound.
-
-    The certified distance to the limit orientation is M * pi * alpha2/alpha1
-    of the depth-n cylinder; without a cone certificate the bound degrades
-    to the trivial pi/2.  A depth whose product's det^2 is not a normal
-    float is past the reachable resolution: BudgetError, naming it.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    cyl = cylinder(ifs, cyclic_prefix(prefix if prefix else (1,), n))
-    if _numerically_singular(cyl.det):
-        raise BudgetError(
-            f"limit orientation stops at depth {n}: its product is numerically singular"
-        )
-    sd = cyl.sdata
-    if cone is None:
-        try:
-            cone = invariant_cone_search(ifs, depth=min(6, n))
-        except ConeNotFoundError:
-            return sd.theta1, PI / 2
-    consts = distortion_constants(ifs, cone)
-    bound = min(consts.M * PI * sd.alpha2 / sd.alpha1, PI / 2)
-    return sd.theta1, bound
 
 
 # ---------------------------------------------------------------------------

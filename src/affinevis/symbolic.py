@@ -78,11 +78,6 @@ class IFS:
         d0 = max(float(np.hypot(*(f(x0) - x0))) for f in self.maps)
         return x0, s, d0
 
-    def diameter_bound(self) -> float:
-        """Upper bound for diam(E): the diameter of the invariant ball."""
-        _, s, d0 = self.invariant_ball()
-        return 2.0 * d0 / (1.0 - s)
-
 
 @dataclass(frozen=True)
 class Cylinder:

@@ -11,77 +11,13 @@ from affinevis.errors import BudgetError, ExceptionalDirectionError, budget_scop
 from affinevis.geometry import (
     PULLBACK_BLOCK,
     ProjectionVerdict,
-    attractor_hull,
-    convex_hull,
     direction_scan,
-    hausdorff_polygons,
     projection_condition_check,
 )
 from affinevis.linalg2 import AffineMap2, Direction, Mat2, ProjLine, proj_distance
 from affinevis.regularity import domination_report, orientation_cover
 from affinevis.symbolic import IFS, attractor_cloud, cylinder
 from test_linalg2 import image_angle, proj_apply_oracle
-
-
-class TestConvexHull:
-    def test_square(self):
-        pts = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5], [0.2, 0.7]])
-        hull = convex_hull(pts)
-        assert len(hull) == 4
-
-    def test_collinear_pruned(self):
-        pts = np.array([[0, 0], [0.5, 0.5], [1, 1], [1, 0]])
-        hull = convex_hull(pts)
-        assert len(hull) == 3
-
-    def test_contains_and_distance(self):
-        hull = convex_hull(np.array([[0, 0], [2, 0], [2, 2], [0, 2]]))
-        assert hull.contains([1, 1])
-        assert hull.distance([1, 1]) == 0.0
-        assert hull.distance([3, 1]) == pytest.approx(1.0)
-
-    def test_hausdorff(self):
-        a = convex_hull(np.array([[0, 0], [1, 0], [1, 1], [0, 1]]))
-        b = convex_hull(np.array([[0, 0], [2, 0], [2, 1], [0, 1]]))
-        assert hausdorff_polygons(a, b) == pytest.approx(1.0)
-
-
-class TestAttractorHull:
-    def test_single_map_degenerates(self, single_map):
-        hull = attractor_hull(single_map, eps=1e-6)
-        fp = single_map.maps[0].fixed_point()
-        assert hull.distance(fp) <= 1e-4
-
-    def test_carpet_contains_fixed_points(self, carpet):
-        hull = attractor_hull(carpet, eps=1e-6)
-        for p in ([0, 0], [1, 0], [0.5, 1]):
-            assert hull.contains(p, tol=1e-6), p
-
-    def test_hull_contains_cloud(self, carpet):
-        hull = attractor_hull(carpet, eps=1e-6)
-        cloud = attractor_cloud(carpet, 2.0**-6)
-        for p in cloud.points:
-            assert hull.contains(p, tol=1e-6)
-
-    def test_hull_matches_cloud_hull(self, carpet):
-        eps = 1e-4
-        delta = 2.0**-10
-        hull = attractor_hull(carpet, eps=eps)
-        cloud_hull = convex_hull(attractor_cloud(carpet, delta).points)
-        # iterated hull converges from outside; the cloud hull sits inside E
-        assert hausdorff_polygons(hull, cloud_hull) <= eps + delta * 2.5
-
-    def test_monotone_decreasing_drift(self, positive_pair):
-        hull = attractor_hull(positive_pair, eps=1e-5)
-        cloud = attractor_cloud(positive_pair, 0.01)
-        for p in cloud.points:
-            assert hull.contains(p, tol=1e-6)
-
-    @pytest.mark.parametrize("eps", [0.0, -1e-6, math.nan])
-    def test_eps_must_be_positive(self, carpet, eps):
-        # a NaN eps ran the 1,000 hull steps, then raised BudgetError
-        with pytest.raises(ValueError, match="eps must be positive"):
-            attractor_hull(carpet, eps)
 
 
 def _gappy_pair():

@@ -36,14 +36,13 @@ from affinevis.regularity import (
     distortion_constants,
     domination_report,
     invariant_cone_search,
-    limit_orientation,
     merge_cones,
     orientation_cover,
     porosity_gap_levels,
     smallest_contraction_depth,
     strong_cone_separation_check,
 )
-from affinevis.symbolic import IFS, cylinder
+from affinevis.symbolic import IFS, cyclic_prefix, cylinder
 from test_linalg2 import (
     GENERAL,
     RANK_ONE,
@@ -382,10 +381,9 @@ class TestOrientationCover:
             )
 
     def test_theta1_inside_cover(self, positive_pair):
-        cone = invariant_cone_search(positive_pair, depth=6)
         cover = orientation_cover(positive_pair, eps=1e-2)
         for word in [(1,), (2,), (1, 2), (2, 1), (1, 1, 2, 2), (2, 2, 1, 1)]:
-            theta, _ = limit_orientation(positive_pair, word, 14, cone=cone)
+            theta = cylinder(positive_pair, cyclic_prefix(word, 14)).sdata.theta1
             assert any(c.line_distance(theta) <= 1e-6 for c in cover)
 
 
@@ -452,44 +450,6 @@ class TestProjectiveLevel:
         got = porosity_gap_levels(positive_pair, cone, 10)
         monkeypatch.setattr(regularity, "_projective_level", projective_children_oracle)
         assert got == porosity_gap_levels(positive_pair, cone, 10)
-
-
-class TestLimitOrientation:
-    def test_carpet_exact_vertical(self, carpet):
-        for n in (1, 4, 9):
-            theta, bound = limit_orientation(carpet, (1, 2, 3), n)
-            assert theta.angle == pytest.approx(math.pi / 2)
-            assert bound >= 0
-
-    def test_invariance_relation(self, positive_pair):
-        # pushing the limit orientation of j through A_w approximates the
-        # limit orientation of the concatenated word
-        from affinevis.symbolic import cyclic_prefix
-
-        cone = invariant_cone_search(positive_pair, depth=6)
-        w = (2, 1)
-        j = (1, 2)
-        n = 14
-        theta_j, bound_j = limit_orientation(positive_pair, j, n, cone=cone)
-        word_wj = w + cyclic_prefix(j, n)
-        cyl_wj = cylinder(positive_pair, word_wj)
-        theta_wj = cyl_wj.sdata.theta1
-        bound_wj = 0.0  # direct cylinder orientation, no extra truncation
-        cyl_w = cylinder(positive_pair, w)
-        pushed = image_line(cyl_w.map.linear, theta_j)
-        # the projective action of A_w stretches angles by at most its
-        # singular ratio, so the finite-depth discrepancy is controlled
-        lipschitz_w = cyl_w.sdata.alpha1 / cyl_w.sdata.alpha2
-        assert (
-            proj_distance(pushed, theta_wj)
-            <= lipschitz_w * bound_j + bound_wj + 1e-12
-        )
-
-    def test_drift_within_bound(self, positive_pair):
-        cone = invariant_cone_search(positive_pair, depth=6)
-        theta_12, bound_12 = limit_orientation(positive_pair, (1,), 12, cone=cone)
-        theta_24, _ = limit_orientation(positive_pair, (1,), 24, cone=cone)
-        assert proj_distance(theta_12, theta_24) <= bound_12
 
 
 class TestDistortion:
@@ -745,31 +705,11 @@ class TestHonestCaps:
         assert cone_is_invariant(ALTERNATING, cone)
         assert distortion_check(ALTERNATING, cone).k0 >= 1
 
-    @pytest.mark.parametrize("depth", [111, 116, 120])
-    def test_limit_orientation_raises_past_normal_det_squares(self, positive_pair, depth):
-        # both maps have det 0.04: det^2 is subnormal from depth 111, 0 from 116
-        cone = invariant_cone_search(positive_pair, depth=6)
-        with pytest.raises(BudgetError, match=f"depth {depth}: its product is numerically"):
-            limit_orientation(positive_pair, (1, 2), depth, cone=cone)
-
-    def test_limit_orientation_keeps_the_last_normal_depth(self, positive_pair):
-        cone = invariant_cone_search(positive_pair, depth=6)
-        assert limit_orientation(positive_pair, (1, 2), 110, cone=cone)[1] == 2.598659159056056e-109
-
 
 class TestDepthGuards:
     def test_cover_cone_depth_zero_rejected(self, carpet):
         with pytest.raises(ValueError, match="depth must be >= 1"):
             invariant_cone_search(carpet, 0)
-
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_limit_orientation_depth_zero_rejected(self, positive_pair, n):
-        # with a cone, depth 0 would be the identity's line; without one, the
-        # cone search's own depth check
-        cone = invariant_cone_search(positive_pair, depth=6)
-        for c in (cone, None):
-            with pytest.raises(ValueError, match="n must be >= 1"):
-                limit_orientation(positive_pair, (1, 2), n, cone=c)
 
     @pytest.mark.parametrize("depth", [0, -1])
     def test_porosity_depth_zero_rejected(self, positive_pair, depth):

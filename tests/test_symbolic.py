@@ -45,15 +45,16 @@ class TestIFSEntries:
 
 class TestInvariantBall:
     @pytest.mark.parametrize("name", ["carpet", "positive_pair"])
-    def test_cloud_within_half_the_diameter_bound(self, request, name):
+    def test_cloud_within_the_invariant_ball(self, request, name):
         # the ball B(x0, d0 / (1 - s)) maps into itself: 1.1145 <= 1.3333
         # for the carpet, 2.2469 <= 2.4612 for positive-cone
         ifs = request.getfixturevalue(name)
+        x0, s, d0 = ifs.invariant_ball()
         pts = attractor_cloud(ifs, 2.0**-8).points
-        assert np.hypot(*(pts - ifs.anchor_point()).T).max() <= ifs.diameter_bound() / 2
+        assert np.hypot(*(pts - x0).T).max() <= d0 / (1 - s)
 
     def test_one_map_attractor_is_its_fixed_point(self, single_map):
-        assert single_map.diameter_bound() == 0.0
+        assert single_map.invariant_ball()[2] == 0.0
 
 
 class TestCylinder:
