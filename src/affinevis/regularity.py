@@ -7,7 +7,6 @@ tested depth, a failing cone search is not a disproof.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -28,7 +27,6 @@ from .linalg2 import (
     image_angles,
     matvec_stack,
     proj_angles,
-    proj_distance,
     require_regular,
     signed_gaps,
     singular_rows,
@@ -108,21 +106,23 @@ def cone_images(mats: np.ndarray, cone: Cone) -> tuple[np.ndarray, np.ndarray]:
     return centers, np.where(half_width <= 0.0, 1e-15, half_width)
 
 
-def cones_disjoint(a: Cone, b: Cone) -> bool:
-    gap = proj_distance(a.center, b.center)
-    return gap > a.half_width + b.half_width
-
-
-def _union(spans: Iterable[tuple[float, float]]) -> list[list[float]]:
-    """The runs ``[lo, hi]`` of the union of (lo, hi) spans, in order: each
-    span in sorted order joins the run before it when it starts within
-    JOIN_SLACK of that run's end."""
-    runs: list[list[float]] = []
-    for lo, hi in sorted(spans):
-        if runs and lo <= runs[-1][1] + JOIN_SLACK:
+def _union(spans: Iterable[tuple[float, float]], slack: float, period: float) -> list[list]:
+    """The runs ``[lo, hi, members]`` of the union of (lo, hi) spans on the
+    circle of length ``period``, in order: each span in sorted order joins
+    the run before it when it starts within ``slack`` of that run's end, and
+    the last run absorbs each leading run that starts within ``slack`` of its
+    end, less one period.  ``members`` are the spans' indices, in sort order."""
+    runs: list[list] = []
+    for k, (lo, hi) in sorted(enumerate(spans), key=lambda ks: ks[1]):
+        if runs and lo <= runs[-1][1] + slack:
             runs[-1][1] = max(runs[-1][1], hi)
+            runs[-1][2].append(k)
         else:
-            runs.append([lo, hi])
+            runs.append([lo, hi, [k]])
+    while len(runs) >= 2 and runs[0][0] <= runs[-1][1] - period + slack:
+        _, hi, members = runs.pop(0)
+        runs[-1][1] = max(runs[-1][1], hi + period)
+        runs[-1][2] += members
     return runs
 
 
@@ -130,16 +130,8 @@ def merge_cones(cones: list[Cone]) -> list[Cone]:
     """Merge overlapping/touching angular intervals on the circle of length pi."""
     # each interval's left endpoint normalized into [0, pi)
     los = [(c.center.angle - c.half_width) % PI for c in cones]
-    merged = _union((lo, lo + c.diameter) for lo, c in zip(los, cones))
-    # the last interval may spill past pi and absorb leading ones
-    if len(merged) >= 2 and merged[-1][1] > PI:
-        overhang = merged[-1][1] - PI
-        while len(merged) >= 2 and merged[0][0] <= overhang + JOIN_SLACK:
-            overhang = max(overhang, merged[0][1])
-            merged[-1][1] = PI + overhang
-            merged.pop(0)
     out: list[Cone] = []
-    for lo, hi in merged:
+    for lo, hi, _ in _union(((lo, lo + c.diameter) for lo, c in zip(los, cones)), JOIN_SLACK, PI):
         if hi - lo >= PI - JOIN_SLACK:
             raise ImproperConeError("merged intervals cover the projective line")
         out.append(Cone(ProjLine(0.5 * (lo + hi)), max(0.5 * (hi - lo), 1e-15)))
@@ -215,24 +207,24 @@ def domination_report(ifs: IFS, n_max: int, seed: int = 0) -> DominationReport:
 # invariant cones
 
 
-def _theta1_lines(ifs: IFS, depth: int, transpose: bool = False) -> list[ProjLine]:
-    """theta1 of each distinct product of the words of length ``depth``."""
+def _theta1_lines(ifs: IFS, depth: int, transpose: bool = False) -> np.ndarray:
+    """theta1 angles of the distinct products of the words of length ``depth``."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     for mats, dets in word_levels(ifs, depth, transpose, cap=THETA1_WORDS):
         pass  # only the deepest level is used
-    return [ProjLine(a) for a in singular_stack(mats, dets)[2].tolist()]
+    return singular_stack(mats, dets)[2]
 
 
-def angular_hull(lines: list[ProjLine]) -> Cone:
-    """Smallest projective interval containing the given lines.
+def angular_hull(angles: np.ndarray) -> Cone:
+    """Smallest projective interval containing the lines at the given angles.
 
     The hull is the complement of the largest gap between consecutive
     angles on the half-turn circle.
     """
-    if not lines:
+    if not angles.size:
         raise ValueError("empty line set")
-    angles = np.sort(np.array([l.angle for l in lines]))
+    angles = np.sort(angles)
     gaps = np.diff(angles)
     wrap = angles[0] + PI - angles[-1]
     k = int(np.argmax(gaps)) if gaps.size and gaps.max() > wrap else -1
@@ -243,7 +235,7 @@ def angular_hull(lines: list[ProjLine]) -> Cone:
     hw = 0.5 * (hi - lo)
     if hw >= PI / 2:
         raise ImproperConeError("angular hull spans at least a half turn")
-    return Cone(ProjLine(0.5 * (lo + hi)), max(hw, 1e-12))
+    return Cone(ProjLine(0.5 * (lo + hi)), max(float(hw), 1e-12))
 
 
 def _maps_into(mats: np.ndarray, x: Cone, margin: float) -> bool:
@@ -270,9 +262,9 @@ def invariant_cone_search(ifs: IFS, depth: int) -> Cone:
     part of the certificate), then inflates the hull until a candidate
     verifies or the cone stops being proper.
     """
-    lines = _theta1_lines(ifs, depth) + _theta1_lines(ifs, depth, transpose=True)
+    angles = np.concatenate([_theta1_lines(ifs, depth), _theta1_lines(ifs, depth, transpose=True)])
     try:
-        hull = angular_hull(lines)
+        hull = angular_hull(angles)
     except ImproperConeError:
         raise ConeNotFoundError("cylinder orientations span a half turn")
     for inflate in (1.1, 1.25, 1.5, 2.0, 3.0):
@@ -300,9 +292,10 @@ def strong_cone_separation_check(ifs: IFS, x: Cone) -> SeparationReport:
     failure, 1-based.
     """
     invariant = cone_is_invariant(ifs, x)
-    images = [Cone(ProjLine(c), h) for c, h in zip(*cone_images(ifs.linear_stack(), x))]
-    pairs = itertools.combinations(enumerate(images, start=1), 2)
-    witness = next(((i, j) for (i, a), (j, b) in pairs if not cones_disjoint(a, b)), None)
+    centers, half_widths = cone_images(ifs.linear_stack(), x)
+    i, j = np.triu_indices(len(centers), 1)
+    touch = np.abs(signed_gaps(centers[i], centers[j])) <= half_widths[i] + half_widths[j]
+    witness = next(zip((i[touch] + 1).tolist(), (j[touch] + 1).tolist()), None)
     disjoint = witness is None
     return SeparationReport(invariant and disjoint, invariant, disjoint, witness)
 
@@ -461,10 +454,7 @@ def distortion_check(ifs: IFS, x: Cone, seed: int = 0) -> DistortionReport:
     ib = matvec_stack(mats, vb)
 
     def pair_angle(p, q):
-        ta = np.arctan2(p[:, 1], p[:, 0]) % PI
-        tb = np.arctan2(q[:, 1], q[:, 0]) % PI
-        d = np.abs(ta - tb) % PI
-        return np.minimum(d, PI - d)
+        return np.abs(signed_gaps(np.arctan2(p[:, 1], p[:, 0]), np.arctan2(q[:, 1], q[:, 0])))
 
     ang_in = pair_angle(va, vb)
     ang_out = pair_angle(ia, ib)
@@ -489,11 +479,12 @@ def _level1_gaps(ifs: IFS, x: Cone) -> list[Cone]:
     if x_lo < 0.0 or x.center.angle + x.half_width >= PI:
         # with X across 0, each centre's angle on X's side of it
         centres = x_lo + (centres - x_lo) % PI
-    runs = _union(zip((centres - half_widths).tolist(), (centres + half_widths).tolist()))
+    spans = zip((centres - half_widths).tolist(), (centres + half_widths).tolist())
+    runs = _union(spans, JOIN_SLACK, PI)
     if len(runs) < 2:
         raise NoGapError("level-1 image intervals touch or overlap")
     gaps = zip(runs, runs[1:])
-    return [Cone(ProjLine(0.5 * (end + lo)), 0.5 * (lo - end)) for (_, end), (lo, _) in gaps]
+    return [Cone(ProjLine(0.5 * (end + lo)), 0.5 * (lo - end)) for (_, end, _), (lo, _, _) in gaps]
 
 
 def porosity_gap_levels(ifs: IFS, x: Cone, depth: int) -> list[float]:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import BudgetError, EmptyCylinderViewError, NoExitError
 from .linalg2 import PI, ProjLine
+from .regularity import _union
 from .symbolic import (
     IFS,
     Cylinder,
@@ -144,37 +145,13 @@ def tangent_sequence(
     return out
 
 
-def _circular_mean(angles: np.ndarray) -> float:
-    s = np.sin(angles).sum()
-    c = np.cos(angles).sum()
-    return math.atan2(s, c) % (2.0 * PI)
-
-
 def _cluster_angles(angles: np.ndarray, tol: float) -> np.ndarray:
     """Snap full-circle angles to the circular mean of their tol-cluster."""
-    if angles.size <= 1:
-        return angles.copy()
-    order = np.argsort(angles)
-    sorted_a = angles[order]
-    gaps = np.diff(sorted_a)
-    wrap_gap = sorted_a[0] + 2.0 * PI - sorted_a[-1]
-    breaks = np.flatnonzero(gaps > tol)
-    if wrap_gap <= tol and breaks.size > 0:
-        # rotate so the wraparound cluster is contiguous
-        start = breaks[0] + 1
-        sorted_a = np.concatenate([sorted_a[start:], sorted_a[:start] + 2.0 * PI])
-        order = np.concatenate([order[start:], order[:start]])
-        gaps = np.diff(sorted_a)
-        breaks = np.flatnonzero(gaps > tol)
-    out = np.empty_like(sorted_a)
-    lo = 0
-    for b in list(breaks) + [len(sorted_a) - 1]:
-        mean = _circular_mean(sorted_a[lo : b + 1])
-        out[lo : b + 1] = mean
-        lo = b + 1
-    result = np.empty_like(out)
-    result[order] = out % (2.0 * PI)
-    return result
+    out = np.empty_like(angles)
+    for _, _, members in _union(zip(angles.tolist(), angles.tolist()), tol, 2.0 * PI):
+        cluster = angles[members]
+        out[members] = math.atan2(np.sin(cluster).sum(), np.cos(cluster).sum()) % (2.0 * PI)
+    return out
 
 
 def kakeya_extract(rects: Sequence[ApproxRect]) -> KakeyaSet:

@@ -28,9 +28,9 @@ from affinevis.regularity import (
     DISTORTION_PROBE_DEPTH,
     Cone,
     _theta1_lines,
+    _union,
     cone_images,
     cone_is_invariant,
-    cones_disjoint,
     default_cover_cone,
     distortion_check,
     distortion_constants,
@@ -132,6 +132,21 @@ class TestCone:
         a = Cone(ProjLine(0.3), 0.05)
         b = Cone(ProjLine(1.2), 0.05)
         assert len(merge_cones([a, b])) == 2
+
+    @pytest.mark.parametrize("seam", [0.0, 1.0])
+    def test_merge_joins_within_slack_across_angle_zero(self, seam):
+        # ends 8e-13 apart, inside JOIN_SLACK: the gap joins at angle 0 as
+        # it does at 1.0 rad
+        a = Cone(ProjLine(seam - 0.05 - 4e-13), 0.05)
+        b = Cone(ProjLine(seam + 0.05 + 4e-13), 0.05)
+        assert len(merge_cones([a, b])) == 1
+
+    def test_union_members_and_seam(self):
+        # the last run, [9, 10.4], reaches 0.4 past the period of 10: it
+        # absorbs [0, 0.2] and then [0.3, 0.5], which starts within the slack
+        spans = [(5.0, 6.0), (0.3, 0.5), (9.0, 10.4), (0.0, 0.2), (5.5, 5.8)]
+        assert _union(spans, 0.05, 10.0) == [[5.0, 6.0, [0, 4]], [9.0, 10.5, [2, 3, 1]]]
+        assert _union(spans[:2], 0.05, 10.0) == [[0.3, 0.5, [1]], [5.0, 6.0, [0]]]
 
     def test_cover_and_gaps_read_one_join_slack(self, positive_pair, monkeypatch):
         # a slack wider than the level-1 gap closes it, and merges two cones
@@ -294,6 +309,10 @@ class TestInvariantCone:
         with pytest.raises(ConeNotFoundError):
             invariant_cone_search(rotation_pair, depth=4)
 
+    def test_hull_cones_hold_python_floats(self, positive_pair):
+        assert type(invariant_cone_search(positive_pair, depth=6).half_width) is float
+        assert type(default_cover_cone(positive_pair).half_width) is float
+
 
 class TestStrongConeSeparation:
     def test_carpet_identical_images_fail(self, carpet):
@@ -316,7 +335,7 @@ class TestStrongConeSeparation:
         assert rep.verdict, rep
         assert rep.witness is None
         a, b = (cone_image(f.linear, cone) for f in positive_pair.maps)
-        assert cones_disjoint(a, b)
+        assert proj_distance(a.center, b.center) > a.half_width + b.half_width
 
     def test_quadrant_cone_images_touch(self, positive_pair):
         # both maps send the vertical boundary line to the same image line,
@@ -341,11 +360,12 @@ class TestOrientationCover:
         cover = orientation_cover(positive_pair, eps=1e-2)
         assert len(cover) >= 2
         for a, b in zip(cover, cover[1:]):
-            assert cones_disjoint(a, b)
+            assert proj_distance(a.center, b.center) > a.half_width + b.half_width
 
     def test_eps_wider_than_cone(self, positive_pair):
         cover = orientation_cover(positive_pair, eps=2 * math.pi)
         assert cover == [default_cover_cone(positive_pair)]
+        assert type(cover[0].half_width) is float
 
     def test_non_invariant_default_cone_rejected(self):
         # dominated, but the default seed cone is not forward invariant
@@ -593,9 +613,8 @@ class TestTheta1Lines:
         first = distinct_rows_oracle(mats, dets)[0]
         line = lambda k: singular_data_oracle(Mat2.from_array(mats[k]), det=dets[k]).theta1
         got = _theta1_lines(ifs, depth, transpose)
-        angles = lambda lines: np.array([l.angle for l in lines]).tobytes()
-        assert angles(got) == angles([line(k) for k in first])
-        assert {l.angle for l in got} == {line(k).angle for k in range(len(dets))}
+        assert got.tobytes() == np.array([line(k).angle for k in first]).tobytes()
+        assert set(got.tolist()) == {line(k).angle for k in range(len(dets))}
 
 
 def distortion_reference(ifs, x):

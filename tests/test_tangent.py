@@ -147,6 +147,13 @@ class TestTangentSequence:
             tangent_sequence(ifs, stream, last + 1)
 
 
+def exit_rect(phi):
+    """A long rectangle whose one short side clear of the unit ball lies in
+    direction ``phi``."""
+    e = np.array([math.cos(phi), math.sin(phi)])
+    return ApproxRect(2.6 * e, ProjLine(phi), 7.0, 0.1, (1,))
+
+
 class TestKakeyaExtract:
     def test_horizontal_rect_right_exit(self):
         rect = ApproxRect(np.array([0.0, 0.0]), ProjLine(0.0), 10.0, 0.1, (1,))
@@ -163,6 +170,12 @@ class TestKakeyaExtract:
         rect = ApproxRect(np.array([0.0, 0.0]), ProjLine(0.0), 1.5, 0.1, (1,))
         with pytest.raises(NoExitError):
             kakeya_extract([rect])
+
+    def test_directions_cluster_across_angle_zero(self):
+        # exits 0.007 rad apart across angle 0 snap to their circular mean
+        rects = [exit_rect(2.0 * math.pi - 0.004), exit_rect(0.003)]
+        k = kakeya_extract(rects)
+        assert k.thetas == pytest.approx([2.0 * math.pi - 0.0005] * 2, abs=1e-12)
 
     def test_carpet_sequence_carriers_vertical(self, carpet):
         seq = tangent_sequence(carpet, (2,), 12)
