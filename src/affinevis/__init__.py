@@ -36,7 +36,6 @@ from .symbolic import (
     Cylinder,
     PointCloud,
     Word,
-    antichain,
     attractor_cloud,
     cylinder,
 )

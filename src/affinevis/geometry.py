@@ -56,9 +56,11 @@ def projection_condition_check(
     the inverse cylinder map and the attractor cloud is projected onto the
     axis perpendicular to the pulled-back direction.  A delta-net shows
     spurious gaps up to about 2 delta, so a projection fails when its
-    largest gap exceeds ``gap_tol`` = 3 * cloud.resolution; ``worst_gap``
-    is the largest gap relative to its projection's span.  Verdicts are
-    certified only up to the tested depth.
+    largest gap exceeds ``gap_tol`` = 3 * cloud.resolution, or when its
+    span is zero (the cloud projects to a point, which is no interval);
+    ``worst_gap`` is the largest gap relative to its projection's span,
+    over the projections of positive span.  Verdicts are certified only up
+    to the tested depth.
 
     Directions whose carrier comes within COVER_MARGIN of the orientation
     cover raise ExceptionalDirectionError.  A level whose points x lines
@@ -109,12 +111,11 @@ def projection_condition_check(
             blk.sort(axis=1)
             spans[rows] = blk[:, -1] - blk[:, 0]
             gaps[rows] = np.diff(blk, axis=1).max(axis=1, initial=0.0)  # sorted: >= 0
+        # a projection onto a point is no interval: a zero span fails
         ok = spans > 0
-        rel = np.zeros_like(spans)
-        rel[ok] = gaps[ok] / spans[ok]
-        tols = np.zeros_like(spans)
-        tols[ok] = gap_tol / spans[ok]
-        return bool(np.all(rel[ok] <= tols[ok])), float(rel[ok].max(initial=0.0))
+        rel = gaps[ok] / spans[ok]
+        passed = bool(ok.all() and np.all(rel <= gap_tol / spans[ok]))
+        return passed, float(rel.max(initial=0.0))
 
     # the first line of each key round(angle, 12) stands for a level's others
     angles = [carrier.angle]

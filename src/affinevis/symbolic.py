@@ -218,26 +218,28 @@ def _child_rows(index: np.ndarray, n_parts: int, part_of: np.ndarray) -> np.ndar
     return out.reshape(-1)
 
 
-def antichain(ifs: IFS, delta: float) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Cylinders of the minimal antichain at ``alpha1 <= delta``.
+def attractor_cloud(ifs: IFS, delta: float) -> PointCloud:
+    """One anchor per cylinder of the minimal antichain at ``alpha1 <= delta``.
 
     The cylinders are the words w with alpha1(w) <= delta < alpha1(parent
     of w), level by level, each level in lexicographic order.  alpha1
     strictly decreases along prefixes, so every infinite word has exactly
-    one prefix in the antichain.
+    one prefix in the antichain.  Every anchor lies in the attractor, and
+    every attractor point is within alpha1 * diam(E) <= delta * diam(E) of
+    some anchor.
 
-    Returns ``(products, index, trans)``: cylinder k has linear part
-    ``products[index[k]]`` and translation ``trans[k]`` (shape (n, 2)).
     alpha1 depends only on the linear part, so each level refines one
-    product per distinct linear word, and ``products`` holds each level's
-    distinct products, in level order.
-    When no two maps share a linear part, every product is its own
-    cylinder's: ``index`` is None and ``products`` has shape (n, 2, 2).
-    The active budget (``budget_limit``) counts cylinders, not products.
+    product per distinct linear word; when two maps share a linear part,
+    cylinders find their product through a row index.  Each level's anchors
+    are placed as it finishes, the linear image of map 1's fixed point once
+    per distinct product.  The active budget (``budget_limit``) counts
+    cylinders, not products: BudgetError when the done cylinders and the
+    next level's would exceed it.
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     limit = budget_limit()
+    anchor = ifs.anchor_point()
     tr = ifs.translation_stack()
     # distinct linear parts: their products have the bits of the maps' own
     lin = ifs.linear_stack()
@@ -250,75 +252,50 @@ def antichain(ifs: IFS, delta: float) -> tuple[np.ndarray, np.ndarray | None, np
     table = np.eye(2)[None, :, :]
     index = None if part_of is None else np.zeros(1, dtype=np.intp)
     trans = np.zeros((1, 2))
-    done_table: list[np.ndarray] = []
-    done_index: list[np.ndarray] = []
-    done_trans: list[np.ndarray] = []
-    n_rows = 0  # rows in done_table
+    chunks: list[np.ndarray] = []
     total = 0
     while True:
         row_done = alpha_pair_of_stack(table)[0] <= delta
         done = row_done if index is None else np.take(row_done, index)
         n_done = int(np.count_nonzero(done))
         total += n_done
-        if n_done == len(done):  # the whole level is done: no copy of it
-            done_table.append(table)
-            done_trans.append(trans)
+        if n_done:  # else the level is refined as it is, with no copy
+            last = n_done == len(done)
+            # a level that is all done is used as it is; else a row's
+            # cylinders are all done or all active
+            pts = trans if last else trans[done]
+            # matmul rounds differently from matvec_stack; the cloud's bits
+            # keep it. The images are added to the translations in place (the
+            # sum commutes, so the bits are those of images + translations)
+            images = (table if last else table[row_done]) @ anchor
+            if index is None:  # one row per cylinder
+                pts += images
+            else:
+                # gathered a block of rows at a time: no second per-cylinder array
+                at = index if last else np.take(np.cumsum(row_done) - 1, index[done])
+                for lo in range(0, len(at), _CLOUD_BLOCK):
+                    block = slice(lo, lo + _CLOUD_BLOCK)
+                    pts[block] += np.take(images, at[block], axis=0)
+            chunks.append(pts)
+            if last:
+                break
+            table, trans = table[~row_done], trans[~done]
             if index is not None:
-                done_index.append(index + n_rows if n_rows else index)
-            break
-        active, active_t = table, trans
-        if n_done:
-            # each half keeps the rows it uses: a row's cylinders are all
-            # done or all active (with no index, done is row_done)
-            done_table.append(table[row_done])
-            done_trans.append(trans[done])
-            active = table[~row_done]
-            active_t = trans[~done]
-            if index is not None:
-                done_index.append(np.take(np.cumsum(row_done) - 1 + n_rows, index[done]))
-                n_rows += done_table[-1].shape[0]
                 index = np.take(np.cumsum(~row_done) - 1, index[~done])
-        n_active = active_t.shape[0]
-        if total + n_active * ifs.kappa > limit:
+        if total + len(trans) * ifs.kappa > limit:
             raise BudgetError(
                 f"refinement would exceed budget {limit}; increase delta"
             )
-        table = _children(active, parts)
-        trans = matvec_stack(active[:, None], tr)
+        # the children's translations first: the parents' are freed before
+        # the child table is built
+        kids = matvec_stack(table[:, None], tr)
         if index is not None:
-            trans = np.take(trans, index, axis=0)
+            kids = np.take(kids, index, axis=0)
             index = _child_rows(index, parts.shape[0], part_of)
-        trans += active_t[:, None, :]  # in place: no second (n, kappa, 2) array
-        trans = trans.reshape(-1, 2)
-    if len(done_trans) == 1:
-        return table, index, trans
-    return (
-        np.concatenate(done_table),
-        None if index is None else np.concatenate(done_index),
-        np.concatenate(done_trans),
-    )
-
-
-def attractor_cloud(ifs: IFS, delta: float) -> PointCloud:
-    """One anchor per cylinder of the ``alpha1 <= delta`` antichain, in
-    ``antichain``'s order.
-
-    Every anchor lies in the attractor, and every attractor point is within
-    alpha1 * diam(E) <= delta * diam(E) of some anchor.  The linear image
-    of map 1's fixed point is computed once per distinct product.
-    """
-    products, index, trans = antichain(ifs, delta)
-    # matmul rounds differently from matvec_stack; the cloud's bits keep it
-    pts = products @ ifs.anchor_point()
-    if index is None:  # one product per cylinder
-        pts += trans
-    else:
-        # gathered into trans in place, a block of rows at a time: no second
-        # per-cylinder array (the sum commutes, so the bits are the same)
-        for lo in range(0, len(index), _CLOUD_BLOCK):
-            trans[lo : lo + _CLOUD_BLOCK] += np.take(pts, index[lo : lo + _CLOUD_BLOCK], axis=0)
-        pts = trans
-    return PointCloud(pts, float(delta))
+        kids += trans[:, None, :]  # in place: no second (n, kappa, 2) array
+        trans = kids.reshape(-1, 2)
+        table = _children(table, parts)
+    return PointCloud(chunks[0] if len(chunks) == 1 else np.concatenate(chunks), float(delta))
 
 
 def cyclic_prefix(stream: Sequence[int], n: int) -> Word:

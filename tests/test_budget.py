@@ -8,7 +8,7 @@ import pytest
 
 import affinevis
 from affinevis.errors import DEFAULT_BUDGET, BudgetError, budget_limit, budget_scope
-from affinevis.symbolic import antichain
+from affinevis.symbolic import attractor_cloud
 
 # the one function that sets the budget, and the one whose report echoes it
 BUDGET_PARAMETER_OWNERS = {"affinevis.errors.budget_scope", "affinevis.runner.run_scenario"}
@@ -61,7 +61,7 @@ def test_precedence(monkeypatch):
 def test_scope_restored_after_an_exception():
     with pytest.raises(BudgetError):
         with budget_scope(10):
-            antichain(affinevis.scenario("carpet-5.1").build_ifs(), 2.0**-6)
+            attractor_cloud(affinevis.scenario("carpet-5.1").build_ifs(), 2.0**-6)
     assert budget_limit() == DEFAULT_BUDGET
 
 

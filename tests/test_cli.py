@@ -344,6 +344,11 @@ class TestCLI:
             params = json.loads(out.read_text())["params"]
             assert params["budget"] == 100_000_000 and type(params["budget"]) is int
 
+    def test_check_projection_to_a_point_fails(self, capsys):
+        # at delta 1 the cloud is one point: its projections have zero span
+        assert main(["check", "--scenario", "carpet-5.1", "--projection", "--delta", "1"]) == 4
+        assert capsys.readouterr().out.startswith("[FAIL] projection-condition")
+
     @pytest.mark.parametrize("flag", ["--domination", "--cone", "--projection"])
     def test_check_depth_zero_exit_code(self, tmp_path, flag):
         out = tmp_path / "check.json"

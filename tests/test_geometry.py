@@ -26,6 +26,13 @@ def _gappy_pair():
     return IFS((AffineMap2(lin, (0.0, 0.0)), AffineMap2(lin, (2.0 / 3.0, 0.75))))
 
 
+def _cantor_on_axis():
+    """diag(1/3, 1/2) maps at (0, 0) and (2/3, 0): the middle-thirds Cantor
+    set on the x-axis, which projects along the horizontal to one point."""
+    lin = Mat2.diag(1.0 / 3.0, 0.5)
+    return IFS((AffineMap2(lin, (0.0, 0.0)), AffineMap2(lin, (2.0 / 3.0, 0.0))))
+
+
 def _three_positive():
     """Three positive maps: 3, 8, 23, 68 distinct pull-back lines at depths 1-4."""
     return IFS(
@@ -120,7 +127,8 @@ def _reference_verdict(ifs, e, depth, cloud):
         rel[ok] = gaps[ok] / spans[ok]
         tols = np.zeros_like(spans)
         tols[ok] = 3.0 * cloud.resolution / spans[ok]
-        level_ok = bool(np.all(rel[ok] <= tols[ok]))
+        # a zero span is no interval: it fails the level
+        level_ok = bool(np.all(ok) and np.all(rel[ok] <= tols[ok]))
         if level_ok and first_pass is None:
             first_pass = n
     return level_ok, float(rel[ok].max(initial=0.0)), float(3.0 * cloud.resolution), first_pass
@@ -145,11 +153,27 @@ class TestProjectionCondition:
         assert not v.passed
         assert v.worst_gap > v.gap_tol
 
+    def test_projection_to_a_point_fails(self, carpet):
+        # every pull-back of the horizontal is horizontal, so each level's
+        # projections have zero span: a point is no interval
+        ifs = _cantor_on_axis()
+        v = projection_condition_check(ifs, Direction(0.0), depth=5)
+        assert (v.passed, v.worst_gap, v.first_pass_depth) == (False, 0.0, None)
+        scan = direction_scan(ifs, 4, depth=2)
+        assert [(r.passed, r.first_pass_depth) for r in scan[::2]] == [(False, None)] * 2
+        assert scan[1].exceptional and scan[3].exceptional
+        # a one-point cloud projects to a point along every line
+        one = attractor_cloud(carpet, 1.0)
+        assert len(one) == 1
+        v = projection_condition_check(carpet, Direction(-math.pi / 4), depth=3, cloud=one)
+        assert not v.passed and v.first_pass_depth is None
+
     def test_matches_every_level_reference(self, carpet, positive_pair):
         # beyond one 8-line block: 23 and 68 lines (partial last blocks),
         # 64 lines (whole blocks) and 9 lines (a lone ninth line)
         cases = [
-            (ifs, 4) for ifs in (carpet, positive_pair, _gappy_pair(), _three_positive())
+            (ifs, 4)
+            for ifs in (carpet, positive_pair, _gappy_pair(), _three_positive(), _cantor_on_axis())
         ]
         cases += [(positive_pair, 6), (_power_pair(), 8)]
         first_passes = set()

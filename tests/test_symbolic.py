@@ -4,6 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from affinevis import symbolic
 from affinevis.errors import BadSymbolError, BudgetError, budget_limit, budget_scope
 from affinevis.linalg2 import (
@@ -16,7 +19,6 @@ from affinevis.linalg2 import (
 )
 from affinevis.symbolic import (
     IFS,
-    antichain,
     attractor_cloud,
     cyclic_prefix,
     cylinder,
@@ -122,11 +124,6 @@ def reference_cloud(ifs, delta):
     return mats @ ifs.anchor_point() + trans
 
 
-def per_cylinder(products, index):
-    """One linear part per cylinder from antichain's table and index."""
-    return products if index is None else products[index]
-
-
 def shared_ifs(linears, translations):
     return IFS(tuple(AffineMap2(m, t) for m, t in zip(linears, translations)))
 
@@ -145,6 +142,23 @@ ALTERNATING = shared_ifs(
     ((0, 0), (0.35, 0.05), (0.6, 0.1), (0.1, 0.45),
      (0.45, 0.5), (0.7, 0.55), (0.2, 0.8), (0.55, 0.85)),
 )
+
+
+def off_origin(ifs):
+    """``ifs`` with (0.25, -0.125) added to every translation.  B_A_B's and
+    ALTERNATING's map 1 fixes the origin, so every anchor image is zero and
+    the cloud is the translations; here the images show."""
+    moved = [(x + 0.25, y - 0.125) for x, y in (f.translation for f in ifs.maps)]
+    return shared_ifs([f.linear for f in ifs.maps], moved)
+
+
+# the shared-part systems, at the origin and off it
+SHARED = {
+    "b_a_b": B_A_B,
+    "alternating": ALTERNATING,
+    "b_a_b_off": off_origin(B_A_B),
+    "alternating_off": off_origin(ALTERNATING),
+}
 
 # three distinct diagonal parts: they commute, so products of one multiset
 # of symbols agree in value and may differ in their last bits
@@ -171,6 +185,31 @@ def five_maps():
     return IFS(tuple(AffineMap2(lin, (0.2 * k, 0.0)) for k in range(5)))
 
 
+@st.composite
+def small_systems(draw):
+    """2 or 3 maps with linear parts R(a) diag(s1, s2) R(b), 0.05 <= s2 <=
+    s1 <= 0.6.  Half the systems have one part fewer than maps, so two maps
+    share one.  Map 1's translation is off the origin, so the anchor images
+    show in the cloud."""
+    kappa = draw(st.integers(2, 3))
+    n_parts = kappa - 1 if draw(st.booleans()) else kappa
+    angle = st.floats(-math.pi, math.pi)
+    coord = st.floats(-1.0, 1.0)
+
+    def rot(t):
+        return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+    parts = []
+    for _ in range(n_parts):
+        s1 = draw(st.floats(0.1, 0.6))
+        m = rot(draw(angle)) @ np.diag([s1, draw(st.floats(0.05, s1))]) @ rot(draw(angle))
+        parts.append(Mat2(*map(float, m.ravel())))
+    which = draw(st.permutations([k % n_parts for k in range(kappa)]))
+    trans = [(draw(st.floats(0.25, 1.0)), draw(coord))]
+    trans += [(draw(coord), draw(coord)) for _ in which[1:]]
+    return shared_ifs([parts[k] for k in which], trans)
+
+
 def distinct_rows_oracle(*stacks):
     """``(first, which)`` of ``symbolic._distinct_rows`` from a dict of row
     bytes, a row at a time."""
@@ -195,14 +234,13 @@ def all_word_levels(ifs, depth, transpose=False):
 
 
 def assert_matches_oracle(ifs, delta):
-    products, index, trans = antichain(ifs, delta)
-    mats = per_cylinder(products, index)
+    """The cloud is the reference's bit for bit, and its anchors are the
+    oracle cylinders' in the oracle's order."""
+    got = attractor_cloud(ifs, delta).points
+    assert got.tobytes() == reference_cloud(ifs, delta).tobytes()
     oracle = antichain_oracle(ifs, delta)
-    assert mats.shape == (len(oracle), 2, 2)
-    assert trans.shape == (len(oracle), 2)
-    for m, t, c in zip(mats, trans, oracle):
-        assert np.array_equal(m, c.map.linear.as_array())
-        assert t == pytest.approx(c.map.translation, abs=1e-15)
+    p0 = ifs.anchor_point()
+    assert got == pytest.approx(np.array([c.map(p0) for c in oracle]).reshape(-1, 2), abs=1e-15)
     return oracle
 
 
@@ -228,17 +266,10 @@ def budget_threshold(refine, ifs, delta):
 
 
 class TestRefineCylinders:
-    def test_depth_one(self, carpet):
-        products, index, trans = antichain(carpet, 0.75)
-        # the carpet's three maps share one linear part
-        assert np.array_equal(products, carpet.linear_stack()[:1])
-        assert index.tolist() == [0, 0, 0]
-        assert np.array_equal(trans, carpet.translation_stack())
-
     def test_alpha1_half(self, carpet):
-        products, index, _ = antichain(carpet, 0.5)
-        assert len(index) == 3
-        assert alpha_pair_of_stack(products)[0] == pytest.approx(0.5)
+        oracle = assert_matches_oracle(carpet, 0.5)
+        assert len(oracle) == 3
+        assert all(c.sdata.alpha1 == pytest.approx(0.5) for c in oracle)
 
     def test_alpha1_quarter(self, carpet):
         oracle = assert_matches_oracle(carpet, 0.25)
@@ -253,44 +284,30 @@ class TestRefineCylinders:
             for b in words[i + 1 :]:
                 assert b[: len(a)] != a and a[: len(b)] != b
 
-    @pytest.mark.parametrize("ifs, delta", [(B_A_B, 0.03), (ALTERNATING, 0.03)])
+    @pytest.mark.parametrize("ifs, delta", [(ifs, 0.03) for ifs in SHARED.values()])
     def test_shared_parts_match_oracle(self, ifs, delta):
         oracle = assert_matches_oracle(ifs, delta)
         assert len({len(c.word) for c in oracle}) > 1
 
-    def test_distinct_parts_build_no_index(self, positive_pair):
-        products, index, trans = antichain(positive_pair, 0.05)
-        assert index is None
-        assert products.shape == (len(trans), 2, 2)
-
-    def test_one_row_per_distinct_product(self, carpet):
-        products, index, _ = antichain(carpet, 2.0**-6)
-        assert products.shape == (1, 2, 2)
-        assert len(index) == 3**6
-        products, index, _ = antichain(ALTERNATING, 0.03)
-        # one row per distinct linear word: odd symbols carry B1, even B2
-        oracle = antichain_oracle(ALTERNATING, 0.03)
-        linear_words = {tuple((s - 1) % 2 for s in c.word) for c in oracle}
-        assert len(products) == len(linear_words) < len(index)
-        assert np.array_equal(np.unique(index), np.arange(len(products)))
-
     def test_budget(self, carpet):
         with budget_scope(100), pytest.raises(BudgetError):
-            antichain(carpet, 1e-6)
+            attractor_cloud(carpet, 1e-6)
 
     @pytest.mark.parametrize("ifs, delta", [(B_A_B, 2.0**-8), (ALTERNATING, 2.0**-6)])
     def test_budget_counts_cylinders(self, ifs, delta):
         want = budget_threshold(reference_antichain, ifs, delta)
-        assert budget_threshold(antichain, ifs, delta) == want
-        assert want > len(antichain(ifs, delta)[0])
+        assert budget_threshold(attractor_cloud, ifs, delta) == want
+        # at least one per cylinder, more than one per distinct product
+        mats, _ = reference_antichain(ifs, delta)
+        assert want >= len(attractor_cloud(ifs, delta)) > len(symbolic._distinct_rows(mats)[0])
 
     def test_delta_must_be_positive(self, carpet):
         with pytest.raises(ValueError):
-            antichain(carpet, 0.0)
+            attractor_cloud(carpet, 0.0)
 
     def test_nan_delta_rejected(self, carpet):
         with budget_scope(1000), pytest.raises(ValueError):
-            antichain(carpet, math.nan)
+            attractor_cloud(carpet, math.nan)
 
     def test_pressure_sum_decreases_under_refinement(self, positive_pair):
         # s chosen so that sum alpha1(i)^s = 1; refinement cannot increase
@@ -301,8 +318,11 @@ class TestRefineCylinders:
             return sum(x**s for x in a)
 
         def alpha1(delta):
-            products, index, _ = antichain(positive_pair, delta)
-            return per_cylinder(alpha_pair_of_stack(products)[0], index)
+            # the reference's cylinders are the cloud's, bit for bit
+            mats, _ = reference_antichain(positive_pair, delta)
+            got = attractor_cloud(positive_pair, delta).points
+            assert got.tobytes() == reference_cloud(positive_pair, delta).tobytes()
+            return alpha_pair_of_stack(mats)[0]
 
         lo, hi = 0.1, 20.0
         for _ in range(80):
@@ -336,31 +356,33 @@ class TestAttractorCloud:
         assert np.max(np.diff(xs)) <= delta
 
     def test_matches_object_refinement(self, positive_pair):
-        delta = 0.05
-        cloud = attractor_cloud(positive_pair, delta)
-        oracle = antichain_oracle(positive_pair, delta)
-        p0 = positive_pair.anchor_point()
-        anchors = np.array(sorted(tuple(c.map(p0)) for c in oracle))
-        got = np.array(sorted(map(tuple, cloud.points)))
-        assert got == pytest.approx(anchors)
+        assert_matches_oracle(positive_pair, 0.05)
 
     @pytest.mark.parametrize(
         "name, delta",
         [("carpet", 2.0**-9), ("positive_pair", 2.0**-8), ("b_a_b", 2.0**-8),
-         ("alternating", 2.0**-7)],
+         ("alternating", 2.0**-7), ("b_a_b_off", 2.0**-8), ("alternating_off", 2.0**-7)],
     )
     def test_bytes_match_reference(self, request, name, delta):
-        ifs = {"b_a_b": B_A_B, "alternating": ALTERNATING}.get(name)
-        ifs = ifs or request.getfixturevalue(name)
+        ifs = SHARED.get(name) or request.getfixturevalue(name)
         got = attractor_cloud(ifs, delta).points
         assert got.tobytes() == reference_cloud(ifs, delta).tobytes()
 
-    @pytest.mark.parametrize("ifs", [B_A_B, ALTERNATING], ids=["b_a_b", "alternating"])
-    def test_bytes_match_reference_in_small_blocks(self, monkeypatch, ifs):
+    @pytest.mark.parametrize("name", list(SHARED))
+    def test_bytes_match_reference_in_small_blocks(self, monkeypatch, name):
         # a block size that divides no level: the last block is partial
+        ifs = SHARED[name]
         monkeypatch.setattr(symbolic, "_CLOUD_BLOCK", 7)
         got = attractor_cloud(ifs, 2.0**-7).points
         assert got.tobytes() == reference_cloud(ifs, 2.0**-7).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_systems(), st.floats(-5.5, 0.5))
+    def test_bytes_match_reference_on_random_systems(self, ifs, log2_delta):
+        # delta from 2^-5.5 (0.6^8 < 2^-5.5: at most 3^8 cylinders) to 2^0.5 (the identity)
+        delta = 2.0**log2_delta
+        got = attractor_cloud(ifs, delta).points
+        assert got.tobytes() == reference_cloud(ifs, delta).tobytes()
 
     def test_carpet_peak_memory(self, carpet):
         # 177,147 points: the points, translations and row index, no

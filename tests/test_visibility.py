@@ -96,15 +96,19 @@ class TestRasterize:
 
     def test_carpet_cell_count_near_cylinder_box_count(self, carpet):
         # independent count: cells touched by the bounding boxes of the
-        # alpha1 <= delta cylinders (each cylinder maps the unit square)
-        from affinevis.symbolic import antichain
+        # alpha1 <= delta cylinders (each cylinder maps the unit square).
+        # They are the 3^8 words of length 8, which share one linear part,
+        # and map 1 fixes the origin, so each anchor is its translation
+        from affinevis.symbolic import cylinder
 
         delta = 2.0**-8
         grid = rasterize(attractor_cloud(carpet, delta / 2), delta)
         box_cells = set()
         unit = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        products, index, trans = antichain(carpet, delta)
-        for m, t in zip(products[index], trans):
+        m = cylinder(carpet, (1,) * 8).map.linear.as_array()
+        trans = attractor_cloud(carpet, delta).points
+        assert len(trans) == 3**8 and not carpet.anchor_point().any()
+        for t in trans:
             img = unit @ m.T + t
             i0, j0 = np.floor(img.min(axis=0) / delta).astype(int)
             i1, j1 = np.floor((img.max(axis=0) - 1e-12) / delta).astype(int)
