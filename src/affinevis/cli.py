@@ -241,11 +241,10 @@ def cmd_check(args) -> int:
                     "first_pass_depth": v.first_pass_depth,
                     "certified_to_depth": v.depth,
                 }
-                report.add_assertion(
-                    "projection-condition",
-                    v.passed,
-                    f"certified-to-depth {v.depth}, worst relative gap {v.worst_gap:.5f}",
-                )
+                detail = f"certified-to-depth {v.depth}, worst relative gap {v.worst_gap:.5f}"
+                if v.zero_span:
+                    detail += f", a projection at depth {v.depth} has zero span (a point)"
+                report.add_assertion("projection-condition", v.passed, detail)
     return _verdicts(report, args.out)
 
 

@@ -13,15 +13,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BudgetError, ExceptionalDirectionError, budget_limit
-from .linalg2 import Direction, image_angles
+from .linalg2 import Direction, ProjLine, image_angles
 from .regularity import Cone, orientation_cover
 from .symbolic import IFS, PointCloud, _distinct_rows, attractor_cloud
 
 # carriers closer than this to the orientation cover are refused: their
 # pullbacks would need more refinement depth than the default checks run
 COVER_MARGIN = 0.2
-# pulled-back lines projected and sorted together in level_verdict
+# pulled-back lines projected and sorted together by _Projector
 PULLBACK_BLOCK = 8
+# a projection row with fewer than n / STABLE_SORT_DESCENTS descents is
+# sorted with timsort (kind="stable"), which runs in time proportional to the
+# row's disorder; any other row with numpy's default sort. On a row of 80,019
+# points timsort took 0.39 ms at 5,996 descents and 0.76 ms at 10,773, the
+# default sort 0.45 ms at any order (numpy 2.4.6, 2-core x86 VM)
+STABLE_SORT_DESCENTS = 16
 
 
 @dataclass(frozen=True)
@@ -30,7 +36,9 @@ class ProjectionVerdict:
 
     ``passed`` refers to the requested depth; ``first_pass_depth`` records
     the empirical first level at which every pullback projection was free
-    of relative gaps (None if no level passed).
+    of relative gaps (None if no level passed).  ``zero_span`` says that a
+    projection at the requested depth has zero span, which fails it
+    whatever its gaps.
     """
 
     direction: Direction
@@ -40,6 +48,7 @@ class ProjectionVerdict:
     depth: int
     exceptional: bool = False
     first_pass_depth: int | None = None
+    zero_span: bool = False
 
 
 def projection_condition_check(
@@ -62,9 +71,16 @@ def projection_condition_check(
     over the projections of positive span.  Verdicts are certified only up
     to the tested depth.
 
+    A level that pulls back to a single line is projected by itself, as a
+    matrix-vector product, which rounds unlike a row of a block; the lines
+    of a longer level are projected PULLBACK_BLOCK at a time, and a lone
+    last line shares the block of its predecessors.  ``direction_scan``
+    runs this same check for all its carriers at once, with the same bits.
+
     Directions whose carrier comes within COVER_MARGIN of the orientation
     cover raise ExceptionalDirectionError.  A level whose points x lines
-    projection would exceed the budget raises BudgetError.
+    projection would exceed the budget raises BudgetError, counting the
+    lines of this carrier's level alone, also inside a scan.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -72,68 +88,153 @@ def projection_condition_check(
     if cover is None:
         cover = orientation_cover(ifs, eps=1e-2)
     carrier = e.carrier()
+    _refuse_exceptional(carrier, cover)
+    if cloud is None:
+        cloud = attractor_cloud(ifs, delta)
+    (verdict,) = _pullback_verdicts(ifs, [carrier], depth, cloud, limit)
+    return replace(verdict, direction=e)
+
+
+def _refuse_exceptional(carrier: ProjLine, cover: list[Cone]) -> None:
+    """Raise ExceptionalDirectionError if the carrier comes within
+    COVER_MARGIN of the orientation cover."""
     clearance = min(c.line_distance(carrier) for c in cover)
     if clearance < COVER_MARGIN:
         raise ExceptionalDirectionError(
             f"carrier at angle {carrier.angle:.4f} within {clearance:.4f} of the "
             f"orientation cover (margin {COVER_MARGIN})"
         )
-    if cloud is None:
-        cloud = attractor_cloud(ifs, delta)
+
+
+def _pullback_verdicts(
+    ifs: IFS, carriers: list[ProjLine], depth: int, cloud: PointCloud, limit: int
+) -> list[ProjectionVerdict]:
+    """Verdicts of the carriers, walking their pull-back levels in lockstep.
+
+    Each returned verdict stands at its carrier's first direction (angle in
+    [0, pi)).  At each level, the lines of every carrier still judged there
+    are projected in one pass sorted by angle, so neighbouring lines, also of
+    different carriers, project the cloud in nearly the same order.
+    """
     gap_tol = 3.0 * cloud.resolution
-    # breadth-first pullback of the carrier through inverse factor maps;
+    # breadth-first pullback of each carrier through inverse factor maps;
     # projectively identical pullbacks collapse, so diagonal systems cost
     # one axis per level instead of kappa^depth
     inverses = np.stack([f.linear.inverse.as_array() for f in ifs.maps])
+    # the first line of each key round(angle, 12) stands for a level's others
+    angles = [[c.angle] for c in carriers]
+    first_pass: list[int | None] = [None] * len(carriers)
+    final: list[tuple[bool, float, bool]] = [(False, 0.0, False)] * len(carriers)
+    projector = _Projector(cloud.points)
+    for n in range(1, depth + 1):
+        judged = []  # (carrier index, its level's sorted lines, their axes)
+        for i in range(len(carriers)):
+            vecs = np.array([(math.cos(a), math.sin(a)) for a in angles[i]])
+            back = image_angles(inverses, vecs[:, None]).ravel().tolist()  # line-major
+            keys = np.array([round(a, 12) for a in back])
+            first = _distinct_rows(keys)[0]
+            angles[i] = [back[k] for k in first.tolist()]
+            # once a level has passed, only the last level's verdict is read
+            if first_pass[i] is None or n == depth:
+                if len(cloud) * len(first) > limit:
+                    raise BudgetError(
+                        f"pull-back projection at depth {n} needs {len(cloud)} points x "
+                        f"{len(first)} lines, over budget {limit}"
+                    )
+                lines = np.sort(keys[first])
+                # project along the pulled-back direction = onto its perpendicular axis
+                judged.append((i, lines, np.stack([-np.sin(lines), np.cos(lines)], axis=1)))
+        for i, spans, gaps in projector.level(judged):
+            # a projection onto a point is no interval: a zero span fails
+            ok = spans > 0
+            rel = gaps[ok] / spans[ok]
+            passed = bool(ok.all() and np.all(rel <= gap_tol / spans[ok]))
+            if passed and first_pass[i] is None:
+                first_pass[i] = n
+            final[i] = passed, float(rel.max(initial=0.0)), not ok.all()
+    return [
+        ProjectionVerdict(Direction(c.angle), p, w, float(gap_tol), depth, False, f, z)
+        for c, (p, w, z), f in zip(carriers, final, first_pass)
+    ]
 
-    def level_verdict(n: int, back_angles: np.ndarray) -> tuple[bool, float]:
-        if len(cloud) * len(back_angles) > limit:
-            raise BudgetError(
-                f"pull-back projection at depth {n} needs {len(cloud)} points x "
-                f"{len(back_angles)} lines, over budget {limit}"
-            )
-        # project along the pulled-back direction = onto its perpendicular axis
-        axes = np.stack([-np.sin(back_angles), np.cos(back_angles)], axis=1)
-        # project and sort PULLBACK_BLOCK lines at a time: BLAS writes each
-        # block C-ordered, one line's values per contiguous row, so it sorts in
-        # place with no (points x lines) array and no transposing copy. A block
-        # of 2+ lines (gemm) equals the same rows of the level's full product
-        # points @ axes.T bit for bit, but a one-line block (gemv) rounds some
-        # elements differently (tests/test_geometry.py checks both). So the
-        # last block ends on the last line, overlapping its predecessor
-        # instead of holding a lone line; a one-line level is its own product
+
+class _Projector:
+    """Spans and largest gaps of the cloud's projections onto lines' axes.
+
+    A level of one line is its own product ``axes @ points.T`` (gemv). The
+    longer levels of all carriers are merged, sorted by angle and projected
+    PULLBACK_BLOCK lines at a time (gemm) into one reused C-ordered block, one
+    line's values per contiguous row, so each row sorts in place with no
+    (points x lines) array. A block of 2+ lines holds the same bits as those
+    rows of the full product, and a block projected from permuted points the
+    permuted columns, but a one-line block rounds some elements differently
+    (tests/test_geometry.py checks all three). So the last block ends on the
+    last line, overlapping its predecessor instead of holding a lone line.
+    The points are kept in the sorted order of each block's last line, so
+    each row of the next block arrives nearly sorted.
+    """
+
+    def __init__(self, points: np.ndarray):
+        n = len(points)
+        self.points = points
+        # the points in the current sort order, and the buffer of the next:
+        # copies, since both are written
+        self.ordered = np.array(points, order="C")
+        self.spare = np.empty_like(self.ordered)
+        self.block = np.empty((PULLBACK_BLOCK, n))
+        self.row = np.empty(n)
+        self.diff = np.empty(max(n - 1, 0))
+        self.descents = np.empty((PULLBACK_BLOCK, max(n - 1, 0)), dtype=bool)
+
+    def level(self, judged):
+        """Yield (carrier, spans, gaps) for each (carrier, lines, axes) of a
+        level, spans and gaps in the order of that carrier's lines."""
+        merged = []
+        for i, lines, axes in judged:
+            if len(lines) > 1:
+                merged.append((i, lines, axes))
+                continue
+            row = axes @ self.points.T
+            row.sort(axis=1)
+            yield i, row[:, -1] - row[:, 0], np.diff(row, axis=1).max(axis=1, initial=0.0)
+        if not merged:
+            return
+        # spans and gaps are stored in the order the carriers' lines come in
+        order = np.argsort(np.concatenate([lines for _, lines, _ in merged]), kind="stable")
+        axes = np.concatenate([axes for _, _, axes in merged])[order]
         m = len(axes)
         spans = np.empty(m)
         gaps = np.empty(m)
         for j in range(0, m, PULLBACK_BLOCK):
             rows = slice(max(min(j, m - PULLBACK_BLOCK), 0), j + PULLBACK_BLOCK)
-            blk = axes[rows] @ cloud.points.T
-            blk.sort(axis=1)
-            spans[rows] = blk[:, -1] - blk[:, 0]
-            gaps[rows] = np.diff(blk, axis=1).max(axis=1, initial=0.0)  # sorted: >= 0
-        # a projection onto a point is no interval: a zero span fails
-        ok = spans > 0
-        rel = gaps[ok] / spans[ok]
-        passed = bool(ok.all() and np.all(rel <= gap_tol / spans[ok]))
-        return passed, float(rel.max(initial=0.0))
+            blk = np.matmul(axes[rows], self.ordered.T, out=self.block[: len(axes[rows])])
+            kinds = _sort_kinds(blk, self.descents)
+            for row, kind in zip(blk[:-1], kinds):
+                row.sort(kind=kind)
+            last = blk[-1]
+            perm = last.argsort(kind=kinds[-1])
+            # perm is a permutation, so "clip" clips nothing; unlike the
+            # default "raise", it writes to out without a buffering copy
+            last[:] = np.take(last, perm, out=self.row, mode="clip")
+            np.take(self.ordered, perm, axis=0, out=self.spare, mode="clip")
+            self.ordered, self.spare = self.spare, self.ordered
+            spans[order[rows]] = blk[:, -1] - blk[:, 0]
+            for k, row in zip(order[rows], blk):  # sorted: every gap >= 0
+                gaps[k] = np.subtract(row[1:], row[:-1], out=self.diff).max(initial=0.0)
+        bounds = np.cumsum([len(lines) for _, lines, _ in merged])[:-1]
+        for (i, _, _), s, g in zip(merged, np.split(spans, bounds), np.split(gaps, bounds)):
+            yield i, s, g
 
-    # the first line of each key round(angle, 12) stands for a level's others
-    angles = [carrier.angle]
-    first_pass: int | None = None
-    for n in range(1, depth + 1):
-        vecs = np.array([(math.cos(a), math.sin(a)) for a in angles])
-        back = image_angles(inverses, vecs[:, None]).ravel().tolist()  # line-major
-        keys = np.array([round(a, 12) for a in back])
-        first = _distinct_rows(keys)[0]
-        angles = [back[k] for k in first.tolist()]
-        # once a level has passed, only the last level's verdict is read
-        if first_pass is None or n == depth:
-            passed, worst = level_verdict(n, np.sort(keys[first]))
-            if passed and first_pass is None:
-                first_pass = n
-    return ProjectionVerdict(
-        e, passed, worst, float(gap_tol), depth, False, first_pass
-    )
+
+def _sort_kinds(blk: np.ndarray, descents: np.ndarray) -> list[str | None]:
+    """The sort kind of each row of a block: timsort ("stable") for a row with
+    fewer than n / STABLE_SORT_DESCENTS descents, else the default sort.
+    Decided per row, not per block: a jump between clusters of lines can
+    fall inside a block."""
+    desc = np.less(blk[:, 1:], blk[:, :-1], out=descents[: len(blk)])
+    # a count per row: count_nonzero(axis=1) sums a converted copy, 7x slower
+    n = blk.shape[1]
+    return ["stable" if STABLE_SORT_DESCENTS * np.count_nonzero(d) < n else None for d in desc]
 
 
 def direction_scan(
@@ -147,6 +248,8 @@ def direction_scan(
     Exceptional directions are flagged rather than raised. A verdict depends
     on the direction only through its carrier line, so directions sharing a
     carrier (theta and theta + pi) share one check; rows are in grid order.
+    The checks of all carriers walk their pull-back levels together, so the
+    budget error, if any, names the shallowest level over budget.
     """
     if n_dirs < 4:
         raise ValueError("n_dirs must be >= 4")
@@ -154,17 +257,15 @@ def direction_scan(
         raise ValueError("depth must be >= 1")
     cover = orientation_cover(ifs, eps=1e-2)
     cloud = attractor_cloud(ifs, delta)
-    by_carrier: dict[float, ProjectionVerdict] = {}
-
-    def row(d: Direction) -> ProjectionVerdict:
-        key = d.carrier().angle
-        if key not in by_carrier:
-            try:
-                by_carrier[key] = projection_condition_check(
-                    ifs, d, depth, cloud=cloud, cover=cover
-                )
-            except ExceptionalDirectionError:
-                by_carrier[key] = ProjectionVerdict(d, False, math.nan, math.nan, depth, True)
-        return replace(by_carrier[key], direction=d)
-
-    return [row(Direction(2.0 * math.pi * k / n_dirs)) for k in range(n_dirs)]
+    grid = [Direction(2.0 * math.pi * k / n_dirs) for k in range(n_dirs)]
+    checked = []
+    for line in {d.carrier().angle: d.carrier() for d in grid}.values():
+        try:
+            _refuse_exceptional(line, cover)
+            checked.append(line)
+        except ExceptionalDirectionError:
+            pass
+    verdicts = _pullback_verdicts(ifs, checked, depth, cloud, budget_limit())
+    by_carrier = {c.angle: v for c, v in zip(checked, verdicts)}
+    flagged = ProjectionVerdict(grid[0], False, math.nan, math.nan, depth, True)
+    return [replace(by_carrier.get(d.carrier().angle, flagged), direction=d) for d in grid]

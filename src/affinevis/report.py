@@ -19,6 +19,10 @@ from typing import Any, Sequence
 
 import numpy as np
 
+# write_csv formats this many rows at a time, so a long table never holds a
+# Python object for each of its fields at once
+CSV_CHUNK_ROWS = 4096
+
 
 @dataclass
 class RunReport:
@@ -105,12 +109,15 @@ def write_csv(
     ``rows`` is a 2-D numeric ndarray or a sequence of rows of numbers and
     ``""``.  The table is formatted a column at a time, each number as its
     repr (``str`` of a numpy scalar is the same text), so no field and no
-    header name ever needs quoting.
+    header name ever needs quoting.  The rows are formatted CSV_CHUNK_ROWS
+    at a time into one buffer, written and renamed once.
     """
-    cols = np.asarray(rows, dtype=object).reshape(-1, len(header)).T
-    lines = map(",".join, zip(*(map(str, col.tolist()) for col in cols)))
-    text = ",".join(header) + "\r\n" + "".join(line + "\r\n" for line in lines)
-    atomic_write_bytes(path, text.encode())
+    data = bytearray((",".join(header) + "\r\n").encode())
+    for k in range(0, len(rows), CSV_CHUNK_ROWS):
+        cols = np.asarray(rows[k : k + CSV_CHUNK_ROWS], dtype=object).reshape(-1, len(header)).T
+        lines = map(",".join, zip(*(map(str, col.tolist()) for col in cols)))
+        data += "".join(line + "\r\n" for line in lines).encode()
+    atomic_write_bytes(path, data)
 
 
 # ---------------------------------------------------------------------------

@@ -347,7 +347,10 @@ class TestCLI:
     def test_check_projection_to_a_point_fails(self, capsys):
         # at delta 1 the cloud is one point: its projections have zero span
         assert main(["check", "--scenario", "carpet-5.1", "--projection", "--delta", "1"]) == 4
-        assert capsys.readouterr().out.startswith("[FAIL] projection-condition")
+        out = capsys.readouterr().out
+        assert out.startswith("[FAIL] projection-condition")
+        # the line names the reason: no gap is too wide, a span is zero
+        assert "a projection at depth 5 has zero span" in out.splitlines()[0]
 
     @pytest.mark.parametrize("flag", ["--domination", "--cone", "--projection"])
     def test_check_depth_zero_exit_code(self, tmp_path, flag):

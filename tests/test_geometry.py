@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from affinevis import geometry
 from affinevis.errors import BudgetError, ExceptionalDirectionError, budget_scope
 from affinevis.geometry import (
     PULLBACK_BLOCK,
@@ -158,7 +159,7 @@ class TestProjectionCondition:
         # projections have zero span: a point is no interval
         ifs = _cantor_on_axis()
         v = projection_condition_check(ifs, Direction(0.0), depth=5)
-        assert (v.passed, v.worst_gap, v.first_pass_depth) == (False, 0.0, None)
+        assert (v.passed, v.worst_gap, v.first_pass_depth, v.zero_span) == (False, 0.0, None, True)
         scan = direction_scan(ifs, 4, depth=2)
         assert [(r.passed, r.first_pass_depth) for r in scan[::2]] == [(False, None)] * 2
         assert scan[1].exceptional and scan[3].exceptional
@@ -166,7 +167,10 @@ class TestProjectionCondition:
         one = attractor_cloud(carpet, 1.0)
         assert len(one) == 1
         v = projection_condition_check(carpet, Direction(-math.pi / 4), depth=3, cloud=one)
-        assert not v.passed and v.first_pass_depth is None
+        assert not v.passed and v.first_pass_depth is None and v.zero_span
+        # a failure on a gap alone is no zero span
+        v = projection_condition_check(_gappy_pair(), Direction(-math.pi / 4), depth=6)
+        assert not v.passed and not v.zero_span
 
     def test_matches_every_level_reference(self, carpet, positive_pair):
         # beyond one 8-line block: 23 and 68 lines (partial last blocks),
@@ -208,7 +212,9 @@ class TestProjectionCondition:
             assert v.passed
             with pytest.raises(BudgetError, match="depth 3 .* 8 lines"):
                 projection_condition_check(positive_pair, e, 3, delta=delta)
-            with pytest.raises(BudgetError):
+            # a scan walks its carriers' levels together: it stops at the
+            # shallowest level over budget, counted for one carrier's lines
+            with pytest.raises(BudgetError, match="depth 3 .* 8 lines"):
                 direction_scan(positive_pair, 8, depth=3, delta=delta)
 
     def test_pullback_projection_peak_memory(self, positive_pair):
@@ -222,8 +228,9 @@ class TestProjectionCondition:
         finally:
             tracemalloc.stop()
         # depth 7 pulls back to 128 lines, but the peak stays near two
-        # (PULLBACK_BLOCK x points) float64 blocks: a transposing copy of each
-        # block would add a third
+        # (PULLBACK_BLOCK x points) float64 blocks: the reused block, two
+        # permuted copies of the points and rows of scratch; a transposing
+        # copy of each block, or a fresh block for each, would add a third
         assert peak < 2.5 * len(cloud) * PULLBACK_BLOCK * 8, (peak, len(cloud))
 
     @settings(max_examples=60, deadline=None)
@@ -237,7 +244,7 @@ class TestProjectionCondition:
         ),
     )
     def test_blocks_equal_the_full_product(self, clouds_2_8, name, angles):
-        # level_verdict's premise: a block of lines projected as
+        # _Projector's premise: a block of lines projected as
         # axes @ points.T holds the same bits as those rows of the level's
         # full product points @ axes.T, so blocking moves no verdict
         points = clouds_2_8[name].points
@@ -253,6 +260,59 @@ class TestProjectionCondition:
         for k in (0, len(axes) - 1):
             line = axes[k : k + 1]
             assert np.array_equal(line @ points.T, (points @ line.T).T), k
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["carpet", "positive-cone"]),
+        st.one_of(st.none(), st.integers(1, 40)),
+        st.sampled_from([1e-6, 1.0, 1e6]),
+        st.lists(
+            st.floats(0.0, math.pi, exclude_max=True),
+            min_size=2,
+            max_size=PULLBACK_BLOCK,
+            unique=True,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @example("positive-cone", 1, 1.0, [0.5, 0.6], 0)
+    def test_permuted_points_permute_the_block(
+        self, clouds_2_8, name, size, scale, angles, seed
+    ):
+        # _Projector's premise: a block projected from permuted points into
+        # its reused buffer holds the permuted columns of the block projected
+        # from the points as they are, bit for bit (size: a tiny cloud)
+        points = clouds_2_8[name].points[:size] * scale
+        perm = np.random.default_rng(seed).permutation(len(points))
+        axes = np.stack([-np.sin(angles), np.cos(angles)], axis=1)
+        buf = np.empty((PULLBACK_BLOCK, len(points)))
+        got = np.matmul(axes, np.take(points, perm, axis=0).T, out=buf[: len(axes)])
+        assert np.array_equal(got, (axes @ points.T)[:, perm])
+
+    def test_clustered_lines_match_plain_sorts(self, monkeypatch, clouds_2_8):
+        # clusters of lines 1e-9 to 1e-2 apart, clusters about 0.2 rad apart,
+        # of two interleaved carriers: every line's (span, gap) is that of a
+        # plain np.sort of its projection, whichever sort kind its row took
+        kinds = []
+        sort_kinds = geometry._sort_kinds
+
+        def spy(blk, descents):
+            kinds.extend(sort_kinds(blk, descents))
+            return kinds[-len(blk) :]
+
+        monkeypatch.setattr(geometry, "_sort_kinds", spy)
+        offsets = np.concatenate([[0.0], np.cumsum(10.0 ** -np.arange(9.0, 1.0, -1.0))])
+        angles = np.concatenate([c + offsets for c in (0.1, 0.3, 0.5, 0.7, 0.9)])
+        points = clouds_2_8["positive-cone"].points
+        judged = [
+            (i, a, np.stack([-np.sin(a), np.cos(a)], axis=1))
+            for i, a in enumerate([angles[0::2], angles[1::2]])
+        ]
+        got = {i: (spans, gaps) for i, spans, gaps in geometry._Projector(points).level(judged)}
+        for i, _, axes in judged:
+            vals = np.sort(points @ axes.T, axis=0)  # the full product, as the reference
+            assert np.array_equal(got[i][0], vals[-1] - vals[0]), i
+            assert np.array_equal(got[i][1], np.diff(vals, axis=0).max(axis=0)), i
+        assert {"stable", None} <= set(kinds), kinds
 
     def test_pullback_consistency(self, positive_pair):
         e = Direction(0.3)
@@ -293,8 +353,12 @@ class TestDirectionScan:
         assert any(not p for (x, p) in verdicts4 if not x)
 
     def test_rows_match_single_checks(self, carpet, positive_pair):
-        depth, delta = 3, 2.0**-7
-        for ifs in (carpet, positive_pair):
+        # a scan batches the levels of all its carriers; at positive-cone's
+        # depth 6 (64 lines a carrier) and _three_positive's depth 4 (68)
+        # levels span many blocks and the carriers' lines interleave
+        delta = 2.0**-7
+        cases = [(carpet, 3), (positive_pair, 3), (positive_pair, 6), (_three_positive(), 4)]
+        for ifs, depth in cases:
             cloud = attractor_cloud(ifs, delta)
             rows = direction_scan(ifs, 8, depth=depth, delta=delta)
             for k, r in enumerate(rows):

@@ -5,11 +5,12 @@ import csv
 import io
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from affinevis.report import _SVG_FOOTER, _svg_header, svg_cells, write_csv
+from affinevis.report import CSV_CHUNK_ROWS, _SVG_FOOTER, _svg_header, svg_cells, write_csv
 from affinevis.visibility import OccupancyGrid
 
 SPECIAL_FLOATS = [
@@ -134,6 +135,36 @@ class TestCsvArrays:
         write_csv(a, ["x", "y"], rows)
         write_csv(b, ["x", "y"], [tuple(r) for r in rows])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "count", [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 10_000]
+    )
+    @pytest.mark.parametrize("kind", ["float", "int", "mixed"])
+    def test_chunk_boundaries(self, tmp_path, count, kind):
+        # rows are formatted CSV_CHUNK_ROWS at a time: the file has the bytes
+        # of the whole table formatted in one piece, at every chunk boundary
+        rng = np.random.default_rng(count)
+        if kind == "float":
+            rows = rng.standard_normal((count, 3)) * 10.0 ** rng.integers(-20, 20, (count, 3))
+        elif kind == "int":
+            rows = rng.integers(-(2**62), 2**62, (count, 2))
+        else:
+            rows = [
+                (float(x), k % 2, "" if k % 3 else np.float64(x / 3), k % 7 or "")
+                for k, x in enumerate(rng.standard_normal(count))
+            ]
+        p = tmp_path / "t.csv"
+        header = [f"c{k}" for k in range({"float": 3, "int": 2, "mixed": 4}[kind])]
+        write_csv(p, header, rows)
+        assert p.read_bytes() == _csv_oracle(header, rows)
+
+    def test_failed_table_leaves_no_file(self, tmp_path):
+        # a row that fails to format past the first chunk leaves neither the
+        # target nor a temporary file: the table is written in one rename
+        rows = [(0.5, 1.0)] * (CSV_CHUNK_ROWS + 10) + [(0.5, 1.0, 2.0)]
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["x", "y"], rows)
+        assert list(tmp_path.iterdir()) == []
 
 
 CELLS = st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), max_size=40)
