@@ -68,31 +68,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_source(p):
-        src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--scenario", help="built-in scenario name")
-        src.add_argument("--ifs", help="path to a JSON IFS config")
+    source = argparse.ArgumentParser(add_help=False)
+    src = source.add_mutually_exclusive_group(required=True)
+    src.add_argument("--scenario", help="built-in scenario name")
+    src.add_argument("--ifs", help="path to a JSON IFS config")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", help="output file (atomic write)")
+    common.add_argument("--seed", type=int, default=0)
+    # a string: budget_scope parses it as it parses AFFINE_VIS_BUDGET
+    common.add_argument(
+        "--budget", help="cell/point cap of every step (default: AFFINE_VIS_BUDGET, else 5e7)"
+    )
+    # ignored (scans run on one thread); kept hidden because check and
+    # vis-dim reports echo every parsed argument, so dropping it changes them
+    common.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
 
-    def add_common(p):
-        p.add_argument("--out", help="output file (atomic write)")
-        p.add_argument("--seed", type=int, default=0)
-        # a string: budget_scope parses it as it parses AFFINE_VIS_BUDGET
-        p.add_argument(
-            "--budget", help="cell/point cap of every step (default: AFFINE_VIS_BUDGET, else 5e7)"
-        )
-        # ignored (scans run on one thread); kept hidden because check and
-        # vis-dim reports echo every parsed argument, so dropping it changes them
-        p.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help, parents=[source, common])
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("gen", help="generate an attractor point cloud")
-    add_source(p)
-    add_common(p)
+    p = command("gen", cmd_gen, "generate an attractor point cloud")
     p.add_argument("--delta", type=float, default=2.0**-10)
     p.add_argument("--svg", help="also draw occupied cells to this SVG")
 
-    p = sub.add_parser("check", help="structural checks")
-    add_source(p)
-    add_common(p)
+    p = command("check", cmd_check, "structural checks")
     p.add_argument("--domination", action="store_true")
     p.add_argument("--cone", action="store_true")
     p.add_argument("--projection", action="store_true")
@@ -101,21 +101,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", type=float, default=-math.pi / 4, help="radians")
     p.add_argument("--delta", type=float, default=2.0**-10)
 
-    p = sub.add_parser("orient", help="limit-orientation interval cover")
-    add_source(p)
-    add_common(p)
+    p = command("orient", cmd_orient, "limit-orientation interval cover")
     p.add_argument("--eps", type=float, default=1e-3)
 
-    p = sub.add_parser("vis", help="visible cells for one direction")
-    add_source(p)
-    add_common(p)
+    p = command("vis", cmd_vis, "visible cells for one direction")
     p.add_argument("--dir", type=float, required=True, help="radians")
     p.add_argument("--delta", type=float, default=2.0**-8)
     p.add_argument("--svg", help="overlay SVG: attractor cells under visible cells")
 
-    p = sub.add_parser("vis-dim", help="visible-part scaling over a ladder")
-    add_source(p)
-    add_common(p)
+    p = command("vis-dim", cmd_vis_dim, "visible-part scaling over a ladder")
     p.add_argument("--dir", type=float, required=True, help="radians")
     p.add_argument("--ladder", type=_parse_ladder, default=(6, 12), help="LO:HI exponents")
     p.add_argument("--base", type=float, default=2.0, help="ladder base")
@@ -126,41 +120,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--svg", help="log-log plot SVG")
 
-    p = sub.add_parser("scan", help="projection verdicts over a direction grid")
-    add_source(p)
-    add_common(p)
+    p = command("scan", cmd_scan, "projection verdicts over a direction grid")
     p.add_argument("--dirs", type=int, default=72)
     p.add_argument("--depth", type=int, default=5)
     p.add_argument("--delta", type=float, default=2.0**-10)
 
-    p = sub.add_parser("tangent", help="tangent frames and rectangles")
-    add_source(p)
-    add_common(p)
+    p = command("tangent", cmd_tangent, "tangent frames and rectangles")
     p.add_argument("--stream", type=_parse_stream, default=(1,), help="e.g. 1,2")
     p.add_argument("--n-max", type=int, default=12)
 
     p = sub.add_parser("scenario", help="list or run built-in scenarios")
     psub = p.add_subparsers(dest="scenario_command", required=True)
-    psub.add_parser("list", help="list scenario names")
-    prun = psub.add_parser("run", help="run a scenario's assertion battery")
-    prun.add_argument("name")
-    add_common(prun)
+    psub.add_parser("list", help="list scenario names").set_defaults(run=cmd_scenario_list)
+    p = psub.add_parser("run", help="run a scenario's assertion battery", parents=[common])
+    p.set_defaults(run=cmd_scenario_run)
+    p.add_argument("name")
 
     return parser
 
 
 def _resolve_ifs(args):
-    if getattr(args, "scenario", None):
-        return scenario(args.scenario).build_ifs(), args.scenario
-    return load_ifs(args.ifs), args.ifs
+    if args.scenario:
+        return scenario(args.scenario).build_ifs()
+    return load_ifs(args.ifs)
 
 
-def _echo(args, extra: dict) -> dict:
-    skip = {"command", "scenario_command"}
-    params = {
-        k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
-    }
-    params.update(extra)
+def _echo(args) -> dict:
+    """The report's params: every parsed option but the command and its
+    handler, sorted, then the IFS source."""
+    skip = ("command", "run")
+    params = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
+    params["source"] = args.scenario or args.ifs
     return params
 
 
@@ -175,7 +165,7 @@ def _verdicts(report: RunReport, out: str | None) -> int:
 
 
 def cmd_gen(args) -> int:
-    ifs, src = _resolve_ifs(args)
+    ifs = _resolve_ifs(args)
     cloud = attractor_cloud(ifs, args.delta)
     if args.out:
         write_csv(args.out, ["x", "y"], cloud.points)
@@ -190,11 +180,11 @@ def cmd_gen(args) -> int:
 def cmd_check(args) -> int:
     if args.depth < 1:
         raise ValueError("depth must be >= 1")
-    ifs, src = _resolve_ifs(args)
+    ifs = _resolve_ifs(args)
     which = {k: getattr(args, k) or args.all for k in ("domination", "cone", "projection")}
     if not any(which.values()):
         which = dict.fromkeys(which, True)
-    report = RunReport(command="check", params=_echo(args, {"source": src}))
+    report = RunReport(command="check", params=_echo(args))
     with report.stage("seconds"):
         if which["domination"]:
             dom = domination_report(ifs, max(args.depth, 4), seed=args.seed)
@@ -263,7 +253,7 @@ def _section(report: RunReport, key: str, flag: str, assertion: str):
 
 
 def cmd_orient(args) -> int:
-    ifs, src = _resolve_ifs(args)
+    ifs = _resolve_ifs(args)
     cover = orientation_cover(ifs, eps=args.eps)
     rows = [(c.center.angle, c.half_width, c.diameter) for c in cover]
     if args.out:
@@ -275,7 +265,7 @@ def cmd_orient(args) -> int:
 
 
 def cmd_vis(args) -> int:
-    ifs, src = _resolve_ifs(args)
+    ifs = _resolve_ifs(args)
     cloud = attractor_cloud(ifs, args.delta / 2)
     grid = rasterize(cloud, args.delta)
     vis = visible_sweep(grid, Direction(args.dir))
@@ -288,13 +278,13 @@ def cmd_vis(args) -> int:
 
 
 def cmd_vis_dim(args) -> int:
-    ifs, src = _resolve_ifs(args)
+    ifs = _resolve_ifs(args)
     lo, hi = args.ladder
     scales = ladder_scales(lo, hi, base=args.base)
     cloud = attractor_cloud(ifs, min(scales) / 2)
     est = vis_dim(cloud, Direction(args.dir), scales, exact=args.exact)
     ref = set_dim(cloud, scales)
-    report = RunReport(command="vis-dim", params=_echo(args, {"source": src}))
+    report = RunReport(command="vis-dim", params=_echo(args))
     report.results["estimate"] = {
         "slope": est.slope,
         "intercept": est.intercept,
@@ -317,7 +307,7 @@ def cmd_vis_dim(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    ifs, src = _resolve_ifs(args)
+    ifs = _resolve_ifs(args)
     rows = direction_scan(ifs, args.dirs, depth=args.depth, delta=args.delta)
     table = [
         (
@@ -342,7 +332,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_tangent(args) -> int:
-    ifs, src = _resolve_ifs(args)
+    ifs = _resolve_ifs(args)
     seq = tangent_sequence(ifs, args.stream, args.n_max)
     rows = [
         (
@@ -365,25 +355,14 @@ def cmd_tangent(args) -> int:
     return EXIT_OK
 
 
-def cmd_scenario(args) -> int:
-    if args.scenario_command == "list":
-        for name in scenario_names():
-            spec = scenario(name)
-            print(f"{name}: {spec.description}")
-        return EXIT_OK
+def cmd_scenario_list(args) -> int:
+    for name in scenario_names():
+        print(f"{name}: {scenario(name).description}")
+    return EXIT_OK
+
+
+def cmd_scenario_run(args) -> int:
     return _verdicts(run_scenario(args.name, seed=args.seed, budget=args.budget), args.out)
-
-
-_COMMANDS = {
-    "gen": cmd_gen,
-    "check": cmd_check,
-    "orient": cmd_orient,
-    "vis": cmd_vis,
-    "vis-dim": cmd_vis_dim,
-    "scan": cmd_scan,
-    "tangent": cmd_tangent,
-    "scenario": cmd_scenario,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -398,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
                 limit = budget_limit()
                 if args.budget is not None:
                     args.budget = limit
-            return _COMMANDS[args.command](args)
+            return args.run(args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import BudgetError, ExceptionalDirectionError, budget_limit
 from .linalg2 import Direction, ProjLine, image_angles
 from .regularity import Cone, orientation_cover
-from .symbolic import IFS, PointCloud, _distinct_rows, attractor_cloud
+from .symbolic import IFS, PointCloud, attractor_cloud
 
 # carriers closer than this to the orientation cover are refused: their
 # pullbacks would need more refinement depth than the default checks run
@@ -131,9 +131,9 @@ def _pullback_verdicts(
         for i in range(len(carriers)):
             vecs = np.array([(math.cos(a), math.sin(a)) for a in angles[i]])
             back = image_angles(inverses, vecs[:, None]).ravel().tolist()  # line-major
-            keys = np.array([round(a, 12) for a in back])
-            first = _distinct_rows(keys)[0]
-            angles[i] = [back[k] for k in first.tolist()]
+            # the sorted keys, and each key's first line (return_index sorts stably)
+            lines, first = np.unique([round(a, 12) for a in back], return_index=True)
+            angles[i] = [back[k] for k in np.sort(first).tolist()]
             # once a level has passed, only the last level's verdict is read
             if first_pass[i] is None or n == depth:
                 if len(cloud) * len(first) > limit:
@@ -141,7 +141,6 @@ def _pullback_verdicts(
                         f"pull-back projection at depth {n} needs {len(cloud)} points x "
                         f"{len(first)} lines, over budget {limit}"
                     )
-                lines = np.sort(keys[first])
                 # project along the pulled-back direction = onto its perpendicular axis
                 judged.append((i, lines, np.stack([-np.sin(lines), np.cos(lines)], axis=1)))
         for i, spans, gaps in projector.level(judged):

@@ -153,8 +153,8 @@ class _CellColumns:
         dense (``_dense``: one byte a key, at most 16 a row), each chunk's
         keys set in it, and rows None; otherwise occ None and the distinct
         rows, from the int64 key sorted in place (9 bytes a row with the
-        mask of first entries), or from a lexsort of the two columns when a
-        key would overflow int64."""
+        mask of first entries), or from a row-wise unique of the two columns
+        when a key would overflow int64."""
         if self.n == 0:
             return None, np.empty((0, 2), dtype=np.int64)
         if _dense(self.span, self.n):
@@ -170,12 +170,7 @@ class _CellColumns:
             first = np.ones(self.n, dtype=bool)
             first[1:] = key[1:] != key[:-1]
             return None, self._decode(key[first])
-        i, j = self.columns(0, self.n)
-        order = np.lexsort((j, i))
-        i, j = i[order], j[order]
-        first = np.ones(self.n, dtype=bool)
-        first[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1])
-        return None, np.stack([i[first], j[first]], axis=1)
+        return None, np.unique(np.stack(self.columns(0, self.n), axis=1), axis=0)
 
     def _decode(self, keys: np.ndarray) -> np.ndarray:
         out = np.empty((len(keys), 2), dtype=np.int64)

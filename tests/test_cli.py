@@ -110,6 +110,28 @@ class TestCLI:
         # identical linear parts cannot separate
         assert payload["results"]["cone"]["separation"] is False
         assert code == 4  # separation assertion fails for the carpet
+        # every parsed option but the command, sorted, then the source
+        assert list(payload["params"].items()) == [
+            ("all", True),
+            ("cone", False),
+            ("delta", 2.0**-10),
+            ("depth", 4),
+            ("dir", -math.pi / 4),
+            ("domination", False),
+            ("out", str(out)),
+            ("projection", False),
+            ("scenario", "carpet-5.1"),
+            ("seed", 0),
+            ("threads", 1),
+            ("source", "carpet-5.1"),
+        ]
+
+    def test_check_report_echoes_the_config_path(self, tmp_path, carpet_cfg):
+        out = tmp_path / "check.json"
+        assert main(["check", "--ifs", str(carpet_cfg), "--domination", "--out", str(out)]) == 0
+        params = json.loads(out.read_text())["params"]
+        assert params["ifs"] == params["source"] == str(carpet_cfg)
+        assert "scenario" not in params and list(params)[-1] == "source"
 
     def test_check_domination_only(self, tmp_path):
         code = main(["check", "--scenario", "carpet-5.1", "--domination"])
@@ -168,6 +190,17 @@ class TestCLI:
         slope = payload["results"]["estimate"]["slope"]
         assert 0.85 <= slope <= 1.15
         assert payload["results"]["estimate"]["mode"] == "per-scale-sweep"
+        assert list(payload["params"].items()) == [
+            ("base", 2.0),
+            ("dir", -math.pi / 4),
+            ("exact", False),
+            ("ladder", [4, 8]),
+            ("out", str(out)),
+            ("scenario", "carpet-5.1"),
+            ("seed", 0),
+            ("threads", 1),
+            ("source", "carpet-5.1"),
+        ]
 
     def test_scan_table(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -446,6 +479,23 @@ class TestCLI:
         payload = json.loads(out.read_text())
         assert all(a["passed"] for a in payload["assertions"])
         assert (tmp_path / "run.timings.json").exists()
+        assert list(payload["params"].items()) == [
+            ("scenario", "positive-cone"),
+            ("seed", 0),
+            ("budget", None),
+        ]
+
+    @pytest.mark.parametrize(
+        "command",
+        [["gen"], ["check"], ["orient"], ["vis"], ["vis-dim"], ["scan"], ["tangent"],
+         ["scenario"], ["scenario", "run"], ["scenario", "list"]],
+        ids=" ".join,
+    )
+    def test_every_command_has_help(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: affinevis {' '.join(command)} ")
 
     def test_scenario_run_report_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
