@@ -161,16 +161,20 @@ class _Projector:
     """Spans and largest gaps of the cloud's projections onto lines' axes.
 
     A level of one line is its own product ``axes @ points.T`` (gemv). The
-    longer levels of all carriers are merged, sorted by angle and projected
+    longer levels of all carriers are merged into one row per distinct key
+    (equal keys have equal axes), sorted by angle and projected
     PULLBACK_BLOCK lines at a time (gemm) into one reused C-ordered block, one
     line's values per contiguous row, so each row sorts in place with no
-    (points x lines) array. A block of 2+ lines holds the same bits as those
-    rows of the full product, and a block projected from permuted points the
+    (points x lines) array; each key's span and gap go back to every carrier
+    line that has it. A block of 2+ lines holds the same bits as those rows
+    of the full product, and a block projected from permuted points the
     permuted columns, but a one-line block rounds some elements differently
     (tests/test_geometry.py checks all three). So the last block ends on the
     last line, overlapping its predecessor instead of holding a lone line.
     The points are kept in the sorted order of each block's last line, so
-    each row of the next block arrives nearly sorted.
+    each row of the next block arrives nearly sorted; a block whose first
+    row jumps to a new cluster of angles is projected again from the points
+    in that row's sorted order.
     """
 
     def __init__(self, points: np.ndarray):
@@ -198,9 +202,11 @@ class _Projector:
             yield i, row[:, -1] - row[:, 0], np.diff(row, axis=1).max(axis=1, initial=0.0)
         if not merged:
             return
-        # spans and gaps are stored in the order the carriers' lines come in
-        order = np.argsort(np.concatenate([lines for _, lines, _ in merged]), kind="stable")
-        axes = np.concatenate([axes for _, _, axes in merged])[order]
+        # the distinct keys in order, each projected once from its first line;
+        # a merged carrier has 2+ keys, so no block holds a lone line
+        keys = np.concatenate([lines for _, lines, _ in merged])
+        _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+        axes = np.concatenate([axes for _, _, axes in merged])[first]
         m = len(axes)
         spans = np.empty(m)
         gaps = np.empty(m)
@@ -208,6 +214,13 @@ class _Projector:
             rows = slice(max(min(j, m - PULLBACK_BLOCK), 0), j + PULLBACK_BLOCK)
             blk = np.matmul(axes[rows], self.ordered.T, out=self.block[: len(axes[rows])])
             kinds = _sort_kinds(blk, self.descents)
+            if kinds[0] is None:
+                # the block jumps to a new cluster of angles: project it again
+                # from the points in its first row's sorted order, so that row
+                # and its neighbours arrive nearly sorted
+                self._reorder(blk[0].argsort())
+                np.matmul(axes[rows], self.ordered.T, out=blk)
+                kinds = _sort_kinds(blk, self.descents)
             for row, kind in zip(blk[:-1], kinds):
                 row.sort(kind=kind)
             last = blk[-1]
@@ -215,14 +228,20 @@ class _Projector:
             # perm is a permutation, so "clip" clips nothing; unlike the
             # default "raise", it writes to out without a buffering copy
             last[:] = np.take(last, perm, out=self.row, mode="clip")
-            np.take(self.ordered, perm, axis=0, out=self.spare, mode="clip")
-            self.ordered, self.spare = self.spare, self.ordered
-            spans[order[rows]] = blk[:, -1] - blk[:, 0]
-            for k, row in zip(order[rows], blk):  # sorted: every gap >= 0
+            self._reorder(perm)
+            spans[rows] = blk[:, -1] - blk[:, 0]
+            for k, row in enumerate(blk, rows.start):  # sorted: every gap >= 0
                 gaps[k] = np.subtract(row[1:], row[:-1], out=self.diff).max(initial=0.0)
+        # each carrier line takes its key's span and gap
         bounds = np.cumsum([len(lines) for _, lines, _ in merged])[:-1]
-        for (i, _, _), s, g in zip(merged, np.split(spans, bounds), np.split(gaps, bounds)):
+        spans, gaps = np.split(spans[which], bounds), np.split(gaps[which], bounds)
+        for (i, _, _), s, g in zip(merged, spans, gaps):
             yield i, s, g
+
+    def _reorder(self, perm: np.ndarray) -> None:
+        """Put the points in the order ``perm``, into the spare buffer."""
+        np.take(self.ordered, perm, axis=0, out=self.spare, mode="clip")
+        self.ordered, self.spare = self.spare, self.ordered
 
 
 def _sort_kinds(blk: np.ndarray, descents: np.ndarray) -> list[str | None]:

@@ -145,14 +145,21 @@ def compose(f: AffineMap2, g: AffineMap2) -> AffineMap2:
     return AffineMap2(lin, (float(t[0]), float(t[1])))
 
 
-def _gram_eigenvalues(mats, det):
+def entries(mats: np.ndarray) -> tuple:
+    """The entry columns ``(a11, a12, a21, a22)`` of a (..., 2, 2) stack:
+    views, no copy."""
+    return mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
+
+
+def _gram_eigenvalues(cols, det):
     """``(p, q, r, lam1, lam2, spread)``: the Gram matrices [[p, q], [q, r]]
-    of an (n, 2, 2) stack, their eigenvalues and their half gaps.  The
-    larger eigenvalue comes from the stable root of the characteristic
-    polynomial, the smaller one from det^2 / lambda1 to avoid cancellation.
-    ``det`` None stands for the entries' own determinant, computed last: a
-    stack's process peak is lower."""
-    a11, a12, a21, a22 = (mats[:, i, j] for i in (0, 1) for j in (0, 1))
+    of 2x2 matrices given by their entry columns ``(a11, a12, a21, a22)``,
+    their eigenvalues and their half gaps.  The larger eigenvalue comes from
+    the stable root of the characteristic polynomial, the smaller one from
+    det^2 / lambda1 to avoid cancellation.  ``det`` None stands for the
+    entries' own determinant, computed last: a stack's process peak is
+    lower."""
+    a11, a12, a21, a22 = cols
     p = a11 * a11 + a21 * a21
     r = a12 * a12 + a22 * a22
     q = a11 * a12 + a21 * a22
@@ -183,7 +190,7 @@ def singular_stack(mats: np.ndarray, dets: np.ndarray | None) -> tuple:
     elif not np.all(dets):
         m = Mat2.from_array(mats[np.argmin(np.abs(dets))])
         raise SingularInputError(f"matrix {m} has zero determinant")
-    p, q, r, lam1, lam2, spread = _gram_eigenvalues(mats, dets)
+    p, q, r, lam1, lam2, spread = _gram_eigenvalues(entries(mats), dets)
     a21, a22 = mats[:, 1, 0], mats[:, 1, 1]
     iso = spread <= _ISO_RTOL * (0.5 * (p + r))
     # the better-conditioned eigenvector expression, never 0 off the isotropic
@@ -198,31 +205,34 @@ def singular_stack(mats: np.ndarray, dets: np.ndarray | None) -> tuple:
     return np.sqrt(lam1), np.sqrt(lam2), theta1, np.stack([-e1[:, 1], e1[:, 0]], 1)
 
 
-def alpha_pair_of_stack(mats: np.ndarray, dets: np.ndarray | None = None) -> tuple:
-    """``singular_stack``'s (alpha1, alpha2) alone, with no singularity check."""
-    lam1, lam2 = _gram_eigenvalues(mats, dets)[3:5]
+def alpha_pair_of_stack(cols, dets: np.ndarray | None = None) -> tuple:
+    """``singular_stack``'s (alpha1, alpha2) alone, with no singularity
+    check, of 2x2 matrices given by their entry columns ``(a11, a12, a21,
+    a22)`` (``entries`` of a stack)."""
+    lam1, lam2 = _gram_eigenvalues(cols, dets)[3:5]
     return np.sqrt(lam1), np.sqrt(lam2)
 
 
-def matmul_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Broadcasting product of (..., 2, 2) stacks, entry by entry in closed
-    form; rounds exactly like ``Mat2.__matmul__``."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    for i in range(2):
-        for j in range(2):
-            np.multiply(a[..., i, 0], b[..., 0, j], out=out[..., i, j])
-            out[..., i, j] += a[..., i, 1] * b[..., 1, j]
-    return out
+def matmul_stack(a, b, out) -> None:
+    """Products of 2x2 matrices given by their entry columns ``(a11, a12,
+    a21, a22)``, broadcast against each other and written into the entry
+    columns of ``out``; rounds exactly like ``Mat2.__matmul__``.  For
+    (..., 2, 2) stacks pass their ``entries``."""
+    for i in (0, 2):  # the entries (i, j) of the product sit at 2 i + j
+        for j in (0, 1):
+            c = out[i + j]
+            np.multiply(a[i], b[j], out=c)
+            c += a[i + 1] * b[j + 2]
 
 
-def matvec_stack(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Broadcasting product of a (..., 2, 2) stack with a (..., 2) stack of
-    vectors, in the closed form of ``matmul_stack``."""
-    out = np.empty(np.broadcast_shapes(m.shape[:-1], v.shape))
-    for i in range(2):
-        np.multiply(m[..., i, 0], v[..., 0], out=out[..., i])
-        out[..., i] += m[..., i, 1] * v[..., 1]
-    return out
+def matvec_stack(m, v, out) -> None:
+    """Products of 2x2 matrices given by their entry columns with vectors
+    given by their coordinate columns ``(x, y)``, broadcast and written into
+    the coordinate columns of ``out``; the closed form of ``matmul_stack``."""
+    for i in (0, 1):
+        c = out[i]
+        np.multiply(m[2 * i], v[0], out=c)
+        c += m[2 * i + 1] * v[1]
 
 
 def singular_rows(mats: np.ndarray) -> np.ndarray:

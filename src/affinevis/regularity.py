@@ -24,6 +24,7 @@ from .errors import (
 from .linalg2 import (
     ProjLine,
     alpha_pair_of_stack,
+    entries,
     image_angles,
     matvec_stack,
     proj_angles,
@@ -192,7 +193,7 @@ def domination_report(ifs: IFS, n_max: int, seed: int = 0) -> DominationReport:
                 f"domination probe stops at depth {n} of {n_max}: "
                 "its products are numerically singular"
             )
-        a1, a2 = alpha_pair_of_stack(mats, dets=dets)
+        a1, a2 = alpha_pair_of_stack(entries(mats), dets=dets)
         roots.append(float(np.min(a1 / a2) ** (1.0 / n)))
 
     # fit log(min ratio at level n) = n log(tau) + const
@@ -443,15 +444,16 @@ def distortion_check(ifs: IFS, x: Cone, seed: int = 0) -> DistortionReport:
     rng = np.random.default_rng(seed)
     words = rng.integers(0, ifs.kappa, size=(DISTORTION_SAMPLES, DISTORTION_WORD_LENGTH))
     mats, dets = word_products(ifs, words)
-    a1, a2 = alpha_pair_of_stack(mats, dets=dets)
+    a1, a2 = alpha_pair_of_stack(entries(mats), dets=dets)
     rho = a2 / a1
 
     ang_a = x.center.angle + rng.uniform(-x.half_width, x.half_width, DISTORTION_SAMPLES)
     ang_b = x.center.angle + rng.uniform(-x.half_width, x.half_width, DISTORTION_SAMPLES)
     va = np.stack([np.cos(ang_a), np.sin(ang_a)], axis=1)
     vb = np.stack([np.cos(ang_b), np.sin(ang_b)], axis=1)
-    ia = matvec_stack(mats, va)
-    ib = matvec_stack(mats, vb)
+    ia, ib = np.empty_like(va), np.empty_like(vb)
+    matvec_stack(entries(mats), va.T, ia.T)
+    matvec_stack(entries(mats), vb.T, ib.T)
 
     def pair_angle(p, q):
         return np.abs(signed_gaps(np.arctan2(p[:, 1], p[:, 0]), np.arctan2(q[:, 1], q[:, 0])))

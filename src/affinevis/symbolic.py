@@ -19,6 +19,7 @@ from .linalg2 import (
     SingularData,
     alpha_pair_of_stack,
     compose,
+    entries,
     matmul_stack,
     matvec_stack,
     singular_data,
@@ -135,7 +136,9 @@ def cylinder(ifs: IFS, word: Sequence[int]) -> Cylinder:
 def _children(mats: np.ndarray, lin: np.ndarray) -> np.ndarray:
     """Products A_w A_i for every parent A_w and map i; the children of
     word w are w.1, ..., w.kappa in order."""
-    return matmul_stack(mats[:, None], lin).reshape(-1, 2, 2)
+    out = np.empty((len(mats), len(lin), 2, 2))
+    matmul_stack(entries(mats[:, None]), entries(lin), entries(out))
+    return out.reshape(-1, 2, 2)
 
 
 def word_levels(
@@ -179,7 +182,9 @@ def word_products(ifs: IFS, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mats = np.broadcast_to(np.eye(2), (samples, 2, 2)).copy()
     dets = np.ones(samples)
     for k in range(words.shape[1]):
-        mats = matmul_stack(mats, lin[words[:, k]])
+        kids = np.empty_like(mats)
+        matmul_stack(entries(mats), entries(lin[words[:, k]]), entries(kids))
+        mats = kids
         dets = dets * map_dets[words[:, k]]
     return mats, dets
 
@@ -218,6 +223,16 @@ def _child_rows(index: np.ndarray, n_parts: int, part_of: np.ndarray) -> np.ndar
     return out.reshape(-1)
 
 
+def _anchor_images(table: np.ndarray, rows: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """The images of ``anchor`` under the products in columns ``rows`` of an
+    entry-column table, as (rows, 2).  A row of table.T is its product
+    row-major, so the gathered rows as (2 rows, 2) are one matrix-vector
+    product; it rounds like the stacked matmul of the (rows, 2, 2) products
+    (tests/test_linalg2.py checks it), and that rounding, unlike
+    matvec_stack's, is the cloud's."""
+    return (table.T[rows].reshape(-1, 2) @ anchor).reshape(-1, 2)
+
+
 def attractor_cloud(ifs: IFS, delta: float) -> PointCloud:
     """One anchor per cylinder of the minimal antichain at ``alpha1 <= delta``.
 
@@ -230,11 +245,14 @@ def attractor_cloud(ifs: IFS, delta: float) -> PointCloud:
 
     alpha1 depends only on the linear part, so each level refines one
     product per distinct linear word; when two maps share a linear part,
-    cylinders find their product through a row index.  Each level's anchors
-    are placed as it finishes, the linear image of map 1's fixed point once
-    per distinct product.  The active budget (``budget_limit``) counts
-    cylinders, not products: BudgetError when the done cylinders and the
-    next level's would exceed it.
+    cylinders find their product through a row index.  The products are
+    held as one (4, rows) array of entry columns (a11, a12, a21, a22), so
+    alpha1 and each map's children are loops over contiguous columns.  Each
+    level's anchors are placed as it finishes, the linear image of map 1's
+    fixed point once per distinct product, a block of rows at a time.  The
+    active budget (``budget_limit``) counts cylinders, not products:
+    BudgetError when the done cylinders and the next level's would exceed
+    it.
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
@@ -248,8 +266,9 @@ def attractor_cloud(ifs: IFS, delta: float) -> PointCloud:
     if len(parts) == ifs.kappa:  # every part is its map's: no index
         part_of = None
 
+    # table[:, r] holds the entries of row r's product, the identity first;
     # index[k] is cylinder k's row of table; every row has a cylinder
-    table = np.eye(2)[None, :, :]
+    table = np.eye(2).reshape(4, 1)
     index = None if part_of is None else np.zeros(1, dtype=np.intp)
     trans = np.zeros((1, 2))
     chunks: list[np.ndarray] = []
@@ -264,13 +283,15 @@ def attractor_cloud(ifs: IFS, delta: float) -> PointCloud:
             # a level that is all done is used as it is; else a row's
             # cylinders are all done or all active
             pts = trans if last else trans[done]
-            # matmul rounds differently from matvec_stack; the cloud's bits
-            # keep it. The images are added to the translations in place (the
-            # sum commutes, so the bits are those of images + translations)
-            images = (table if last else table[row_done]) @ anchor
-            if index is None:  # one row per cylinder
-                pts += images
+            # the images are added to the translations in place (the sum
+            # commutes, so the bits are those of images + translations)
+            rows = np.flatnonzero(row_done)
+            if index is None:  # one row per cylinder, a block at a time
+                for lo in range(0, len(rows), _CLOUD_BLOCK):
+                    block = slice(lo, lo + _CLOUD_BLOCK)
+                    pts[block] += _anchor_images(table, rows[block], anchor)
             else:
+                images = _anchor_images(table, rows, anchor)
                 # gathered a block of rows at a time: no second per-cylinder array
                 at = index if last else np.take(np.cumsum(row_done) - 1, index[done])
                 for lo in range(0, len(at), _CLOUD_BLOCK):
@@ -279,7 +300,7 @@ def attractor_cloud(ifs: IFS, delta: float) -> PointCloud:
             chunks.append(pts)
             if last:
                 break
-            table, trans = table[~row_done], trans[~done]
+            table, trans = table[:, ~row_done], trans[~done]
             if index is not None:
                 index = np.take(np.cumsum(~row_done) - 1, index[~done])
         if total + len(trans) * ifs.kappa > limit:
@@ -287,14 +308,20 @@ def attractor_cloud(ifs: IFS, delta: float) -> PointCloud:
                 f"refinement would exceed budget {limit}; increase delta"
             )
         # the children's translations first: the parents' are freed before
-        # the child table is built
-        kids = matvec_stack(table[:, None], tr)
+        # the child table is built. One map, or part, at a time: each loop
+        # runs over a whole column, not over the maps of one row
+        kids = np.empty((table.shape[1], ifs.kappa, 2))
+        for i, t in enumerate(tr):
+            matvec_stack(table, t, kids[:, i].T)
         if index is not None:
             kids = np.take(kids, index, axis=0)
             index = _child_rows(index, parts.shape[0], part_of)
         kids += trans[:, None, :]  # in place: no second (n, kappa, 2) array
         trans = kids.reshape(-1, 2)
-        table = _children(table, parts)
+        children = np.empty((4, table.shape[1], len(parts)))
+        for j, part in enumerate(parts):
+            matmul_stack(table, entries(part), children[:, :, j])
+        table = children.reshape(4, -1)
     return PointCloud(chunks[0] if len(chunks) == 1 else np.concatenate(chunks), float(delta))
 
 

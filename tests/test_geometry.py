@@ -51,6 +51,25 @@ def _power_pair():
     return IFS((AffineMap2(a, (0.0, 0.0)), AffineMap2(a @ a, (0.55, 0.45))))
 
 
+@st.composite
+def positive_systems(draw):
+    """2 or 3 maps whose columns have lengths in [0.1, 0.45] and angles in
+    [0.3, 1.27], the second at least 0.05 above the first: each map takes
+    the positive quadrant into a cone inside it, keeping orientation.
+    Translations in [0, 1]^2."""
+    angles = st.tuples(st.floats(0.3, 1.27), st.floats(0.3, 1.27)).filter(
+        lambda p: p[1] - p[0] >= 0.05
+    )
+    lengths = st.tuples(st.floats(0.1, 0.45), st.floats(0.1, 0.45))
+    unit = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    maps = []
+    drawn = draw(st.lists(st.tuples(angles, lengths, unit), min_size=2, max_size=3))
+    for (p1, p2), (r1, r2), t in drawn:
+        a = Mat2(r1 * math.cos(p1), r2 * math.cos(p2), r1 * math.sin(p1), r2 * math.sin(p2))
+        maps.append(AffineMap2(a, t))
+    return IFS(tuple(maps))
+
+
 def _moved(ifs: IFS, c) -> IFS:
     """The IFS conjugated by translation by c: its attractor moves by c."""
     c = np.asarray(c, dtype=float)
@@ -368,6 +387,43 @@ class TestDirectionScan:
                 except ExceptionalDirectionError:
                     expected = ProjectionVerdict(d, False, math.nan, math.nan, depth, True)
                 assert _same_verdict(r, expected), (k, r, expected)
+
+    def test_carriers_sharing_keys_match_single_checks(self, monkeypatch, positive_pair):
+        # from depth 5 on, positive-cone's carriers pull back to lines with
+        # equal keys; the merged level projects each key once and hands its
+        # span and gap to every carrier line that has it
+        repeats = []
+        level = geometry._Projector.level
+
+        def spy(self, judged):
+            keys = np.concatenate([lines for _, lines, _ in judged if len(lines) > 1] or [[]])
+            repeats.append(len(keys) - len(np.unique(keys)))
+            return level(self, judged)
+
+        monkeypatch.setattr(geometry._Projector, "level", spy)
+        delta = 2.0**-8
+        rows = direction_scan(positive_pair, 24, depth=7, delta=delta)
+        monkeypatch.undo()
+        assert max(repeats) > 0, repeats
+        cloud = attractor_cloud(positive_pair, delta)
+        cover = orientation_cover(positive_pair, eps=1e-2)
+        checked = [r for r in rows if not r.exceptional]
+        assert len(checked) > len(rows) // 2
+        for r in checked:
+            single = projection_condition_check(positive_pair, r.direction, 7, cloud, cover)
+            assert _same_verdict(r, single), (r, single)
+
+    @settings(max_examples=20, deadline=None)
+    @given(positive_systems())
+    def test_random_positive_scans_match_reference(self, ifs):
+        # random positive maps are dominated: their carriers' levels share
+        # most keys by depth 5 (tens to hundreds of repeats a level)
+        delta, depth = 2.0**-7, 5
+        cloud = attractor_cloud(ifs, delta)
+        for r in direction_scan(ifs, 12, depth=depth, delta=delta):
+            if not r.exceptional:
+                got = (r.passed, r.worst_gap, r.gap_tol, r.first_pass_depth)
+                assert got == _reference_verdict(ifs, r.direction, depth, cloud), r
 
     def test_antipodal_rows_agree(self, carpet, positive_pair):
         for ifs in (carpet, positive_pair):

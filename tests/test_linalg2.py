@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from affinevis import symbolic
 from affinevis.errors import SingularInputError
 from affinevis.linalg2 import (
     AffineMap2,
@@ -15,6 +16,7 @@ from affinevis.linalg2 import (
     SingularData,
     alpha_pair_of_stack,
     compose,
+    entries,
     image_angles,
     matmul_stack,
     matvec_stack,
@@ -24,6 +26,7 @@ from affinevis.linalg2 import (
     singular_rows,
     singular_stack,
 )
+from affinevis.symbolic import attractor_cloud
 
 # Golden ratio: alpha1 of the unit shear, from the characteristic polynomial
 # of [[1, 1], [1, 2]] solved by hand (lambda = (3 +/- sqrt 5) / 2).
@@ -175,7 +178,7 @@ class TestSingularData:
         # supplied determinants need not be the computed ones; they must be used
         dets = rng.uniform(0.5, 2.0, size=len(ms)) * np.array([m.det for m in ms])
         for given_dets in (None, dets):
-            a1, a2 = alpha_pair_of_stack(stack, dets=given_dets)
+            a1, a2 = alpha_pair_of_stack(entries(stack), dets=given_dets)
             for k, m in enumerate(ms):
                 det = None if given_dets is None else float(given_dets[k])
                 sd = singular_data(m, det=det)
@@ -194,8 +197,8 @@ class TestStackProducts:
     def test_matmul_matches_mat2(self, left, right):
         a = np.array(left).reshape(-1, 2, 2)
         b = np.array(right).reshape(-1, 2, 2)
-        out = matmul_stack(a[:, None], b)
-        assert out.shape == (len(left), len(right), 2, 2)
+        out = np.empty((len(left), len(right), 2, 2))
+        matmul_stack(entries(a[:, None]), entries(b), entries(out))
         for i, x in enumerate(left):
             for j, y in enumerate(right):
                 assert Mat2.from_array(out[i, j]) == Mat2(*x) @ Mat2(*y)
@@ -203,11 +206,48 @@ class TestStackProducts:
     @settings(max_examples=200, deadline=None)
     @given(MATS, st.lists(st.tuples(ENTRY, ENTRY), min_size=1, max_size=6))
     def test_matvec_matches_floats(self, mats, vecs):
-        out = matvec_stack(np.array(mats).reshape(-1, 1, 2, 2), np.array(vecs))
-        assert out.shape == (len(mats), len(vecs), 2)
+        out = np.empty((len(mats), len(vecs), 2))
+        stack = np.array(mats).reshape(-1, 1, 2, 2)
+        matvec_stack(entries(stack), np.array(vecs).T, np.moveaxis(out, -1, 0))
         for i, (a11, a12, a21, a22) in enumerate(mats):
             for j, (x, y) in enumerate(vecs):
                 assert out[i, j].tolist() == [a11 * x + a12 * y, a21 * x + a22 * y]
+
+
+def flat_gemv_holds(mats: np.ndarray, x: np.ndarray) -> bool:
+    """The stacked matmul of (m, 2, 2) products with a vector has the bits of
+    one matrix-vector product of their (2 m, 2) rows: attractor_cloud places
+    its anchor images with the second and keeps the first's bits."""
+    return (mats @ x).tobytes() == (mats.reshape(-1, 2) @ x).tobytes()
+
+
+class TestFlatGemv:
+    def test_random_entries(self):
+        rng = np.random.default_rng(0)
+        for m in [*range(1, 18), 4095, 65537]:
+            # either sign from subnormals to 2^500, with signed zeros and the
+            # smallest subnormal mixed in
+            mats = rng.uniform(-1, 1, (m, 2, 2)) * 2.0 ** rng.integers(-1074, 500, (m, 2, 2))
+            for value in (0.0, -0.0, 5e-324):
+                mats[rng.uniform(size=mats.shape) < 0.05] = value
+            scaled = rng.uniform(-1, 1, 2) * 2.0 ** rng.integers(-30, 30, 2)
+            for x in (scaled, np.array([0.0, -1.5]), np.array([-0.0, 3.0])):
+                assert flat_gemv_holds(mats, x), (m, x)
+
+    def test_positive_cone_levels(self, monkeypatch, positive_pair):
+        # every level's products of the positive-cone cloud at 2^-10, with its anchor
+        tables = []
+
+        def spy(cols, dets=None):
+            tables.append(np.ascontiguousarray(np.transpose(cols)).reshape(-1, 2, 2))
+            return alpha_pair_of_stack(cols, dets)
+
+        monkeypatch.setattr(symbolic, "alpha_pair_of_stack", spy)
+        attractor_cloud(positive_pair, 2.0**-10)
+        assert sum(map(len, tables)) > 80_000
+        anchor = positive_pair.anchor_point()
+        for n, mats in enumerate(tables):
+            assert flat_gemv_holds(mats, anchor), n
 
 
 # entries of either sign over 36 binary orders of magnitude
