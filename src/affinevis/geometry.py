@@ -22,9 +22,9 @@ from .symbolic import IFS, PointCloud, attractor_cloud
 COVER_MARGIN = 0.2
 # pulled-back lines projected and sorted together by _Projector
 PULLBACK_BLOCK = 8
-# a projection row with fewer than n / STABLE_SORT_DESCENTS descents is
-# sorted with timsort (kind="stable"), which runs in time proportional to the
-# row's disorder; any other row with numpy's default sort. On a row of 80,019
+# a block whose last row of n points has n / STABLE_SORT_DESCENTS descents or
+# more sorts with numpy's default sort, any other with timsort (kind="stable"),
+# which runs in time proportional to the rows' disorder. On a row of 80,019
 # points timsort took 0.39 ms at 5,996 descents and 0.76 ms at 10,773, the
 # default sort 0.45 ms at any order (numpy 2.4.6, 2-core x86 VM)
 STABLE_SORT_DESCENTS = 16
@@ -127,12 +127,12 @@ def _pullback_verdicts(
     final: list[tuple[bool, float, bool]] = [(False, 0.0, False)] * len(carriers)
     projector = _Projector(cloud.points)
     for n in range(1, depth + 1):
-        judged = []  # (carrier index, its level's sorted lines, their axes)
+        judged = []  # (carrier index, its level's sorted keys)
         for i in range(len(carriers)):
             vecs = np.array([(math.cos(a), math.sin(a)) for a in angles[i]])
             back = image_angles(inverses, vecs[:, None]).ravel().tolist()  # line-major
             # the sorted keys, and each key's first line (return_index sorts stably)
-            lines, first = np.unique([round(a, 12) for a in back], return_index=True)
+            keys, first = np.unique([round(a, 12) for a in back], return_index=True)
             angles[i] = [back[k] for k in np.sort(first).tolist()]
             # once a level has passed, only the last level's verdict is read
             if first_pass[i] is None or n == depth:
@@ -141,8 +141,7 @@ def _pullback_verdicts(
                         f"pull-back projection at depth {n} needs {len(cloud)} points x "
                         f"{len(first)} lines, over budget {limit}"
                     )
-                # project along the pulled-back direction = onto its perpendicular axis
-                judged.append((i, lines, np.stack([-np.sin(lines), np.cos(lines)], axis=1)))
+                judged.append((i, keys))
         for i, spans, gaps in projector.level(judged):
             # a projection onto a point is no interval: a zero span fails
             ok = spans > 0
@@ -158,11 +157,12 @@ def _pullback_verdicts(
 
 
 class _Projector:
-    """Spans and largest gaps of the cloud's projections onto lines' axes.
+    """Spans and largest gaps of the cloud's projections onto the axes of
+    pulled-back lines, given by their keys.
 
     A level of one line is its own product ``axes @ points.T`` (gemv). The
     longer levels of all carriers are merged into one row per distinct key
-    (equal keys have equal axes), sorted by angle and projected
+    (an axis is a function of its key), sorted by angle and projected
     PULLBACK_BLOCK lines at a time (gemm) into one reused C-ordered block, one
     line's values per contiguous row, so each row sorts in place with no
     (points x lines) array; each key's span and gap go back to every carrier
@@ -174,7 +174,8 @@ class _Projector:
     The points are kept in the sorted order of each block's last line, so
     each row of the next block arrives nearly sorted; a block whose first
     row jumps to a new cluster of angles is projected again from the points
-    in that row's sorted order.
+    in that row's sorted order. One sort kind serves a whole block: its last
+    row, the farthest from the line that ordered the points, decides it.
     """
 
     def __init__(self, points: np.ndarray):
@@ -185,58 +186,60 @@ class _Projector:
         self.ordered = np.array(points, order="C")
         self.spare = np.empty_like(self.ordered)
         self.block = np.empty((PULLBACK_BLOCK, n))
-        self.row = np.empty(n)
-        self.diff = np.empty(max(n - 1, 0))
-        self.descents = np.empty((PULLBACK_BLOCK, max(n - 1, 0)), dtype=bool)
+        self.row = np.empty(n)  # the last row's sorted values, then each row's gaps
+        self.descents = np.empty(max(n - 1, 0), dtype=bool)
 
     def level(self, judged):
-        """Yield (carrier, spans, gaps) for each (carrier, lines, axes) of a
-        level, spans and gaps in the order of that carrier's lines."""
+        """Yield (carrier, spans, gaps) for each (carrier, keys) of a level,
+        spans and gaps in the order of that carrier's keys."""
         merged = []
-        for i, lines, axes in judged:
-            if len(lines) > 1:
-                merged.append((i, lines, axes))
+        for i, keys in judged:
+            if len(keys) > 1:
+                merged.append((i, keys))
                 continue
-            row = axes @ self.points.T
+            row = _axes(keys) @ self.points.T
             row.sort(axis=1)
             yield i, row[:, -1] - row[:, 0], np.diff(row, axis=1).max(axis=1, initial=0.0)
         if not merged:
             return
-        # the distinct keys in order, each projected once from its first line;
-        # a merged carrier has 2+ keys, so no block holds a lone line
-        keys = np.concatenate([lines for _, lines, _ in merged])
-        _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-        axes = np.concatenate([axes for _, _, axes in merged])[first]
+        # the distinct keys in order, each projected once; a merged carrier
+        # has 2+ keys, so no block holds a lone line
+        distinct, which = np.unique(np.concatenate([k for _, k in merged]), return_inverse=True)
+        axes = _axes(distinct)
         m = len(axes)
         spans = np.empty(m)
         gaps = np.empty(m)
         for j in range(0, m, PULLBACK_BLOCK):
             rows = slice(max(min(j, m - PULLBACK_BLOCK), 0), j + PULLBACK_BLOCK)
             blk = np.matmul(axes[rows], self.ordered.T, out=self.block[: len(axes[rows])])
-            kinds = _sort_kinds(blk, self.descents)
-            if kinds[0] is None:
+            if self._disordered(blk[0]):
                 # the block jumps to a new cluster of angles: project it again
                 # from the points in its first row's sorted order, so that row
                 # and its neighbours arrive nearly sorted
                 self._reorder(blk[0].argsort())
                 np.matmul(axes[rows], self.ordered.T, out=blk)
-                kinds = _sort_kinds(blk, self.descents)
-            for row, kind in zip(blk[:-1], kinds):
+            kind = None if self._disordered(blk[-1]) else "stable"
+            for row in blk[:-1]:
                 row.sort(kind=kind)
             last = blk[-1]
-            perm = last.argsort(kind=kinds[-1])
+            perm = last.argsort(kind=kind)
             # perm is a permutation, so "clip" clips nothing; unlike the
             # default "raise", it writes to out without a buffering copy
             last[:] = np.take(last, perm, out=self.row, mode="clip")
             self._reorder(perm)
             spans[rows] = blk[:, -1] - blk[:, 0]
             for k, row in enumerate(blk, rows.start):  # sorted: every gap >= 0
-                gaps[k] = np.subtract(row[1:], row[:-1], out=self.diff).max(initial=0.0)
+                gaps[k] = np.subtract(row[1:], row[:-1], out=self.row[1:]).max(initial=0.0)
         # each carrier line takes its key's span and gap
-        bounds = np.cumsum([len(lines) for _, lines, _ in merged])[:-1]
+        bounds = np.cumsum([len(k) for _, k in merged])[:-1]
         spans, gaps = np.split(spans[which], bounds), np.split(gaps[which], bounds)
-        for (i, _, _), s, g in zip(merged, spans, gaps):
+        for (i, _), s, g in zip(merged, spans, gaps):
             yield i, s, g
+
+    def _disordered(self, row: np.ndarray) -> bool:
+        """The row has n / STABLE_SORT_DESCENTS descents or more."""
+        descents = np.less(row[1:], row[:-1], out=self.descents)
+        return STABLE_SORT_DESCENTS * np.count_nonzero(descents) >= len(row)
 
     def _reorder(self, perm: np.ndarray) -> None:
         """Put the points in the order ``perm``, into the spare buffer."""
@@ -244,15 +247,9 @@ class _Projector:
         self.ordered, self.spare = self.spare, self.ordered
 
 
-def _sort_kinds(blk: np.ndarray, descents: np.ndarray) -> list[str | None]:
-    """The sort kind of each row of a block: timsort ("stable") for a row with
-    fewer than n / STABLE_SORT_DESCENTS descents, else the default sort.
-    Decided per row, not per block: a jump between clusters of lines can
-    fall inside a block."""
-    desc = np.less(blk[:, 1:], blk[:, :-1], out=descents[: len(blk)])
-    # a count per row: count_nonzero(axis=1) sums a converted copy, 7x slower
-    n = blk.shape[1]
-    return ["stable" if STABLE_SORT_DESCENTS * np.count_nonzero(d) < n else None for d in desc]
+def _axes(keys: np.ndarray) -> np.ndarray:
+    """The axes perpendicular to the lines at angles ``keys``, one a row."""
+    return np.stack([-np.sin(keys), np.cos(keys)], axis=1)
 
 
 def direction_scan(

@@ -321,11 +321,25 @@ def _projective_level(parents: np.ndarray, lin: np.ndarray) -> np.ndarray:
 
 
 def default_cover_cone(ifs: IFS) -> Cone:
-    """Seed cone from the angular hull of the orientations of all words of
-    length COVER_SEED_DEPTH, +10%."""
+    """Forward-invariant seed cone: the angular hull of the orientations of
+    all words of length COVER_SEED_DEPTH, +10%.  While the maps do not take
+    it into itself, it is replaced by the angular hull of its images, +10%,
+    which for a dominated system settles near the hull of the limit
+    orientations; NoConeError when that hull is no proper cone, or after
+    1,000 steps."""
     hull = angular_hull(_theta1_lines(ifs, COVER_SEED_DEPTH))
-    hw = min(max(hull.half_width * 1.1, 0.01), PI / 2 - 1e-6)
-    return Cone(hull.center, hw)
+    x = Cone(hull.center, min(max(hull.half_width * 1.1, 0.01), PI / 2 - 1e-6))
+    lin = ifs.linear_stack()
+    for _ in range(1000):
+        if _maps_into(lin, x, 0.0):
+            return x
+        try:
+            centers, half_widths = cone_images(lin, x)
+            hull = angular_hull(proj_angles(np.append(centers - half_widths, centers + half_widths)))
+            x = Cone(hull.center, hull.half_width * 1.1)
+        except ImproperConeError:
+            break
+    raise NoConeError("cone is not forward invariant; cover not certified")
 
 
 def orientation_cover(ifs: IFS, eps: float) -> list[Cone]:
@@ -335,17 +349,15 @@ def orientation_cover(ifs: IFS, eps: float) -> list[Cone]:
     ``default_cover_cone(ifs)`` until every interval has angular diameter
     <= eps, then merges overlaps.  Projectively identical products are
     deduplicated, so self-similar direction dynamics (e.g. diagonal
-    systems) refine in linear time.  The seed must be forward invariant;
-    otherwise NoConeError.  A level with numerically singular products is
-    past the reachable resolution: BudgetError, naming its depth.
+    systems) refine in linear time.  A seed that settles into no forward
+    invariant cone raises NoConeError.  A level with numerically singular
+    products is past the reachable resolution: BudgetError, naming its depth.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     limit = budget_limit()
     x = default_cover_cone(ifs)
     lin = ifs.linear_stack()
-    if not _maps_into(lin, x, 0.0):
-        raise NoConeError("cone is not forward invariant; cover not certified")
     if not domination_report(ifs, 4).verdict:
         raise NoConeError("domination not verified at probe depth; cover not certified")
     if x.diameter <= eps:

@@ -137,7 +137,9 @@ def _children(mats: np.ndarray, lin: np.ndarray) -> np.ndarray:
     """Products A_w A_i for every parent A_w and map i; the children of
     word w are w.1, ..., w.kappa in order."""
     out = np.empty((len(mats), len(lin), 2, 2))
-    matmul_stack(entries(mats[:, None]), entries(lin), entries(out))
+    # one map at a time: each loop runs over the parents' whole entry columns
+    for i, a in enumerate(lin):
+        matmul_stack(entries(mats), entries(a), entries(out[:, i]))
     return out.reshape(-1, 2, 2)
 
 

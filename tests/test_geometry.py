@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from affinevis import geometry
@@ -53,21 +53,17 @@ def _power_pair():
 
 @st.composite
 def positive_systems(draw):
-    """2 or 3 maps whose columns have lengths in [0.1, 0.45] and angles in
-    [0.3, 1.27], the second at least 0.05 above the first: each map takes
-    the positive quadrant into a cone inside it, keeping orientation.
-    Translations in [0, 1]^2."""
-    angles = st.tuples(st.floats(0.3, 1.27), st.floats(0.3, 1.27)).filter(
-        lambda p: p[1] - p[0] >= 0.05
+    """2 or 3 maps with entries in [0.02, 0.4], of either orientation: each
+    takes the positive quadrant into itself. A determinant under 1e-3 in
+    magnitude is redrawn, so no map is numerically singular. Translations
+    in [0, 1]^2."""
+    entry = st.floats(0.02, 0.4)
+    linear = st.tuples(entry, entry, entry, entry).filter(
+        lambda a: abs(a[0] * a[3] - a[1] * a[2]) >= 1e-3
     )
-    lengths = st.tuples(st.floats(0.1, 0.45), st.floats(0.1, 0.45))
     unit = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-    maps = []
-    drawn = draw(st.lists(st.tuples(angles, lengths, unit), min_size=2, max_size=3))
-    for (p1, p2), (r1, r2), t in drawn:
-        a = Mat2(r1 * math.cos(p1), r2 * math.cos(p2), r1 * math.sin(p1), r2 * math.sin(p2))
-        maps.append(AffineMap2(a, t))
-    return IFS(tuple(maps))
+    drawn = draw(st.lists(st.tuples(linear, unit), min_size=2, max_size=3))
+    return IFS(tuple(AffineMap2(Mat2(*a), t) for a, t in drawn))
 
 
 def _moved(ifs: IFS, c) -> IFS:
@@ -246,11 +242,12 @@ class TestProjectionCondition:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # depth 7 pulls back to 128 lines, but the peak stays near two
-        # (PULLBACK_BLOCK x points) float64 blocks: the reused block, two
-        # permuted copies of the points and rows of scratch; a transposing
-        # copy of each block, or a fresh block for each, would add a third
-        assert peak < 2.5 * len(cloud) * PULLBACK_BLOCK * 8, (peak, len(cloud))
+        # depth 7 pulls back to 128 lines, but the peak stays under two
+        # (PULLBACK_BLOCK x points) float64 blocks (1.91): the reused block,
+        # two permuted copies of the points, a permutation, one row of
+        # scratch and one of descent flags; a transposing copy of each block,
+        # or a fresh block for each, would add a third
+        assert peak < 2.0 * len(cloud) * PULLBACK_BLOCK * 8, (peak, len(cloud))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -310,28 +307,31 @@ class TestProjectionCondition:
     def test_clustered_lines_match_plain_sorts(self, monkeypatch, clouds_2_8):
         # clusters of lines 1e-9 to 1e-2 apart, clusters about 0.2 rad apart,
         # of two interleaved carriers: every line's (span, gap) is that of a
-        # plain np.sort of its projection, whichever sort kind its row took
-        kinds = []
-        sort_kinds = geometry._sort_kinds
+        # plain np.sort of its projection, whichever sort kind its block took
+        verdicts = []
+        disordered = geometry._Projector._disordered
 
-        def spy(blk, descents):
-            kinds.extend(sort_kinds(blk, descents))
-            return kinds[-len(blk) :]
+        def spy(self, row):
+            verdicts.append(bool(disordered(self, row)))
+            return verdicts[-1]
 
-        monkeypatch.setattr(geometry, "_sort_kinds", spy)
-        offsets = np.concatenate([[0.0], np.cumsum(10.0 ** -np.arange(9.0, 1.0, -1.0))])
+        monkeypatch.setattr(geometry._Projector, "_disordered", spy)
+        # 12 lines a cluster: the blocks of 8 start at the clusters at 0.5
+        # and 0.9, and those at 0.3 and 0.7 start in the middle of a block
+        offsets = np.concatenate([[0.0], np.cumsum(np.geomspace(1e-9, 1e-2, 11))])
         angles = np.concatenate([c + offsets for c in (0.1, 0.3, 0.5, 0.7, 0.9)])
         points = clouds_2_8["positive-cone"].points
-        judged = [
-            (i, a, np.stack([-np.sin(a), np.cos(a)], axis=1))
-            for i, a in enumerate([angles[0::2], angles[1::2]])
-        ]
-        got = {i: (spans, gaps) for i, spans, gaps in geometry._Projector(points).level(judged)}
-        for i, _, axes in judged:
+        keys = [angles[0::2], angles[1::2]]
+        got = {i: (s, g) for i, s, g in geometry._Projector(points).level(enumerate(keys))}
+        for i, k in enumerate(keys):
+            axes = np.stack([-np.sin(k), np.cos(k)], axis=1)
             vals = np.sort(points @ axes.T, axis=0)  # the full product, as the reference
             assert np.array_equal(got[i][0], vals[-1] - vals[0]), i
             assert np.array_equal(got[i][1], np.diff(vals, axis=0).max(axis=0)), i
-        assert {"stable", None} <= set(kinds), kinds
+        # (first row, last row) of each block: a re-anchored block sorted with
+        # timsort, and a block that jumps mid-way sorted with the default sort
+        blocks = set(zip(verdicts[0::2], verdicts[1::2]))
+        assert {(True, False), (False, True)} <= blocks, verdicts
 
     def test_pullback_consistency(self, positive_pair):
         e = Direction(0.3)
@@ -396,7 +396,7 @@ class TestDirectionScan:
         level = geometry._Projector.level
 
         def spy(self, judged):
-            keys = np.concatenate([lines for _, lines, _ in judged if len(lines) > 1] or [[]])
+            keys = np.concatenate([k for _, k in judged if len(k) > 1] or [[]])
             repeats.append(len(keys) - len(np.unique(keys)))
             return level(self, judged)
 
@@ -415,12 +415,37 @@ class TestDirectionScan:
 
     @settings(max_examples=20, deadline=None)
     @given(positive_systems())
+    # positive systems whose hull seed of the orientation cover is not
+    # forward invariant: the seed gives way to the hull of its images
+    @example(
+        IFS(
+            (
+                AffineMap2(Mat2(0.25, 0.25, 0.25, 0.03125), (0.1, 0.2)),
+                AffineMap2(Mat2(0.03125, 0.375, 0.25, 0.0625), (0.6, 0.5)),
+            )
+        )
+    )
+    @example(
+        IFS(
+            (
+                AffineMap2(Mat2(0.11825, 0.21940, 0.35587, 0.11986), (0.1, 0.2)),
+                AffineMap2(Mat2(0.11825, 0.17447, 0.35587, 0.06868), (0.6, 0.5)),
+            )
+        )
+    )
     def test_random_positive_scans_match_reference(self, ifs):
         # random positive maps are dominated: their carriers' levels share
-        # most keys by depth 5 (tens to hundreds of repeats a level)
+        # most keys by depth 5 (tens to hundreds of repeats a level). Maps
+        # near alpha1 0.8 need millions of points at 2^-7: a budget of 4e6
+        # keeps each example small, and a scan it refuses has no verdict
         delta, depth = 2.0**-7, 5
-        cloud = attractor_cloud(ifs, delta)
-        for r in direction_scan(ifs, 12, depth=depth, delta=delta):
+        try:
+            with budget_scope(4_000_000):
+                cloud = attractor_cloud(ifs, delta)
+                rows = direction_scan(ifs, 12, depth=depth, delta=delta)
+        except BudgetError:
+            reject()
+        for r in rows:
             if not r.exceptional:
                 got = (r.passed, r.worst_gap, r.gap_tol, r.first_pass_depth)
                 assert got == _reference_verdict(ifs, r.direction, depth, cloud), r

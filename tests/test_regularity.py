@@ -25,10 +25,12 @@ from affinevis.linalg2 import (
 from affinevis import regularity
 from affinevis.regularity import (
     CONTRACTION_DEPTH,
+    COVER_SEED_DEPTH,
     DISTORTION_PROBE_DEPTH,
     Cone,
     _theta1_lines,
     _union,
+    angular_hull,
     cone_images,
     cone_is_invariant,
     default_cover_cone,
@@ -367,14 +369,31 @@ class TestOrientationCover:
         assert cover == [default_cover_cone(positive_pair)]
         assert type(cover[0].half_width) is float
 
-    def test_non_invariant_default_cone_rejected(self):
-        # dominated, but the default seed cone is not forward invariant
+    def test_non_invariant_default_cone_rejected(self, rotation_pair):
+        # dominated, but the hull seed of the orientations is not forward
+        # invariant: it gives way to the hull of its images, +10%, and the
+        # cover refines that cone instead of raising NoConeError
         a1 = Mat2(0.559843665940343, 0.3570117746337381, 0.3668582380210397, 0.1434724223133545)
         a2 = Mat2(0.5987731400794979, 0.3611637402862256, 0.03417042501945832, 0.4776418450853555)
         ifs = IFS((AffineMap2(a1, (0.0, 0.0)), AffineMap2(a2, (0.5, 0.0))))
         assert domination_report(ifs, 4).verdict
-        with pytest.raises(NoConeError):
-            orientation_cover(ifs, eps=1e-2)
+        hull = angular_hull(_theta1_lines(ifs, COVER_SEED_DEPTH))
+        hull_seed = Cone(hull.center, hull.half_width * 1.1)
+        assert not all(contains_cone(hull_seed, cone_image(f.linear, hull_seed), 0.0) for f in ifs.maps)
+        seed = default_cover_cone(ifs)
+        for f in ifs.maps:
+            assert contains_cone(seed, cone_image(f.linear, seed), 0.0)
+        cover = orientation_cover(ifs, eps=1e-3)
+        assert len(cover) == 43
+        for c in cover:
+            assert c.diameter <= 1e-3
+            assert contains_cone(seed, c, 0.0)
+        for word in [(1,), (2,), (1, 2), (2, 1), (1, 1, 2, 2), (2, 2, 1, 1)]:
+            theta = cylinder(ifs, cyclic_prefix(word, 14)).sdata.theta1
+            assert any(c.line_distance(theta) <= 1e-6 for c in cover)
+        # no domination: the hull of the images stops being a proper cone
+        with pytest.raises(NoConeError, match="not forward invariant"):
+            orientation_cover(rotation_pair, eps=1e-2)
 
     @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan])
     def test_eps_must_be_positive(self, positive_pair, eps):
