@@ -5,7 +5,6 @@ from .errors import (
     AffineVisError,
     BadSymbolError,
     BudgetError,
-    ConeNotFoundError,
     DirectionInConeError,
     EmptyCylinderViewError,
     ExceptionalDirectionError,
@@ -28,7 +27,6 @@ from .linalg2 import (
     ProjLine,
     SingularData,
     compose,
-    proj_distance,
     singular_data,
 )
 from .symbolic import (

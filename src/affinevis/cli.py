@@ -97,7 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cone", action="store_true")
     p.add_argument("--projection", action="store_true")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--depth", type=int, default=5)
+    p.add_argument(
+        "--depth", type=int, default=5, help="word length of the checks; the cone search "
+        "runs at min(depth, 8) and the domination probe at max(depth, 4)"
+    )
     p.add_argument("--dir", type=float, default=-math.pi / 4, help="radians")
     p.add_argument("--delta", type=float, default=2.0**-10)
 

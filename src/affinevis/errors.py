@@ -36,12 +36,9 @@ class BudgetError(AffineVisError):
     """Cell/point/word budget exceeded; the requested resolution is too fine."""
 
 
-class ConeNotFoundError(AffineVisError):
-    """No invariant-cone certificate found at the searched depth (not a disproof)."""
-
-
 class NoConeError(AffineVisError):
-    """Supplied cone fails the invariance requirement."""
+    """No invariant cone was certified (not a disproof), or a given cone fails
+    a requirement of the check."""
 
 
 class ImproperConeError(AffineVisError):

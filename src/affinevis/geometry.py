@@ -88,22 +88,21 @@ def projection_condition_check(
     if cover is None:
         cover = orientation_cover(ifs, eps=1e-2)
     carrier = e.carrier()
-    _refuse_exceptional(carrier, cover)
+    clearance = _clearance(carrier, cover)
+    if clearance < COVER_MARGIN:
+        raise ExceptionalDirectionError(
+            f"carrier at angle {carrier.angle:.4f} within {clearance:.4f} of the "
+            f"orientation cover (margin {COVER_MARGIN})"
+        )
     if cloud is None:
         cloud = attractor_cloud(ifs, delta)
     (verdict,) = _pullback_verdicts(ifs, [carrier], depth, cloud, limit)
     return replace(verdict, direction=e)
 
 
-def _refuse_exceptional(carrier: ProjLine, cover: list[Cone]) -> None:
-    """Raise ExceptionalDirectionError if the carrier comes within
-    COVER_MARGIN of the orientation cover."""
-    clearance = min(c.line_distance(carrier) for c in cover)
-    if clearance < COVER_MARGIN:
-        raise ExceptionalDirectionError(
-            f"carrier at angle {carrier.angle:.4f} within {clearance:.4f} of the "
-            f"orientation cover (margin {COVER_MARGIN})"
-        )
+def _clearance(carrier: ProjLine, cover: list[Cone]) -> float:
+    """Angular distance from the carrier to the orientation cover."""
+    return min(c.line_distance(carrier) for c in cover)
 
 
 def _pullback_verdicts(
@@ -273,13 +272,8 @@ def direction_scan(
     cover = orientation_cover(ifs, eps=1e-2)
     cloud = attractor_cloud(ifs, delta)
     grid = [Direction(2.0 * math.pi * k / n_dirs) for k in range(n_dirs)]
-    checked = []
-    for line in {d.carrier().angle: d.carrier() for d in grid}.values():
-        try:
-            _refuse_exceptional(line, cover)
-            checked.append(line)
-        except ExceptionalDirectionError:
-            pass
+    carriers = {d.carrier().angle: d.carrier() for d in grid}.values()
+    checked = [line for line in carriers if _clearance(line, cover) >= COVER_MARGIN]
     verdicts = _pullback_verdicts(ifs, checked, depth, cloud, budget_limit())
     by_carrier = {c.angle: v for c, v in zip(checked, verdicts)}
     flagged = ProjectionVerdict(grid[0], False, math.nan, math.nan, depth, True)

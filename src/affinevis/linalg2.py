@@ -270,12 +270,6 @@ def image_angles(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return vector_angles(np.vecdot(mats, vecs[..., None, :]))
 
 
-def proj_distance(a: ProjLine, b: ProjLine) -> float:
-    """Angle between two lines, in [0, pi/2]."""
-    d = abs(a.angle - b.angle) % PI
-    return min(d, PI - d)
-
-
 def signed_gaps(a, b):
     """Signed representatives in (-pi/2, pi/2] of the line angles a - b, of
     floats or of each pair of array entries."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from .dimension import DimEstimate, box_count, fit_dimension
-from .linalg2 import Direction, ProjLine, proj_distance
+from .linalg2 import Direction, ProjLine, signed_gaps
 from .symbolic import PointCloud
 from .visibility import rasterize, visible_exact, visible_sweep
 
@@ -65,12 +65,12 @@ def set_dim(cloud: PointCloud, scales: list[float]) -> DimEstimate:
 def spread_directions(n: int, avoid_carrier_angle: float, min_distance: float) -> list[Direction]:
     """n near-uniform directions whose carriers all stay at least
     min_distance from the given carrier angle."""
-    avoid = ProjLine(avoid_carrier_angle)
+    avoid = ProjLine(avoid_carrier_angle).angle
     m = n
     while m <= 16 * n:
         m += 1
         cands = [Direction(0.05 + 2.0 * math.pi * k / m) for k in range(m)]
-        kept = [d for d in cands if proj_distance(d.carrier(), avoid) >= min_distance]
+        kept = [d for d in cands if abs(signed_gaps(d.carrier().angle, avoid)) >= min_distance]
         if len(kept) >= n:
             return kept[:n]
     raise ValueError("could not place the requested directions")

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (
     BudgetError,
-    ConeNotFoundError,
     ImproperConeError,
     NoConeError,
     NoGapError,
@@ -239,20 +238,39 @@ def angular_hull(angles: np.ndarray) -> Cone:
     return Cone(ProjLine(0.5 * (lo + hi)), max(float(hw), 1e-12))
 
 
-def _maps_into(mats: np.ndarray, x: Cone, margin: float) -> bool:
-    """Every image m(X) inside X with room ``margin``; an improper image fails."""
+def _maps_into(mats: np.ndarray, x: Cone) -> bool:
+    """Every image m(X) strictly inside X, with room STRICT_MARGIN; an
+    improper image fails."""
     try:
         centers, half_widths = cone_images(mats, x)
     except ImproperConeError:
         return False
     gaps = np.abs(signed_gaps(centers, x.center.angle))
-    return bool(np.all(gaps + half_widths <= x.half_width - margin))
+    return bool(np.all(gaps + half_widths <= x.half_width - STRICT_MARGIN))
+
+
+def _grown_cone(mats: np.ndarray, x: Cone) -> Cone | None:
+    """``x``, or the first of the cones that replace it, each the angular
+    hull of the last one's images, +10%, that ``mats`` take strictly into
+    itself (for a dominated stack the hulls settle near the hull of the
+    limit orientations); None when a hull is no proper cone, or after 1,000
+    steps."""
+    for _ in range(1000):
+        if _maps_into(mats, x):
+            return x
+        try:
+            centers, half_widths = cone_images(mats, x)
+            hull = angular_hull(proj_angles(np.append(centers - half_widths, centers + half_widths)))
+            x = Cone(hull.center, hull.half_width * 1.1)
+        except ImproperConeError:
+            return None
+    return None
 
 
 def cone_is_invariant(ifs: IFS, x: Cone) -> bool:
     """A_i(X) and A_i^T(X) strictly inside X for every map."""
     lin = ifs.linear_stack()
-    return _maps_into(np.concatenate([lin, np.transpose(lin, (0, 2, 1))]), x, STRICT_MARGIN)
+    return _maps_into(np.concatenate([lin, np.transpose(lin, (0, 2, 1))]), x)
 
 
 def invariant_cone_search(ifs: IFS, depth: int) -> Cone:
@@ -260,22 +278,25 @@ def invariant_cone_search(ifs: IFS, depth: int) -> Cone:
 
     Seeds from the angular hull of depth-limited cylinder orientations
     (both for the maps and their transposes, since transpose invariance is
-    part of the certificate), then inflates the hull until a candidate
-    verifies or the cone stops being proper.
+    part of the certificate), then inflates the hull about its centre until
+    a candidate verifies or the cone stops being proper.  When no candidate
+    verifies, the first one is grown into the hull of its images under the
+    maps and their transposes (``_grown_cone``).
     """
     angles = np.concatenate([_theta1_lines(ifs, depth), _theta1_lines(ifs, depth, transpose=True)])
     try:
         hull = angular_hull(angles)
     except ImproperConeError:
-        raise ConeNotFoundError("cylinder orientations span a half turn")
-    for inflate in (1.1, 1.25, 1.5, 2.0, 3.0):
-        hw = max(hull.half_width * inflate, 0.02 * inflate)
-        if hw >= PI / 2 - 1e-9:
-            continue
-        candidate = Cone(hull.center, hw)
-        if cone_is_invariant(ifs, candidate):
-            return candidate
-    raise ConeNotFoundError(f"no invariant cone certificate at depth {depth}")
+        raise NoConeError("cylinder orientations span a half turn")
+    widths = [max(hull.half_width * k, 0.02 * k) for k in (1.1, 1.25, 1.5, 2.0, 3.0)]
+    candidates = [Cone(hull.center, hw) for hw in widths if hw < PI / 2 - 1e-9]
+    cone = next((x for x in candidates if cone_is_invariant(ifs, x)), None)
+    if cone is None and candidates:
+        lin = ifs.linear_stack()
+        cone = _grown_cone(np.concatenate([lin, np.transpose(lin, (0, 2, 1))]), candidates[0])
+    if cone is None:
+        raise NoConeError(f"no invariant cone certificate at depth {depth}")
+    return cone
 
 
 @dataclass(frozen=True)
@@ -322,24 +343,15 @@ def _projective_level(parents: np.ndarray, lin: np.ndarray) -> np.ndarray:
 
 def default_cover_cone(ifs: IFS) -> Cone:
     """Forward-invariant seed cone: the angular hull of the orientations of
-    all words of length COVER_SEED_DEPTH, +10%.  While the maps do not take
-    it into itself, it is replaced by the angular hull of its images, +10%,
-    which for a dominated system settles near the hull of the limit
-    orientations; NoConeError when that hull is no proper cone, or after
-    1,000 steps."""
+    all words of length COVER_SEED_DEPTH, +10%, grown by ``_grown_cone``
+    until the maps take it strictly into itself; NoConeError when the
+    growth fails."""
     hull = angular_hull(_theta1_lines(ifs, COVER_SEED_DEPTH))
-    x = Cone(hull.center, min(max(hull.half_width * 1.1, 0.01), PI / 2 - 1e-6))
-    lin = ifs.linear_stack()
-    for _ in range(1000):
-        if _maps_into(lin, x, 0.0):
-            return x
-        try:
-            centers, half_widths = cone_images(lin, x)
-            hull = angular_hull(proj_angles(np.append(centers - half_widths, centers + half_widths)))
-            x = Cone(hull.center, hull.half_width * 1.1)
-        except ImproperConeError:
-            break
-    raise NoConeError("cone is not forward invariant; cover not certified")
+    seed = Cone(hull.center, min(max(hull.half_width * 1.1, 0.01), PI / 2 - 1e-6))
+    x = _grown_cone(ifs.linear_stack(), seed)
+    if x is None:
+        raise NoConeError("cone is not forward invariant; cover not certified")
+    return x
 
 
 def orientation_cover(ifs: IFS, eps: float) -> list[Cone]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DirectionInConeError, budget_limit
-from .linalg2 import PI, Direction, proj_distance
+from .linalg2 import PI, Direction, signed_gaps
 from .symbolic import PointCloud
 
 BRUTE_FORCE_CAP = 10_000
@@ -407,9 +407,6 @@ class KakeyaSet:
     def __len__(self) -> int:
         return self.bases.shape[0]
 
-    def directions(self) -> list[Direction]:
-        return [Direction(t) for t in self.thetas]
-
 
 @dataclass(frozen=True)
 class EnvelopeFn:
@@ -465,8 +462,7 @@ def visible_envelope(
     """
     if len(k) == 0:
         return [], []
-    carrier_e = e.carrier()
-    sep = min(proj_distance(d.carrier(), carrier_e) for d in k.directions())
+    sep = float(np.min(np.abs(signed_gaps(k.thetas, e.carrier().angle))))
     if beta is not None and sep < beta:
         raise DirectionInConeError(
             f"direction set comes within {sep:.4f} of the sight carrier"

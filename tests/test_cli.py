@@ -497,6 +497,12 @@ class TestCLI:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: affinevis {' '.join(command)} ")
 
+    def test_check_help_names_the_depth_caps(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "min(depth, 8)" in out and "max(depth, 4)" in out
+
     def test_scenario_run_report_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["scenario", "run", "positive-cone", "--seed", "1", "--out", str(a)])

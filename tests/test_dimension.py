@@ -14,7 +14,7 @@ from affinevis.dimension import (
 )
 from affinevis.errors import TooFewScalesError
 from affinevis.linalg2 import AffineMap2, Direction
-from affinevis.pipeline import ladder_grids, ladder_scales, set_dim, vis_dim
+from affinevis.pipeline import ladder_grids, ladder_scales, set_dim, spread_directions, vis_dim
 from affinevis.symbolic import IFS, PointCloud, attractor_cloud
 from affinevis.visibility import _dense
 
@@ -181,6 +181,17 @@ class TestVisDimGrids:
             vis_dim(cloud, e, ladder_scales(4, 8), grids=grids)
         scales = ladder_scales(5, 9)
         assert vis_dim(cloud, e, scales, grids=grids) == vis_dim(cloud, e, scales)
+
+    def test_carpet_off_vertical_directions_keep_their_bits(self):
+        # the 16 directions of the carpet battery, 0.15 rad or more from the
+        # vertical; each is 0.05 + 2 pi k / 18
+        got = [d.angle for d in spread_directions(16, math.pi / 2, 0.15)]
+        assert got == [
+            0.05, 0.3990658503988659, 0.7481317007977318, 1.0971975511965977,
+            1.7953292519943296, 2.144395102393195, 2.493460952792061, 2.842526803190927,
+            3.191592653589793, 3.540658503988659, 3.8897243543875244, 4.23879020478639,
+            4.936921905584122, 5.285987755982988, 5.635053606381854, 5.9841194567807205,
+        ]
 
 
 def scaled(ifs, s: float) -> IFS:

@@ -15,10 +15,10 @@ from affinevis.geometry import (
     direction_scan,
     projection_condition_check,
 )
-from affinevis.linalg2 import AffineMap2, Direction, Mat2, ProjLine, proj_distance
+from affinevis.linalg2 import AffineMap2, Direction, Mat2, ProjLine
 from affinevis.regularity import domination_report, orientation_cover
 from affinevis.symbolic import IFS, attractor_cloud, cylinder
-from test_linalg2 import image_angle, proj_apply_oracle
+from test_linalg2 import image_angle, proj_apply_oracle, proj_distance
 
 
 def _gappy_pair():

@@ -20,7 +20,6 @@ from affinevis.linalg2 import (
     image_angles,
     matmul_stack,
     matvec_stack,
-    proj_distance,
     signed_gaps,
     singular_data,
     singular_rows,
@@ -61,6 +60,13 @@ def proj_apply_oracle(m: Mat2, line: ProjLine) -> ProjLine:
         raise SingularInputError(f"matrix {m} is numerically singular")
     w = m.apply(line.vector())
     return ProjLine(math.atan2(w[1], w[0]))
+
+
+def proj_distance(a: ProjLine, b: ProjLine) -> float:
+    """Angle between two lines, in [0, pi/2]: the scalar formula that
+    ``abs(signed_gaps)`` replaced."""
+    d = abs(a.angle - b.angle) % PI
+    return min(d, PI - d)
 
 
 def proj_signed_gap_oracle(a: ProjLine, b: ProjLine) -> float:
@@ -370,6 +376,17 @@ class TestProjLine:
         assert 0 <= dab <= math.pi / 2 + 1e-15
         assert dab == pytest.approx(proj_distance(lb, la))
         assert dab <= proj_distance(la, lc) + proj_distance(lc, lb) + 1e-12
+
+    def test_abs_signed_gap_is_the_distance(self):
+        # the one line distance of the package agrees with the scalar formula
+        # within 5e-16 (the two round differently), and exactly at 0 and pi/2
+        rng = np.random.default_rng(3)
+        a, b = rng.uniform(0.0, PI, size=(2, 20_000))
+        got = np.abs(signed_gaps(a, b))
+        want = np.array([proj_distance(ProjLine(x), ProjLine(y)) for x, y in zip(a, b)])
+        assert np.max(np.abs(got - want)) <= 5e-16
+        for x, y in ((0.0, 0.0), (0.7, 0.7), (0.0, PI / 2), (PI / 2, 0.0)):
+            assert float(abs(signed_gaps(x, y))) == proj_distance(ProjLine(x), ProjLine(y))
 
 
 def image_angle(m: Mat2, line: ProjLine) -> float:

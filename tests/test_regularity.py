@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from affinevis.errors import (
     BudgetError,
-    ConeNotFoundError,
     ImproperConeError,
     NoConeError,
     NoGapError,
@@ -18,7 +17,6 @@ from affinevis.linalg2 import (
     AffineMap2,
     Mat2,
     ProjLine,
-    proj_distance,
     signed_gaps,
     singular_stack,
 )
@@ -54,10 +52,12 @@ from test_linalg2 import (
     image_angle,
     is_singular,
     proj_apply_oracle,
+    proj_distance,
     proj_signed_gap_oracle,
     singular_data_oracle,
 )
 from test_symbolic import ALTERNATING, B_A_B, all_word_levels, distinct_rows_oracle
+from test_geometry import positive_systems
 
 VERTICAL = ProjLine(math.pi / 2)
 QUADRANT_MARGIN = Cone(ProjLine(math.pi / 4), math.pi / 4 - 0.05)
@@ -308,12 +308,42 @@ class TestInvariantCone:
         assert deep.center.angle == pytest.approx(shallow.center.angle, abs=1e-6)
 
     def test_rotation_pair_not_found(self, rotation_pair):
-        with pytest.raises(ConeNotFoundError):
+        with pytest.raises(NoConeError):
             invariant_cone_search(rotation_pair, depth=4)
 
-    def test_hull_cones_hold_python_floats(self, positive_pair):
-        assert type(invariant_cone_search(positive_pair, depth=6).half_width) is float
-        assert type(default_cover_cone(positive_pair).half_width) is float
+    def test_cone_past_the_hull_ladder_is_grown(self):
+        # the quadrant is strictly invariant under each map and transpose,
+        # but no inflation of the orientations' hull about its centre is:
+        # the first candidate grows into the hull of its images instead
+        ifs = IFS(
+            (
+                AffineMap2(Mat2(0.0474, 0.3038, 0.1892, 0.1944), (0.0, 0.0)),
+                AffineMap2(Mat2(0.3333, 0.1551, 0.02, 0.1244), (0.5, 0.0)),
+                AffineMap2(Mat2(0.1752, 0.2, 0.2745, 0.0816), (0.0, 0.5)),
+            )
+        )
+        for depth in (4, 8):
+            assert cone_is_invariant(ifs, invariant_cone_search(ifs, depth))
+
+    @settings(max_examples=50, deadline=None)
+    @given(positive_systems())
+    def test_positive_systems_get_a_cone(self, ifs):
+        # each map and transpose takes the positive quadrant strictly inside
+        assert cone_is_invariant(ifs, invariant_cone_search(ifs, 6))
+
+    def test_hull_cones_hold_python_floats(self, positive_pair, carpet):
+        # the cones the ladder certifies keep their bits (the growth runs
+        # only where no ladder candidate holds)
+        pinned = [
+            (invariant_cone_search(positive_pair, depth=6), 0.4913968616236645, 0.15456915567804644),
+            (invariant_cone_search(positive_pair, depth=8), 0.4913968616236646, 0.15456919561959093),
+            (invariant_cone_search(carpet, depth=5), 1.5707963267948966, 0.022000000000000002),
+            (default_cover_cone(positive_pair), 0.5927443173867396, 0.043086954338663844),
+            (default_cover_cone(carpet), 1.5707963267948966, 0.01),
+        ]
+        for cone, center, half_width in pinned:
+            assert type(cone.half_width) is float
+            assert (cone.center.angle, cone.half_width) == (center, half_width)
 
 
 class TestStrongConeSeparation:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from affinevis.errors import BudgetError, EmptyCylinderViewError, NoExitError
-from affinevis.linalg2 import ProjLine, proj_distance
+from affinevis.linalg2 import ProjLine
 from affinevis.regularity import orientation_cover
 from affinevis.symbolic import attractor_cloud, cylinder
 from affinevis.tangent import (
@@ -17,6 +17,7 @@ from affinevis.tangent import (
 )
 from affinevis.visibility import visible_envelope
 from affinevis.linalg2 import Direction
+from test_linalg2 import proj_distance
 
 
 def hausdorff_directed(a: np.ndarray, b: np.ndarray) -> float:

@@ -29,6 +29,7 @@ from affinevis.visibility import (
     visible_envelope,
     visible_sweep,
 )
+from test_linalg2 import proj_distance
 
 DOWN = Direction(-math.pi / 2)
 INT64_MAX = 2**63 - 1
@@ -702,8 +703,6 @@ def random_kakeya(rng, n, e_angle, beta=0.35):
     while len(thetas) < n:
         t = rng.uniform(0, 2 * math.pi)
         d = Direction(t)
-        from affinevis.linalg2 import proj_distance
-
         if proj_distance(d.carrier(), Direction(e_angle).carrier()) >= beta:
             thetas.append(t)
     return KakeyaSet(bases, np.array(thetas))
