@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 validation error, 3 budget exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from contextlib import contextmanager
@@ -60,6 +61,9 @@ def _parse_stream(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"stream must be comma-separated ints, got {text!r}")
 
 
+# built once per process: handlers are bound by set_defaults and help width
+# is read when help is formatted, so every call parses as a fresh parser would
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="affinevis",

@@ -151,21 +151,35 @@ def entries(mats: np.ndarray) -> tuple:
     return mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
 
 
-def _gram_eigenvalues(cols, det):
-    """``(p, q, r, lam1, lam2, spread)``: the Gram matrices [[p, q], [q, r]]
-    of 2x2 matrices given by their entry columns ``(a11, a12, a21, a22)``,
-    their eigenvalues and their half gaps.  The larger eigenvalue comes from
-    the stable root of the characteristic polynomial, the smaller one from
-    det^2 / lambda1 to avoid cancellation.  ``det`` None stands for the
-    entries' own determinant, computed last: a stack's process peak is
-    lower."""
+def _gram_major(cols):
+    """``(p, q, r, lam1, spread)``: the Gram matrices [[p, q], [q, r]] of
+    2x2 matrices given by their entry columns ``(a11, a12, a21, a22)``,
+    their larger eigenvalues, from the stable root of the characteristic
+    polynomial, and their half gaps; each sum is formed in place."""
     a11, a12, a21, a22 = cols
-    p = a11 * a11 + a21 * a21
-    r = a12 * a12 + a22 * a22
-    q = a11 * a12 + a21 * a22
-    spread = np.hypot(0.5 * (p - r), q)
-    lam1 = 0.5 * (p + r) + spread
+    p = a11 * a11
+    p += a21 * a21
+    r = a12 * a12
+    r += a22 * a22
+    q = a11 * a12
+    q += a21 * a22
+    spread = p - r
+    spread *= 0.5
+    np.hypot(spread, q, out=spread)
+    lam1 = p + r
+    lam1 *= 0.5
+    lam1 += spread
+    return p, q, r, lam1, spread
+
+
+def _gram_eigenvalues(cols, det):
+    """``(p, q, r, lam1, lam2, spread)``: ``_gram_major`` and the smaller
+    eigenvalue, from det^2 / lambda1 to avoid cancellation.  ``det`` None
+    stands for the entries' own determinant, computed last: a stack's
+    process peak is lower."""
+    p, q, r, lam1, spread = _gram_major(cols)
     if det is None:
+        a11, a12, a21, a22 = cols
         det = a11 * a22 - a12 * a21
     return p, q, r, lam1, (det * det) / lam1, spread
 
@@ -211,6 +225,12 @@ def alpha_pair_of_stack(cols, dets: np.ndarray | None = None) -> tuple:
     a22)`` (``entries`` of a stack)."""
     lam1, lam2 = _gram_eigenvalues(cols, dets)[3:5]
     return np.sqrt(lam1), np.sqrt(lam2)
+
+
+def alpha1_of_stack(cols) -> np.ndarray:
+    """``alpha_pair_of_stack``'s alpha1 alone, with no determinant."""
+    lam1 = _gram_major(cols)[3]
+    return np.sqrt(lam1, out=lam1)
 
 
 def matmul_stack(a, b, out) -> None:

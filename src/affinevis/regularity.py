@@ -253,11 +253,16 @@ def _grown_cone(mats: np.ndarray, x: Cone) -> Cone | None:
     """``x``, or the first of the cones that replace it, each the angular
     hull of the last one's images, +10%, that ``mats`` take strictly into
     itself (for a dominated stack the hulls settle near the hull of the
-    limit orientations); None when a hull is no proper cone, or after 1,000
-    steps."""
+    limit orientations); None when a hull is no proper cone, when a cone
+    repeats (the steps are deterministic, so the cones cycle from there and
+    none of them maps into itself), or after 1,000 steps."""
+    seen: set[Cone] = set()
     for _ in range(1000):
         if _maps_into(mats, x):
             return x
+        if x in seen:
+            return None
+        seen.add(x)
         try:
             centers, half_widths = cone_images(mats, x)
             hull = angular_hull(proj_angles(np.append(centers - half_widths, centers + half_widths)))

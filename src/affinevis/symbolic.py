@@ -17,7 +17,7 @@ from .errors import BadSymbolError, BudgetError, NotContractiveError, budget_lim
 from .linalg2 import (
     AffineMap2,
     SingularData,
-    alpha_pair_of_stack,
+    alpha1_of_stack,
     compose,
     entries,
     matmul_stack,
@@ -246,13 +246,18 @@ def attractor_cloud(ifs: IFS, delta: float) -> PointCloud:
     some anchor.
 
     alpha1 depends only on the linear part, so each level refines one
-    product per distinct linear word; when two maps share a linear part,
-    cylinders find their product through a row index.  The products are
-    held as one (4, rows) array of entry columns (a11, a12, a21, a22), so
-    alpha1 and each map's children are loops over contiguous columns.  Each
-    level's anchors are placed as it finishes, the linear image of map 1's
-    fixed point once per distinct product, a block of rows at a time.  The
-    active budget (``budget_limit``) counts cylinders, not products:
+    product per distinct linear word, in one of three layouts: one row per
+    cylinder when every map has its own linear part; one product per level
+    and no row index when every map shares one (a level's cylinders are all
+    done or all active, and each map's image is broadcast); and a row index
+    from cylinders to products when some maps share a part.  The products
+    are held as one (4, rows) array of entry columns (a11, a12, a21, a22),
+    so alpha1 and each map's children are loops over contiguous columns.
+    Translations are complex columns x + iy, so each map's child
+    translations are one column add (a complex add is the two real adds).
+    Each level's anchors are placed as it finishes, the linear image of map
+    1's fixed point once per distinct product, a block of rows at a time.
+    The active budget (``budget_limit``) counts cylinders, not products:
     BudgetError when the done cylinders and the next level's would exceed
     it.
     """
@@ -265,66 +270,81 @@ def attractor_cloud(ifs: IFS, delta: float) -> PointCloud:
     lin = ifs.linear_stack()
     first, part_of = _distinct_rows(lin)
     parts = lin[first]
-    if len(parts) == ifs.kappa:  # every part is its map's: no index
-        part_of = None
+    one_product = len(parts) == 1
 
     # table[:, r] holds the entries of row r's product, the identity first;
     # index[k] is cylinder k's row of table; every row has a cylinder
     table = np.eye(2).reshape(4, 1)
-    index = None if part_of is None else np.zeros(1, dtype=np.intp)
-    trans = np.zeros((1, 2))
+    index = np.zeros(1, dtype=np.intp) if 1 < len(parts) < ifs.kappa else None
+    trans = np.zeros(1, dtype=complex)
     chunks: list[np.ndarray] = []
     total = 0
     while True:
-        row_done = alpha_pair_of_stack(table)[0] <= delta
-        done = row_done if index is None else np.take(row_done, index)
-        n_done = int(np.count_nonzero(done))
-        total += n_done
-        if n_done:  # else the level is refined as it is, with no copy
+        row_done = alpha1_of_stack(table) <= delta
+        if one_product:
+            if row_done[0]:  # every cylinder is done: one image for all
+                trans += _anchor_images(table, [0], anchor).view(complex)[0, 0]
+                chunks.append(trans)
+                break
+        elif row_done.any():  # else the level is refined as it is, with no copy
+            done = row_done if index is None else np.take(row_done, index)
+            n_done = int(np.count_nonzero(done))
+            total += n_done
             last = n_done == len(done)
             # a level that is all done is used as it is; else a row's
             # cylinders are all done or all active
             pts = trans if last else trans[done]
+            xy = pts.view(float).reshape(-1, 2)
             # the images are added to the translations in place (the sum
             # commutes, so the bits are those of images + translations)
             rows = np.flatnonzero(row_done)
             if index is None:  # one row per cylinder, a block at a time
                 for lo in range(0, len(rows), _CLOUD_BLOCK):
                     block = slice(lo, lo + _CLOUD_BLOCK)
-                    pts[block] += _anchor_images(table, rows[block], anchor)
+                    xy[block] += _anchor_images(table, rows[block], anchor)
             else:
                 images = _anchor_images(table, rows, anchor)
                 # gathered a block of rows at a time: no second per-cylinder array
                 at = index if last else np.take(np.cumsum(row_done) - 1, index[done])
                 for lo in range(0, len(at), _CLOUD_BLOCK):
                     block = slice(lo, lo + _CLOUD_BLOCK)
-                    pts[block] += np.take(images, at[block], axis=0)
+                    xy[block] += np.take(images, at[block], axis=0)
             chunks.append(pts)
             if last:
                 break
-            table, trans = table[:, ~row_done], trans[~done]
-            if index is not None:
-                index = np.take(np.cumsum(~row_done) - 1, index[~done])
+            keep = np.flatnonzero(~row_done)
+            table = np.take(table, keep, axis=1)
+            if index is None:
+                trans = trans[keep]
+            else:
+                active = np.flatnonzero(~done)
+                trans = trans[active]
+                index = np.take(np.cumsum(~row_done) - 1, np.take(index, active))
         if total + len(trans) * ifs.kappa > limit:
             raise BudgetError(
                 f"refinement would exceed budget {limit}; increase delta"
             )
-        # the children's translations first: the parents' are freed before
-        # the child table is built. One map, or part, at a time: each loop
-        # runs over a whole column, not over the maps of one row
-        kids = np.empty((table.shape[1], ifs.kappa, 2))
+        # each map's images of its translation under the rows' products, as
+        # complex columns: one map at a time, each loop over a whole column
+        images = np.empty((table.shape[1], ifs.kappa), dtype=complex)
+        xy = images.view(float)
         for i, t in enumerate(tr):
-            matvec_stack(table, t, kids[:, i].T)
+            matvec_stack(table, t, xy[:, 2 * i : 2 * i + 2].T)
         if index is not None:
-            kids = np.take(kids, index, axis=0)
-            index = _child_rows(index, parts.shape[0], part_of)
-        kids += trans[:, None, :]  # in place: no second (n, kappa, 2) array
-        trans = kids.reshape(-1, 2)
+            images = np.take(images, index, axis=0)
+            index = _child_rows(index, len(parts), part_of)
+        # in place when every cylinder has its row of images; one broadcast
+        # image per map when the level has one product
+        kids = images if len(images) == len(trans) else np.empty((len(trans), ifs.kappa), complex)
+        for i in range(ifs.kappa):
+            np.add(images[:, i], trans, out=kids[:, i])
+        trans = kids.reshape(-1)
         children = np.empty((4, table.shape[1], len(parts)))
         for j, part in enumerate(parts):
             matmul_stack(table, entries(part), children[:, :, j])
         table = children.reshape(4, -1)
-    return PointCloud(chunks[0] if len(chunks) == 1 else np.concatenate(chunks), float(delta))
+    pts = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return PointCloud(pts.view(float).reshape(-1, 2), float(delta))
 
 
 def cyclic_prefix(stream: Sequence[int], n: int) -> Word:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from affinevis import cli
 from affinevis.cli import main
 from affinevis.errors import DEFAULT_BUDGET, budget_limit
 from affinevis.report import RunReport, write_csv, write_json, write_report
@@ -502,6 +503,26 @@ class TestCLI:
             main(["check", "--help"])
         out = " ".join(capsys.readouterr().out.split())
         assert "min(depth, 8)" in out and "max(depth, 4)" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["scenario", "list"], ["check", "--scenario", "carpet-5.1", "--domination"],
+         ["vis", "--scenario", "carpet-5.1", "--dir", "nan"], ["gen", "--delta", "0.1"]],
+        ids=["list", "check", "bad-dir", "no-source"],
+    )
+    def test_repeated_calls_share_one_parser(self, capsys, argv):
+        # the parser is built once per process: a second call exits and
+        # prints as the first did, parse errors included
+        def run():
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            return code, capsys.readouterr()
+
+        first = run()
+        assert run() == first
+        assert cli.build_parser() is cli.build_parser()
 
     def test_scenario_run_report_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinevis.dimension import (
-    DimEstimate,
     _snapped_cells,
     assouad_estimate,
     box_count,

@@ -14,6 +14,7 @@ from affinevis.linalg2 import (
     ProjLine,
     PI,
     SingularData,
+    alpha1_of_stack,
     alpha_pair_of_stack,
     compose,
     entries,
@@ -244,11 +245,11 @@ class TestFlatGemv:
         # every level's products of the positive-cone cloud at 2^-10, with its anchor
         tables = []
 
-        def spy(cols, dets=None):
+        def spy(cols):
             tables.append(np.ascontiguousarray(np.transpose(cols)).reshape(-1, 2, 2))
-            return alpha_pair_of_stack(cols, dets)
+            return alpha1_of_stack(cols)
 
-        monkeypatch.setattr(symbolic, "alpha_pair_of_stack", spy)
+        monkeypatch.setattr(symbolic, "alpha1_of_stack", spy)
         attractor_cloud(positive_pair, 2.0**-10)
         assert sum(map(len, tables)) > 80_000
         anchor = positive_pair.anchor_point()
@@ -313,6 +314,21 @@ class TestStackedKernelsMatchScalar:
                 x.hex() for x in (want.alpha1, want.alpha2, want.theta1.angle, *want.eta2)
             ]
             assert repr(singular_data(m, det)) == repr(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(GENERAL, SIMILARITY, SHEAR, RANK_ONE), min_size=1, max_size=6))
+    def test_alpha1_matches_singular_stack(self, mats):
+        # the cloud's done test reads alpha1 alone, with no determinant: rank
+        # one rows included, and the entry columns are strided views
+        stack = np.array(mats).reshape(-1, 2, 2)
+        got = alpha1_of_stack(entries(stack))
+        with np.errstate(invalid="ignore"):  # the pair's alpha2 of a zero matrix is 0/0
+            want = alpha_pair_of_stack(entries(stack))[0]
+        assert got.tobytes() == want.tobytes()
+        regular = [k for k, m in enumerate(mats) if not is_singular(Mat2(*m))]
+        if regular:
+            want = singular_stack(stack[regular], None)[0]
+            assert got[regular].tobytes() == want.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(GENERAL, SIMILARITY, SHEAR, RANK_ONE), min_size=1, max_size=6))

@@ -325,6 +325,29 @@ class TestInvariantCone:
         for depth in (4, 8):
             assert cone_is_invariant(ifs, invariant_cone_search(ifs, depth))
 
+    def test_growth_stops_at_its_first_repeated_cone(self, monkeypatch):
+        # a system with no invariant cone whose grown hulls settle into a
+        # 2-cycle: the growth returns None at the first repeat, not after
+        # 1,000 steps (2,000 cone_images calls)
+        lin = np.array([
+            [[-0.11477101371942416, 0.38414904214589024], [-0.09484028164442637, 0.27021508696802526]],
+            [[-0.36653228126610093, -0.04400287491873617], [0.01461480225949674, 0.27795437724282496]],
+        ])
+        mats = np.concatenate([lin, np.transpose(lin, (0, 2, 1))])
+        tested = []
+        maps_into = regularity._maps_into
+
+        def spy(m, x):
+            tested.append(x)
+            return maps_into(m, x)
+
+        monkeypatch.setattr(regularity, "_maps_into", spy)
+        seed = Cone(ProjLine(3.0779105434675644), 1.440665116960131)
+        assert regularity._grown_cone(mats, seed) is None
+        # 28 distinct cones, then the 27th again
+        assert len(tested) == 29 and len(set(tested[:-1])) == 28
+        assert tested[-1] == tested[-3]
+
     @settings(max_examples=50, deadline=None)
     @given(positive_systems())
     def test_positive_systems_get_a_cone(self, ifs):
