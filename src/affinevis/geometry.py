@@ -159,7 +159,9 @@ class _Projector:
     """Spans and largest gaps of the cloud's projections onto the axes of
     pulled-back lines, given by their keys.
 
-    A level of one line is its own product ``axes @ points.T`` (gemv). The
+    A level of one line is its own product ``axes @ points.T`` (gemv), made
+    once for each distinct key of those levels: carriers that differ in their
+    last bits (theta and theta + pi) often pull back to one key. The
     longer levels of all carriers are merged into one row per distinct key
     (an axis is a function of its key), sorted by angle and projected
     PULLBACK_BLOCK lines at a time (gemm) into one reused C-ordered block, one
@@ -192,13 +194,18 @@ class _Projector:
         """Yield (carrier, spans, gaps) for each (carrier, keys) of a level,
         spans and gaps in the order of that carrier's keys."""
         merged = []
+        single = {}  # the span and gap of each distinct one-line key, by its bits
         for i, keys in judged:
             if len(keys) > 1:
                 merged.append((i, keys))
                 continue
-            row = _axes(keys) @ self.points.T
-            row.sort(axis=1)
-            yield i, row[:, -1] - row[:, 0], np.diff(row, axis=1).max(axis=1, initial=0.0)
+            bits = keys.tobytes()
+            if bits not in single:
+                row = _axes(keys) @ self.points.T
+                row.sort(axis=1)
+                gap = np.diff(row, axis=1).max(axis=1, initial=0.0)
+                single[bits] = row[:, -1] - row[:, 0], gap
+            yield i, *single[bits]
         if not merged:
             return
         # the distinct keys in order, each projected once; a merged carrier

@@ -386,9 +386,7 @@ def harmonic_product_sample() -> PointCloud:
     reciprocal sums in each coordinate, both axes included."""
     s = harmonic_sums(70)
     a = np.concatenate([[0.0], 1.0 / s])
-    xx, yy = np.meshgrid(a, a)
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    return PointCloud(pts, 1e-9)
+    return PointCloud(_product_grid(a, a), 1e-9)
 
 
 def cantor_cross_segment(depth: int) -> PointCloud:
@@ -398,9 +396,17 @@ def cantor_cross_segment(depth: int) -> PointCloud:
         xs = np.concatenate([xs / 3.0, xs / 3.0 + 2.0 / 3.0])
     step = 3.0**-depth
     ys = np.arange(0.0, 1.0 + step / 2, step)
-    xx, yy = np.meshgrid(np.sort(xs), ys)
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    return PointCloud(pts, step)
+    return PointCloud(_product_grid(np.sort(xs), ys), step)
+
+
+def _product_grid(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The points (x, y) of xs x ys as (len(ys) * len(xs), 2) rows, x varying
+    fastest: the rows of ``meshgrid(xs, ys)`` raveled, filled by broadcast
+    into one array."""
+    pts = np.empty((len(ys), len(xs), 2))
+    pts[:, :, 0] = xs
+    pts[:, :, 1] = ys[:, None]
+    return pts.reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------

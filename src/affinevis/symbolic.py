@@ -7,6 +7,7 @@ fixed point of map 1, which always lies inside the attractor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -112,6 +113,35 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+    @functools.cached_property
+    def ends(self) -> np.ndarray:
+        """``_column_ends`` of a non-empty cloud's points, found once: each
+        rasterization of the cloud starts from them.  Nothing writes a
+        cloud's points in place."""
+        return _column_ends(self.points)
+
+
+# rows per block of _column_ends: a block is one contiguous row of 1024 entries
+_END_BLOCK = 512
+
+
+def _column_ends(data: np.ndarray) -> np.ndarray:
+    """(2, 2) array of the smallest (row 0) and largest (row 1) entry of each
+    column of non-empty (n, 2) data.  A min over axis 0 of an (n, 2) array,
+    or of one of its columns, is a slow strided reduce; so the whole blocks
+    of ``_END_BLOCK`` rows reduce as rows of 2 * _END_BLOCK entries along
+    axis 0 (contiguous inner loops), and the column extremes come from those
+    partial extremes and the tail rows.  The extremes are exact; only the
+    sign of a zero extreme may follow the reduction order."""
+    whole = len(data) - len(data) % _END_BLOCK
+    part = data[whole:]
+    if whole:
+        blocks = data[:whole].reshape(-1, 2 * _END_BLOCK)
+        extremes = [blocks.min(axis=0), blocks.max(axis=0)]
+        part = np.concatenate([part, *(e.reshape(-1, 2) for e in extremes)])
+    x, y = part[:, 0], part[:, 1]
+    return np.array([[x.min(), y.min()], [x.max(), y.max()]])
 
 
 def _check_word(ifs: IFS, word: Sequence[int]) -> Word:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BudgetError, DirectionInConeError, budget_limit
 from .linalg2 import PI, Direction, signed_gaps
-from .symbolic import PointCloud
+from .symbolic import PointCloud, _column_ends
 
 BRUTE_FORCE_CAP = 10_000
 # visible_exact: a sight line holds the sorted rotated abscissas at most this
@@ -47,7 +47,15 @@ class OccupancyGrid:
         return self.cells.shape[0]
 
     def centers(self) -> np.ndarray:
-        return np.asarray(self.origin) + (self.cells + 0.5) * self.delta
+        """(m, 2) cell centres origin + (cells + 0.5) * delta, made a column
+        at a time: adding the origin to the (m, 2) array by broadcast would
+        run inner loops of 2 elements.  Each entry takes the same rounded
+        operations, so the bits are those of the broadcast form."""
+        out = np.add(self.cells, 0.5)
+        out *= self.delta
+        for a in (0, 1):
+            out[:, a] += self.origin[a]
+        return out
 
 
 # rows per chunk of the column-wise cell kernel: a chunk's float and int
@@ -63,28 +71,6 @@ def _dense(span: int, n: int) -> bool:
     bitmap, a byte a slot, holds at most 16 bytes a row: an int64 key and
     its argsort order, or twice the key that the kernel sorts in place."""
     return span <= 16 * n
-
-
-# rows per block of _column_ends: a block is one contiguous row of 1024 entries
-_END_BLOCK = 512
-
-
-def _column_ends(data: np.ndarray) -> np.ndarray:
-    """(2, 2) array of the smallest (row 0) and largest (row 1) entry of each
-    column of non-empty (n, 2) data.  A min over axis 0 of an (n, 2) array,
-    or of one of its columns, is a slow strided reduce; so the whole blocks
-    of ``_END_BLOCK`` rows reduce as rows of 2 * _END_BLOCK entries along
-    axis 0 (contiguous inner loops), and the column extremes come from those
-    partial extremes and the tail rows.  The extremes are exact; only the
-    sign of a zero extreme may follow the reduction order."""
-    whole = len(data) - len(data) % _END_BLOCK
-    part = data[whole:]
-    if whole:
-        blocks = data[:whole].reshape(-1, 2 * _END_BLOCK)
-        extremes = [blocks.min(axis=0), blocks.max(axis=0)]
-        part = np.concatenate([part, *(e.reshape(-1, 2) for e in extremes)])
-    x, y = part[:, 0], part[:, 1]
-    return np.array([[x.min(), y.min()], [x.max(), y.max()]])
 
 
 def _int64_cells(floored: np.ndarray) -> np.ndarray:
@@ -227,7 +213,7 @@ def rasterize(cloud: PointCloud, delta: float) -> OccupancyGrid:
         return OccupancyGrid(delta, (0.0, 0.0), np.empty((0, 2), dtype=np.int64))
     if pts.shape[0] > limit:
         raise BudgetError(f"cloud size {pts.shape[0]} exceeds budget {limit}")
-    ends = _column_ends(pts)
+    ends = cloud.ends
     _check_finite(ends)  # the extremes carry any NaN or infinite coordinate
     origin = np.floor(ends[0] / delta) * delta
     cells = _CellColumns(pts, lambda v, axis: np.floor((v - origin[axis]) / delta), ends)
@@ -248,13 +234,16 @@ def visible_sweep(grid: OccupancyGrid, e: Direction) -> OccupancyGrid:
     """
     if len(grid) == 0:
         return grid
-    # the rotated cells as two contiguous rows, column then row; the floats
-    # are freed before the scatter
-    col, row = _int64_cells(np.floor(rotation_to_down(e) @ grid.centers().T / grid.delta))
+    # the rotated cells as two contiguous rows, column then row, divided and
+    # floored in place; the floats are freed before the scatter
+    uv = rotation_to_down(e) @ grid.centers().T
+    uv /= grid.delta
+    col, row = _int64_cells(np.floor(uv, out=uv))
+    del uv
     c_min = int(col.min())
     span = int(col.max()) - c_min + 1
     if _dense(span, len(col)):
-        col = col - c_min
+        col -= c_min
     else:
         distinct = np.unique(col)
         col, span = np.searchsorted(distinct, col), len(distinct)

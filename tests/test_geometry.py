@@ -374,14 +374,21 @@ class TestDirectionScan:
     def test_rows_match_single_checks(self, carpet, positive_pair):
         # a scan batches the levels of all its carriers; at positive-cone's
         # depth 6 (64 lines a carrier) and _three_positive's depth 4 (68)
-        # levels span many blocks and the carriers' lines interleave
+        # levels span many blocks and the carriers' lines interleave; the
+        # carpet's 72 directions hold carriers that share one-line keys
         delta = 2.0**-7
-        cases = [(carpet, 3), (positive_pair, 3), (positive_pair, 6), (_three_positive(), 4)]
-        for ifs, depth in cases:
+        cases = [
+            (carpet, 3, 8),
+            (carpet, 5, 72),
+            (positive_pair, 3, 8),
+            (positive_pair, 6, 8),
+            (_three_positive(), 4, 8),
+        ]
+        for ifs, depth, n_dirs in cases:
             cloud = attractor_cloud(ifs, delta)
-            rows = direction_scan(ifs, 8, depth=depth, delta=delta)
+            rows = direction_scan(ifs, n_dirs, depth=depth, delta=delta)
             for k, r in enumerate(rows):
-                d = Direction(2.0 * math.pi * k / 8)
+                d = Direction(2.0 * math.pi * k / n_dirs)
                 try:
                     expected = projection_condition_check(ifs, d, depth, cloud=cloud)
                 except ExceptionalDirectionError:
@@ -412,6 +419,30 @@ class TestDirectionScan:
         for r in checked:
             single = projection_condition_check(positive_pair, r.direction, 7, cloud, cover)
             assert _same_verdict(r, single), (r, single)
+
+    def test_one_projection_per_distinct_one_line_key(self, monkeypatch, carpet):
+        # the carpet pulls each carrier back to one line a level, and theta
+        # and theta + pi often give carriers a last bit apart with one key:
+        # each level projects every distinct one-line key once
+        seen = []  # per level: [distinct one-line keys, projections, one-line carriers]
+        level, axes = geometry._Projector.level, geometry._axes
+
+        def level_spy(self, judged):
+            singles = [k.tobytes() for _, k in judged if len(k) == 1]
+            seen.append([len(set(singles)), 0, len(singles)])
+            yield from level(self, judged)
+
+        def axes_spy(keys):
+            if len(keys) == 1:
+                seen[-1][1] += 1
+            return axes(keys)
+
+        monkeypatch.setattr(geometry._Projector, "level", level_spy)
+        monkeypatch.setattr(geometry, "_axes", axes_spy)
+        direction_scan(carpet, 72, depth=5, delta=2.0**-7)
+        assert len(seen) == 5
+        assert all(distinct == made for distinct, made, _ in seen), seen
+        assert sum(lines for *_, lines in seen) > sum(made for _, made, _ in seen), seen
 
     @settings(max_examples=20, deadline=None)
     @given(positive_systems())

@@ -159,6 +159,34 @@ class TestCantorCross:
         assert ys.size == 3**4 + 1
 
 
+def meshgrid_points(xs, ys):
+    """The product grid by ``meshgrid`` and a column stack: the bit and
+    order oracle of the builders' broadcast fill."""
+    xx, yy = np.meshgrid(xs, ys)
+    return np.stack([xx.ravel(), yy.ravel()], axis=1)
+
+
+def same_points(got, want):
+    return got.shape == want.shape and got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+
+class TestProductGrid:
+    @pytest.mark.parametrize("depth", range(8))
+    def test_cantor_cross_matches_meshgrid(self, depth):
+        xs = np.array([0.0])
+        for _ in range(depth):
+            xs = np.concatenate([xs / 3.0, xs / 3.0 + 2.0 / 3.0])
+        step = 3.0**-depth
+        ys = np.arange(0.0, 1.0 + step / 2, step)
+        cloud = cantor_cross_segment(depth)
+        assert same_points(cloud.points, meshgrid_points(np.sort(xs), ys))
+        assert cloud.resolution == step
+
+    def test_harmonic_sample_matches_meshgrid(self):
+        a = np.concatenate([[0.0], 1.0 / harmonic_sums(70)])
+        assert same_points(harmonic_product_sample().points, meshgrid_points(a, a))
+
+
 class TestLoadIFS(object):
     def write(self, tmp_path, payload):
         p = tmp_path / "ifs.json"

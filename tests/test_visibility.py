@@ -13,7 +13,7 @@ from affinevis.errors import BudgetError, DirectionInConeError, budget_scope
 from affinevis.linalg2 import Direction
 from affinevis.scenarios import carpet_ifs, harmonic_product_sample, positive_cone_ifs
 from affinevis.symbolic import PointCloud, attractor_cloud
-from affinevis import visibility
+from affinevis import symbolic, visibility
 from affinevis.visibility import (
     ALIGN_TOL,
     KakeyaSet,
@@ -21,6 +21,7 @@ from affinevis.visibility import (
     _CellColumns,
     _column_ends,
     _dense,
+    _int64_cells,
     _lowest_per_line,
     rasterize,
     rotation_to_down,
@@ -361,6 +362,123 @@ class TestScatterMinSweep:
             grid = grid_of(2.0**-6, (0.0, 0.0), cells)
             assert _dense(rotated_column_span(grid, e), len(grid)) == dense
             assert same_rows(visible_sweep(grid, e).cells, sort_sweep(grid, e).cells)
+
+
+class TestCloudEnds:
+    def test_equal_the_column_ends_of_the_points(self, carpet):
+        for cloud in (attractor_cloud(carpet, 2.0**-7), harmonic_product_sample()):
+            assert np.array_equal(cloud.ends, _column_ends(cloud.points))
+
+    def test_found_once_for_every_rasterization(self, monkeypatch, carpet):
+        # rasterize reads the cloud's cached extremes, so a second grid of
+        # the same cloud makes no second pass over its points
+        calls = []
+        ends = symbolic._column_ends
+        monkeypatch.setattr(symbolic, "_column_ends", lambda d: calls.append(len(d)) or ends(d))
+        cloud = attractor_cloud(carpet, 2.0**-8)
+        first = rasterize(cloud, 2.0**-6)
+        again = rasterize(cloud, 2.0**-6)
+        coarse = rasterize(cloud, 2.0**-4)
+        assert calls == [len(cloud)]
+        assert first.origin == again.origin and np.array_equal(first.cells, again.cells)
+        fresh = rasterize(PointCloud(cloud.points.copy(), cloud.resolution), 2.0**-4)
+        assert fresh.origin == coarse.origin and np.array_equal(fresh.cells, coarse.cells)
+
+    def test_empty_cloud_rasterizes_to_an_empty_grid(self):
+        # the extremes of no points do not exist: rasterize returns before it
+        # reads them
+        cloud = PointCloud(np.empty((0, 2)), 0.1)
+        grid = rasterize(cloud, 0.1)
+        assert len(grid) == 0 and grid.cells.shape == (0, 2)
+        with pytest.raises(ValueError):
+            cloud.ends
+
+
+def broadcast_centers(grid):
+    """The cell centres by one broadcast add of the origin: the formula that
+    ``OccupancyGrid.centers`` keeps bit for bit."""
+    return np.asarray(grid.origin) + (grid.cells + 0.5) * grid.delta
+
+
+def broadcast_sweep(grid, e):
+    """``visible_sweep`` with broadcast centres and out-of-place division,
+    floor and column offset: the bit oracle of its in-place steps."""
+    if len(grid) == 0:
+        return grid
+    col, row = _int64_cells(np.floor(rotation_to_down(e) @ broadcast_centers(grid).T / grid.delta))
+    c_min = int(col.min())
+    span = int(col.max()) - c_min + 1
+    if _dense(span, len(col)):
+        col = col - c_min
+    else:
+        distinct = np.unique(col)
+        col, span = np.searchsorted(distinct, col), len(distinct)
+    lowest = np.full(span, INT64_MAX)
+    np.minimum.at(lowest, col, row)
+    return OccupancyGrid(grid.delta, grid.origin, grid.cells[row == lowest[col]])
+
+
+# cell indices: a small pool with negatives, and values up to +/-2^40
+CENTRE_CELL = st.one_of(st.integers(-5, 5), st.integers(-(2**40), 2**40))
+# dyadic, ternary and other cell sizes
+CENTRE_DELTA = st.one_of(
+    st.integers(0, 40).map(lambda k: 2.0**-k),
+    st.integers(1, 25).map(lambda k: 3.0**-k),
+    st.floats(1e-9, 10.0),
+)
+ORIGIN = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+class TestCentresByColumn:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(CENTRE_CELL, CENTRE_CELL), max_size=60),
+        CENTRE_DELTA,
+        st.tuples(ORIGIN, ORIGIN),
+    )
+    @example([(-(2**40), 2**40), (0, -1)], 3.0**-25, (-0.35, 1e6))
+    def test_match_the_broadcast_formula_bit_for_bit(self, rows, delta, origin):
+        grid = OccupancyGrid(delta, origin, np.array(rows, dtype=np.int64).reshape(-1, 2))
+        got, want = grid.centers(), broadcast_centers(grid)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestInPlaceSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(CELL, min_size=1, max_size=120),
+        SIGHT,
+        st.sampled_from([1.0, 0.1, 2.0**-6, 3.0**-7]),
+        st.tuples(ORIGIN, ORIGIN),
+    )
+    @example([(-(10**6), 0), (10**6, 1), (0, 2)], DOWN, 1.0, (0.0, 0.0))
+    @example([(0, 0), (0, 5), (1, 3)], Direction(0.0), 0.1, (-0.35, 0.2))
+    def test_matches_the_out_of_place_sweep(self, rows, e, delta, origin):
+        # dense and sparse column ranges (CELL's far-apart pairs), cardinal
+        # and other directions
+        grid = grid_of(delta, origin, rows)
+        assert np.array_equal(visible_sweep(grid, e).cells, broadcast_sweep(grid, e).cells)
+
+    @pytest.mark.parametrize("delta", [0.1, 3.0**-7, 1e-3])
+    @pytest.mark.parametrize("angle", [-math.pi / 2, 0.0, math.pi / 2, math.pi])
+    def test_centres_on_cell_boundaries(self, delta, angle):
+        # an origin half a cell low puts each centre within rounding of a
+        # cell boundary, where a quotient that is off by an ulp floors into
+        # the neighbouring column or row
+        i = np.repeat(np.arange(-400, 400), 2)
+        cells = np.stack([i, np.tile([0, 1], 800) + i % 2], axis=1)
+        grid = grid_of(delta, (-delta / 2, -delta / 2), cells)
+        e = Direction(angle)
+        assert np.array_equal(visible_sweep(grid, e).cells, broadcast_sweep(grid, e).cells)
+
+    def test_carpet_ladder(self, carpet):
+        cloud = attractor_cloud(carpet, 2.0**-10)
+        for k in (4, 7, 10):
+            grid = rasterize(cloud, 2.0**-k)
+            for angle in np.linspace(0.0, 2 * math.pi, 9):
+                e = Direction(angle)
+                assert np.array_equal(visible_sweep(grid, e).cells, broadcast_sweep(grid, e).cells)
 
 
 @functools.cache
