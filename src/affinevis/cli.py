@@ -11,7 +11,8 @@ scan      projection verdicts over a direction grid
 tangent   tangent frames and approximating rectangles along a stream
 scenario  list built-in scenarios or run one with its assertion battery
 
-Exit codes: 0 success, 2 validation error, 3 budget exceeded,
+Exit codes: 0 success, 2 validation error or an output path that cannot be
+written (``--out`` or ``--svg`` naming a directory), 3 budget exceeded,
 4 scenario assertion failed.
 """
 
@@ -393,6 +394,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:
+        # atomic_write_bytes names the output it could not write; an input
+        # file that cannot be read is a ParseError
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

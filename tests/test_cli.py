@@ -407,6 +407,16 @@ class TestCLI:
     def test_unknown_scenario_exit_code(self):
         assert main(["orient", "--scenario", "missing", "--eps", "0.1"]) == 2
 
+    @pytest.mark.parametrize("option", ["--out", "--svg"])
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, option):
+        # an output path naming a directory: one error line, exit 2, and no
+        # temporary file left beside it
+        target = tmp_path / "taken"
+        target.mkdir()
+        assert main(["gen", "--scenario", "carpet-5.1", "--delta", "0.1", option, str(target)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {target}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
+
     def test_point_set_scenario_not_ifs_backed(self, tmp_path, capsys):
         assert main(["gen", "--scenario", "harmonic-5.2", "--out", str(tmp_path / "x.csv")]) == 2
         assert "not IFS-backed" in capsys.readouterr().err

@@ -17,7 +17,7 @@ UNREAD_ALLOWED = {
     "magnify": "the proof-chain battery of a hard scenario (ROADMAP item 3)",
     "visible_envelope": "the proof-chain battery of a hard scenario (ROADMAP item 3)",
     "EnvelopeFn.max_violation": "the proof-chain battery of a hard scenario (ROADMAP item 3)",
-    "IFS.invariant_ball": "the cylinder stopping rule and a scale-free gap_tol (ROADMAP items 4 and 5)",
+    "IFS.invariant_ball": "culled refinement, one unit of length, windowed clouds (ROADMAP items 7, 8 and 11)",
 }
 
 

@@ -3,6 +3,8 @@ they replace; the oracles below are that formatting, kept verbatim."""
 
 import csv
 import io
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +12,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from affinevis.report import CSV_CHUNK_ROWS, _SVG_FOOTER, _svg_header, svg_cells, write_csv
+from affinevis.report import (
+    _FIXED_BQ,
+    CSV_CHUNK_ROWS,
+    _scaling_tables,
+    _SVG_FOOTER,
+    _svg_header,
+    svg_cells,
+    write_csv,
+)
+from affinevis.scenarios import carpet_ifs, positive_cone_ifs
+from affinevis.symbolic import attractor_cloud
 from affinevis.visibility import OccupancyGrid
 
 SPECIAL_FLOATS = [
@@ -88,6 +100,36 @@ FLOAT_ARRAYS = hnp.arrays(
     SHAPES,
     elements=st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(width=64)),
 )
+# float64 values by their raw 64-bit patterns: any pattern at all (mostly
+# exponent notation, nan payloads, subnormals), or one whose biased exponent
+# repr may write in fixed notation, with any sign and significand
+RAW_BITS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.builds(
+        lambda sign, bq, t: sign << 63 | bq << 52 | t,
+        st.integers(0, 1),
+        st.integers(_FIXED_BQ[0], _FIXED_BQ[1] - 1),
+        st.integers(0, 2**52 - 1),
+    ),
+)
+RAW_ARRAYS = hnp.arrays(np.uint64, SHAPES, elements=RAW_BITS).map(lambda a: a.view(np.float64))
+
+
+def _neighbours(x: float) -> list[float]:
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# every power of two and its neighbours; the edges of repr's fixed notation
+# (1e-4 and 1e16), 1e-5, 2^53 and their neighbours; the subnormal and normal
+# extremes; zeros, nan and infinities; each with both signs
+EDGE_FLOATS = np.array(
+    [y for k in range(-1074, 1024) for y in _neighbours(2.0**k)]
+    + [y for x in (1e-4, 1e-5, 1e16, 2.0**53) for y in _neighbours(x)]
+    + [5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308]
+    + [0.0, np.nan, np.inf]
+)
+EDGE_FLOATS = np.concatenate([EDGE_FLOATS, -EDGE_FLOATS])
+
 INT_ARRAYS = hnp.arrays(
     np.int64,
     SHAPES,
@@ -105,6 +147,44 @@ class TestCsvArrays:
         header = [f"c{k}" for k in range(rows.shape[1])]
         write_csv(p, header, rows)
         assert p.read_bytes() == _csv_oracle(header, rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(RAW_ARRAYS)
+    @example(
+        np.array([[0x3FF0000000000000, 0x3F1A36E2EB1C432D], [0x4340000000000001, 1]], dtype=np.uint64)
+        .view(np.float64)
+    )  # 1.0, 1e-4, 2^53 + 2 and the smallest subnormal
+    def test_raw_bit_patterns_match_csv_writer(self, tmp_path_factory, rows):
+        p = tmp_path_factory.mktemp("csv") / "r.csv"
+        header = [f"c{k}" for k in range(rows.shape[1])]
+        write_csv(p, header, rows)
+        assert p.read_bytes() == _csv_oracle(header, rows)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_edge_floats_match_csv_writer(self, tmp_path, order):
+        rows = np.asarray(EDGE_FLOATS.reshape(-1, 2), order=order)
+        write_csv(tmp_path / "e.csv", ["a", "b"], rows)
+        assert (tmp_path / "e.csv").read_bytes() == _csv_oracle(["a", "b"], rows)
+
+    @pytest.mark.parametrize("ifs", [carpet_ifs, positive_cone_ifs])
+    def test_gen_clouds_match_csv_writer(self, tmp_path, ifs):
+        points = attractor_cloud(ifs(), 2.0**-10).points
+        write_csv(tmp_path / "cloud.csv", ["x", "y"], points)
+        assert (tmp_path / "cloud.csv").read_bytes() == _csv_oracle(["x", "y"], points)
+
+    def test_scaling_table_brackets_each_power_of_ten(self):
+        # each g is floor(10**-k * 2**-r) + 1, 126 bits long, and each shift
+        # keeps the scaled significand cb << h below 2**60 (the bound the
+        # limb products are exact for)
+        k0, kh, g = _scaling_tables()
+        q = np.tile(np.arange(*_FIXED_BQ) - 1075, 2)
+        for k, h, e in zip(*kh.tolist(), q.tolist()):
+            g1, g1_hi, g1_lo, g0_hi, g0_lo = g[:, k - k0].tolist()
+            assert g1_hi << 32 | g1_lo == g1
+            gk = g1 << 63 | g0_hi << 32 | g0_lo
+            r = h - e - 127
+            assert (gk - 1) * Fraction(2) ** r <= Fraction(10) ** -k < gk * Fraction(2) ** r
+            assert 2**125 < gk <= 2**126 and 1 <= h <= 5
 
     @settings(max_examples=100, deadline=None)
     @given(INT_ARRAYS)
