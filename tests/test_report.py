@@ -217,12 +217,16 @@ class TestCsvArrays:
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize(
-        "count", [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 10_000]
+        "count",
+        sorted(
+            {0, 1, 4095, 4096, 4097, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 10_000}
+        ),
     )
     @pytest.mark.parametrize("kind", ["float", "int", "mixed"])
     def test_chunk_boundaries(self, tmp_path, count, kind):
         # rows are formatted CSV_CHUNK_ROWS at a time: the file has the bytes
         # of the whole table formatted in one piece, at every chunk boundary
+        # and at the 4,096-row boundaries of the earlier chunk size
         rng = np.random.default_rng(count)
         if kind == "float":
             rows = rng.standard_normal((count, 3)) * 10.0 ** rng.integers(-20, 20, (count, 3))
